@@ -13,10 +13,9 @@ from .kernel import (ConditionReport, JumpKernelSpec, check_jc1, check_jc2,
                      isotropic_stable_kernel, tail_mass,
                      tempered_stable_kernel)
 from .rng import RngStream
-from .sampler import (BatchExit, ExitSample, GeometricStable,
-                      IsotropicStable, SdeStable, StableLikeChain,
-                      ball_exit_isotropic, chain_step, sample_exits,
-                      sde_step, survival_prob_ball, walk_on_balls_exit)
+from .sampler import (BatchExit, GeometricStable, IsotropicStable,
+                      SdeStable, StableLikeChain, ball_exit_isotropic,
+                      chain_step, sample_exits, sde_step, survival_prob_ball)
 from .scale import ScaleFunction
 from .bhp import (BhpReport, BoundaryData, bhp_scan, bhp_scan_series,
                   box_diagnostics, chain_decay, eval_harmonic,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .domains import Ball, Domain, Intersection
+from .domains import SURFACE_TOL, Ball, Domain, Intersection
 from .errors import ConfigError, DomainError, UnderpoweredError
 from .exitstats import (ESCALATION_CAP, TARGET_REL_STDERR, Estimate,
-                        gather_exits, mean_exit_time)
+                        escalate, gather_exits, mean_exit_time)
 from .kernel import boundary_integral
 from .rng import RngStream
 from .sampler import IsotropicStable, ProcessModel, walk_exit_batch_indexed
@@ -114,37 +114,19 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float,
     return est
 
 
-def _crn_pair(model: ProcessModel, D: Domain, xi, r: float,
-              g1: BoundaryData, g2: BoundaryData, x, rng: RngStream,
-              n0: int, cap: int, target: float,
-              workers: int = 1, rho: float = 0.5):
-    """Common-random-number estimates of (h1(x), h2(x)).
+def _harmonic_crn(model: ProcessModel, D: Domain, xi, r: float, data, x,
+                  rng: RngStream, n0: int, cap: int, target: float,
+                  workers: int = 1, rho: float = 0.5) -> list:
+    """Common-random-number estimates of h_g(x) for each g in `data`.
 
-    Both boundary functions are averaged over the *same* exit samples;
-    batches escalate until both relative standard errors beat the target
-    or the sample cap is reached (estimates then marked underpowered).
+    Every boundary function is averaged over the *same* exit samples of
+    D & B(xi, 2r); batches escalate until all relative standard errors
+    beat the target or the sample cap is reached (estimates then marked
+    underpowered).
     """
     U = D.truncate(np.asarray(xi, dtype=float), 2.0 * r)
-    s1 = s2 = q1 = q2 = 0.0
-    total = 0
-    n = n0
-    k = 0
-    while True:
-        batch, _ = gather_exits(model, U, x, n, rng.substream(k), workers, rho)
-        k += 1
-        v1 = g1(batch.y)
-        v2 = g2(batch.y)
-        s1 += v1.sum(); q1 += (v1 * v1).sum()
-        s2 += v2.sum(); q2 += (v2 * v2).sum()
-        total += batch.n
-        e1 = Estimate.from_moments(s1, q1, total, method="mc-mean-harmonic")
-        e2 = Estimate.from_moments(s2, q2, total, method="mc-mean-harmonic")
-        if max(e1.rel_stderr, e2.rel_stderr) < target:
-            return e1, e2
-        if total >= cap:
-            e1.underpowered = e2.underpowered = True
-            return e1, e2
-        n = min(total, cap - total)
+    return escalate(model, U, x, [lambda b, g=g: g(b.y) for g in data], rng,
+                    n0, cap, target, workers, rho, method="mc-mean-harmonic")
 
 
 # ===================================================================== #
@@ -154,7 +136,7 @@ def _crn_pair(model: ProcessModel, D: Domain, xi, r: float,
 def interior_grid(D: Domain, xi, radius: float, size: int,
                   delta_floor: float, rng: RngStream,
                   max_tries: int = 1_000_000) -> np.ndarray:
-    """size points of D & B(xi, radius) with dist_lb >= delta_floor."""
+    """size points of D & B(xi, radius) with clearance >= delta_floor."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d = xi.shape[0]
     g = rng.generator()
@@ -165,11 +147,9 @@ def interior_grid(D: Domain, xi, radius: float, size: int,
         u = g.standard_normal((m, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         cand = xi + radius * g.random(m)[:, None] ** (1.0 / d) * u
-        inside = np.asarray(D.contains(cand), dtype=bool)
-        cand = cand[inside]
-        if len(cand):
-            deep = np.asarray(D.dist_lb(cand), dtype=float) >= delta_floor
-            pts.extend(cand[deep][: size - len(pts)])
+        c = D.clearance(cand)
+        deep = (c > SURFACE_TOL) & (c >= delta_floor)
+        pts.extend(cand[deep][: size - len(pts)])
         tried += m
     if len(pts) < size:
         raise DomainError(
@@ -254,9 +234,9 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
     h1, h2 = [], []
     n_total = 0
     for i, x in enumerate(grid):
-        e1, e2 = _crn_pair(model, D, xi, r, g1, g2, x,
-                           rng.substream(1 + i), n0=n, cap=cap,
-                           target=target, workers=workers, rho=rho)
+        e1, e2 = _harmonic_crn(model, D, xi, r, (g1, g2), x,
+                               rng.substream(1 + i), n0=n, cap=cap,
+                               target=target, workers=workers, rho=rho)
         h1.append(e1)
         h2.append(e2)
         n_total += e1.n
@@ -342,12 +322,13 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     h_est, e_est, rho_vals, powered = [], [], [], []
     for i, x in enumerate(grid):
         sub = rng.substream(1 + i)
-        h, _ = _crn_pair(model, D, xi, r, g, g, x, sub.substream(0),
-                         n0=n, cap=cap, target=target, workers=workers,
-                         rho=rho)
+        h, = _harmonic_crn(model, D, xi, r, (g,), x, sub.substream(0),
+                           n0=n, cap=cap, target=target, workers=workers,
+                           rho=rho)
         ball = Intersection([D, Ball(x, c1 * r)])
-        met = _escalated_mean_exit(model, ball, x, sub.substream(1), n,
-                                   cap, target, workers, rho)
+        met, = escalate(model, ball, x, [lambda b: b.w], sub.substream(1),
+                        n, cap, target, workers, rho,
+                        method="mc-mean-exit-time")
         h_est.append(h)
         e_est.append(met)
         ok = h.rel_stderr < gate and met.rel_stderr < gate
@@ -365,26 +346,6 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
             "band_max": float(np.nanmax(band)),
             "band_min": float(np.nanmin(band)),
             "band_ratio": float(np.nanmax(band) / np.nanmin(band))}
-
-
-def _escalated_mean_exit(model, dom, x, rng, n0, cap, target, workers, rho):
-    s = q = 0.0
-    total = 0
-    n = n0
-    k = 0
-    while True:
-        batch, _ = gather_exits(model, dom, x, n, rng.substream(k), workers,
-                                rho)
-        k += 1
-        s += batch.w.sum(); q += (batch.w * batch.w).sum()
-        total += batch.n
-        est = Estimate.from_moments(s, q, total, method="mc-mean-exit-time")
-        if est.rel_stderr < target:
-            return est
-        if total >= cap:
-            est.underpowered = True
-            return est
-        n = min(total, cap - total)
 
 
 # ===================================================================== #
@@ -516,20 +477,14 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
         centers = y[idx]
         radii = radii[movable]
 
-        # the walker index passed back by the core is the row into
-        # `centers`/`radii` for this step
-        def contains(pts, rows):
-            in_ball = (np.linalg.norm(pts - centers[rows], axis=1)
-                       < radii[rows])
-            return np.asarray(D.contains(pts), dtype=bool) & in_ball
-
-        def dist_lb(pts, rows):
+        # clearance of D & B(centers[row], radii[row]); the walker index
+        # passed back by the core is the row for this step
+        def clearance(pts, rows):
             to_ball = radii[rows] - np.linalg.norm(pts - centers[rows], axis=1)
-            return np.minimum(np.asarray(D.dist_lb(pts), dtype=float), to_ball)
+            return np.minimum(D.clearance(pts), to_ball)
 
-        batch = walk_exit_batch_indexed(model.alpha, model.dim, contains,
-                                        dist_lb, centers, rho,
-                                        rng.substream(step))
+        batch = walk_exit_batch_indexed(model.alpha, model.dim, clearance,
+                                        centers, rho, rng.substream(step))
         new_y = batch.y
         in_d = np.asarray(D.contains(new_y), dtype=bool) & ~batch.stalled
         near_xi = np.linalg.norm(new_y - xi, axis=1) < 1.5 * r

@@ -1,15 +1,20 @@
-"""Open subsets of R^d with the geometric oracles the samplers need.
+"""Open subsets of R^d with the geometric oracle the samplers need.
 
 Every domain is an immutable value object exposing
 
-* ``contains(x)``  -- open-set membership, vectorized over points,
-* ``dist_lb(x)``   -- a computable lower bound 0 < delta(x) <= d(x, D^c),
+* ``clearance(x)`` -- the signed clearance, vectorized over points: the
+  distance to the complement for inside points (zero or negative
+  outside).  This is the one geometry oracle; the walk on balls consumes
+  nothing else.
+* ``contains(x)``  -- open-set membership, ``clearance(x) > SURFACE_TOL``,
+* ``dist_lb(x)``   -- ``clearance(x)`` on inside points, a computable
+  lower bound 0 < delta(x) <= d(x, D^c); it raises outside,
 * ``boundary_anchors`` -- a finite list of boundary points,
 * ``truncate(xi, r)``  -- the intersection D & B(xi, r).
 
 Membership is resolved conservatively for openness: any point within
-1e-12 of a descriptor surface is classified as *outside*.  Distance
-bounds are exact for the primitive shapes and conservative (a min over
+1e-12 of a descriptor surface is classified as *outside*.  Clearances
+are exact for the primitive shapes and conservative (a min or max over
 components) for composites -- the samplers only ever need a positive
 lower bound.
 """
@@ -61,19 +66,24 @@ class Domain:
     def _clearance(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        inside = self._clearance(pts) > SURFACE_TOL
-        return bool(inside[0]) if scalar else inside
-
-    def dist_lb(self, x):
+    def clearance(self, x):
+        """Signed clearance: distance to the complement, <= 0 outside."""
         pts, scalar = _as_points(x, self.dim)
         c = self._clearance(pts)
-        if np.any(c <= SURFACE_TOL):
-            k = int(np.argmax(c <= SURFACE_TOL))
-            raise DomainError(f"dist_lb called at a point outside the domain: "
-                              f"{pts[k].tolist()}")
         return float(c[0]) if scalar else c
+
+    def contains(self, x):
+        return self.clearance(x) > SURFACE_TOL
+
+    def dist_lb(self, x):
+        c = self.clearance(x)
+        outside = np.atleast_1d(c <= SURFACE_TOL)
+        if outside.any():
+            k = int(np.argmax(outside))
+            pt = np.atleast_2d(np.asarray(x, dtype=float))[k]
+            raise DomainError(f"dist_lb called at a point outside the domain: "
+                              f"{pt.tolist()}")
+        return c
 
     def truncate(self, xi, r: float) -> "Domain":
         """D intersected with the open ball B(xi, r)."""

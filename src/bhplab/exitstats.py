@@ -246,33 +246,43 @@ def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
 # precision escalation
 # ===================================================================== #
 
-def escalate(draw, rng: RngStream, n0: int = 4096,
-             cap: int = ESCALATION_CAP,
-             target: float = TARGET_REL_STDERR):
-    """Escalate sample counts until every returned estimate is precise.
+def escalate(model: ProcessModel, D: Domain, x, functionals,
+             rng: RngStream, n0: int, cap: int = ESCALATION_CAP,
+             target: float = TARGET_REL_STDERR, workers: int = 1,
+             rho: float = 0.5, method: str = "mc-mean") -> list:
+    """Mean estimates of several batch functionals over common exits.
 
-    `draw(n, stream)` must return a list of accumulator-updating callables'
-    results — concretely, a list of Estimates built from cumulative
-    counts supplied by the caller.  This generic driver doubles n until
-    `draw` reports all relative standard errors below `target`, or the
-    cumulative sample cap is hit, in which case the last estimates are
-    marked underpowered.
-
-    Returns (estimates, total_n).
+    Each functional maps an exit batch to per-path values (e.g.
+    `lambda b: g(b.y)` or `lambda b: b.w`), so every estimate is built
+    from the same paths.  Round k draws from `rng.substream(k)`: n0 paths
+    first, then as many as already counted (bounded by the cap), so the
+    sample count doubles per round.  Rounds stop once every relative
+    standard error is below `target`, or once the non-stalled path count
+    reaches `cap`, in which case the estimates are marked underpowered.
+    Every round's stall warnings are attached to each estimate.
     """
+    sums = [0.0] * len(functionals)
+    sumsq = [0.0] * len(functionals)
+    warnings = []
     total = 0
     n = n0
     k = 0
-    estimates = None
     while True:
-        estimates = draw(n, rng.substream(k))
+        batch, warn = gather_exits(model, D, x, n, rng.substream(k), workers,
+                                   rho)
         k += 1
-        total += n
-        worst = max(e.rel_stderr for e in estimates)
-        if worst < target:
-            return estimates, total
-        if total >= cap:
+        warnings.extend(warn)
+        for i, f in enumerate(functionals):
+            v = np.asarray(f(batch), dtype=float)
+            sums[i] += v.sum()
+            sumsq[i] += (v * v).sum()
+        total += batch.n
+        estimates = [Estimate.from_moments(s, q, total, method=method)
+                     for s, q in zip(sums, sumsq)]
+        precise = max(e.rel_stderr for e in estimates) < target
+        if precise or total >= cap:
             for e in estimates:
-                e.underpowered = True
-            return estimates, total
-        n = min(2 * total, cap - total)
+                e.underpowered = not precise
+                e.warnings.extend(warnings)
+            return estimates
+        n = min(total, cap - total)

@@ -5,7 +5,9 @@ alpha-stable process: from the center, the exit radius is Beta-distributed
 after the substitution B = 1/|y|^2, and the exit direction is uniform.
 Composing exact ball exits inside a domain ("walk on balls") yields exact
 samples of the domain exit position, plus an unbiased accumulator for the
-mean exit time via the closed-form expected ball-exit time.
+mean exit time via the closed-form expected ball-exit time.  The walk
+reads one number of the domain per walker and step, its signed clearance
+(`Domain.clearance`): it sizes the next ball and decides the exit.
 
 Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
 gamma-subordinated stable) cover variable coefficients and non-power
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import Domain
+from .domains import SURFACE_TOL, Domain
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
 from .kernel import (JumpKernelSpec, isotropic_stable_kernel, sphere_area,
                      tail_mass)
@@ -188,14 +190,6 @@ class StableLikeChain(ProcessModel):
         return _build_chain_tables(self)
 
 
-def tempered_chain(kernel_spec: JumpKernelSpec, h: float,
-                   r_cut: float) -> StableLikeChain:
-    """Lattice chain for a kernel with an exponential temper factor."""
-    if kernel_spec.temper is None:
-        raise ConfigError("tempered chain needs a kernel with a temper factor")
-    return StableLikeChain(kernel_spec, h, r_cut)
-
-
 @dataclass(frozen=True)
 class SdeStable(ProcessModel):
     """Euler scheme for dX = sigma(X-) dZ with Z isotropic alpha-stable.
@@ -265,31 +259,26 @@ class BatchExit:
         return len(self.w)
 
 
-@dataclass(frozen=True)
-class ExitSample:
-    """One exit sample: position, time weight, and bookkeeping."""
-
-    y: np.ndarray
-    w: float
-    steps: int
-    via_jump: bool = True
-
-
-def walk_exit_batch_indexed(alpha: float, d: int, contains, dist_lb, starts,
+def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
                             rho: float, rng: RngStream,
                             max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
-    """Walk-on-balls exits where the geometry may differ per path.
+    """Walk-on-balls exits for many starting points at once.
 
-    `contains(pts, idx)` and `dist_lb(pts, idx)` receive the path indices
-    alongside the points, so callers can close over per-path geometry
-    (e.g. a different truncating ball for each walker).
+    `clearance(pts, idx)` is the signed clearance of the (m, d) points
+    `pts`; it also receives their path indices, so callers can close over
+    per-path geometry (e.g. a different truncating ball for each walker).
+    It is evaluated once on the starts and once per active walker after
+    each jump: a walker with clearance c > SURFACE_TOL is inside and next
+    exits the ball B(x, rho * c) exactly, accumulating the closed-form
+    expected ball-exit time; any other walker has exited.
     """
     if not 0 < rho <= 1:
         raise DomainError("ball factor rho must lie in (0, 1]")
     x = np.array(np.atleast_2d(starts), dtype=float)
     n = x.shape[0]
-    all_idx = np.arange(n)
-    if not np.all(contains(x, all_idx)):
+    active = np.arange(n)
+    c = np.asarray(clearance(x, active), dtype=float)
+    if not np.all(c > SURFACE_TOL):
         raise DomainError("walk exit: a start point lies outside the domain")
     g = rng.generator()
     y = np.empty_like(x)
@@ -297,57 +286,24 @@ def walk_exit_batch_indexed(alpha: float, d: int, contains, dist_lb, starts,
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
     ce = mean_exit_constant(d, alpha)
-    active = all_idx
     for _ in range(max_steps):
         if len(active) == 0:
             break
-        radii = rho * np.asarray(dist_lb(x[active], active), dtype=float)
+        radii = rho * c
         w[active] += ce * radii ** alpha
         z = ball_exit_centered(alpha, d, len(active), g)
         x[active] += radii[:, None] * z
         steps[active] += 1
-        inside = contains(x[active], active)
+        c = np.asarray(clearance(x[active], active), dtype=float)
+        inside = c > SURFACE_TOL
         done = active[~inside]
         y[done] = x[done]
         active = active[inside]
+        c = c[inside]
     if len(active):
         stalled[active] = True
         y[active] = x[active]
     return BatchExit(y=y, w=w, steps=steps, stalled=stalled)
-
-
-def walk_exit_batch(alpha: float, d: int, contains, dist_lb, starts,
-                    rho: float, rng: RngStream,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
-    """Walk-on-balls exits for many starting points at once.
-
-    `contains` and `dist_lb` are vectorized callables over (m, d) point
-    arrays; each active walker exits the ball B(x_k, rho * dist_lb(x_k))
-    exactly and accumulates the closed-form expected ball-exit time.
-    """
-    return walk_exit_batch_indexed(alpha, d,
-                                   lambda pts, idx: contains(pts),
-                                   lambda pts, idx: dist_lb(pts),
-                                   starts, rho, rng, max_steps)
-
-
-def walk_on_balls_exit(model: IsotropicStable, D: Domain, x, rho: float,
-                       rng: RngStream,
-                       max_steps: int = DEFAULT_MAX_STEPS) -> ExitSample:
-    """Exact sample of the exit position of D from x, with time weight."""
-    if not isinstance(model, IsotropicStable):
-        raise CapabilityError("walk on balls requires the exact-exit-law model")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not D.contains(x):
-        raise DomainError("walk_on_balls_exit: start point outside the domain")
-    batch = walk_exit_batch(model.alpha, model.dim, D.contains, D.dist_lb,
-                            x[None, :], rho, rng, max_steps)
-    if batch.stalled[0]:
-        raise SamplerStallError(
-            f"walk on balls exceeded {max_steps} steps",
-            n_stalled=1, n_total=1, partial=batch)
-    return ExitSample(y=batch.y[0], w=float(batch.w[0]),
-                      steps=int(batch.steps[0]))
 
 
 # ===================================================================== #
@@ -611,23 +567,21 @@ def sample_exits(model: ProcessModel, D: Domain, x, n: int, rng: RngStream,
                  max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
     """n exit samples of D from x under the given model.
 
-    Exact for IsotropicStable (walk on balls); approximation-grade for
-    the lattice chain.  Other variants carry no exit-law sampler.
+    Exact for IsotropicStable (walk on balls over `D.clearance`);
+    approximation-grade for the lattice chain.  Other variants carry no
+    exit-law sampler.  A start outside D, or of the wrong dimension,
+    raises DomainError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     starts = np.tile(x, (n, 1))
     if isinstance(model, IsotropicStable):
-        return walk_exit_batch(model.alpha, model.dim, D.contains, D.dist_lb,
-                               starts, rho, rng, max_steps)
+        return walk_exit_batch_indexed(model.alpha, model.dim,
+                                       lambda pts, idx: D.clearance(pts),
+                                       starts, rho, rng, max_steps)
     if isinstance(model, StableLikeChain):
         return chain_exit_batch(model, D, starts, rng, max_steps)
     raise CapabilityError(
         f"{type(model).__name__} provides no exit-law sampler")
-
-
-def survival_scaling_reference(alpha: float, r: float, t: float) -> tuple:
-    """(r', t') with P_0(tau_{B(0,r)} < t) = P_0(tau_{B(0,1)} < t')."""
-    return 1.0, t / r ** alpha
 
 
 def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,

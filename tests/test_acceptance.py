@@ -22,7 +22,7 @@ from bhplab.kernel import (check_jt, check_phi, isotropic_stable_kernel,
                            tail_mass, tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.sampler import (IsotropicStable, SdeStable, StableLikeChain,
-                            sample_exits, survival_prob_ball, walk_exit_batch)
+                            sample_exits, survival_prob_ball)
 from bhplab.scale import ScaleFunction
 
 
@@ -135,12 +135,11 @@ def test_chain_matches_exact_exit_law_in_total_variation():
 # ------------------------------------------------------------------ #
 
 def test_walk_exit_law_invariant_under_ball_factor():
+    model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     n = 100_000
-    a = walk_exit_batch(1.0, 1, D.contains, D.dist_lb, np.zeros((n, 1)),
-                        1.0, RngStream(SEED, 6))
-    b = walk_exit_batch(1.0, 1, D.contains, D.dist_lb, np.zeros((n, 1)),
-                        0.5, RngStream(SEED, 7))
+    a = sample_exits(model, D, [0.0], n, RngStream(SEED, 6), rho=1.0)
+    b = sample_exits(model, D, [0.0], n, RngStream(SEED, 7), rho=0.5)
     ks = stats.ks_2samp(a.y[:, 0], b.y[:, 0])
     assert ks.pvalue > 0.01
 

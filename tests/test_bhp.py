@@ -7,9 +7,10 @@ from bhplab.bhp import (BhpReport, BoundaryData, bhp_scan, bhp_scan_series,
                         interior_grid)
 from bhplab.domains import Ball, HalfSpace, SlitPlane
 from bhplab.errors import ConfigError, DomainError
+from bhplab import exitstats
 from bhplab.exitstats import harmonic_measure
 from bhplab.rng import RngStream
-from bhplab.sampler import IsotropicStable, tempered_chain
+from bhplab.sampler import IsotropicStable, StableLikeChain, sample_exits
 from bhplab.kernel import tempered_stable_kernel
 
 
@@ -166,7 +167,7 @@ def test_bhp_scan_validates_inputs():
 
 def test_bhp_scan_tempered_radius_limit():
     ks = tempered_stable_kernel(1, 1.0, lam=1.0, beta_t=1.0)
-    model = tempered_chain(ks, 2.0 ** -4, 8.0)
+    model = StableLikeChain(ks, 2.0 ** -4, 8.0)
     g = far_field_indicator([0.0], 4.0)
     with pytest.raises(ConfigError):
         bhp_scan(model, Ball([0.0], 10.0), [0.0], 2.0, 1.0, g, g, 4, 100,
@@ -271,12 +272,10 @@ def test_chain_decay_first_step_matches_direct_mc():
     x = np.array([0.0, 0.25])
     out = chain_decay(model, HALF, xi, r, x, 20_000, RngStream(43), m_max=1)
 
-    from bhplab.sampler import walk_exit_batch
     s = float(np.linalg.norm(x - xi))
     gamma = 0.125 * (2.0 - s / r) ** 2 * r
     U = HALF.truncate(x, gamma)
-    batch = walk_exit_batch(1.0, 2, U.contains, U.dist_lb,
-                            np.tile(x, (20_000, 1)), 0.5, RngStream(99))
+    batch = sample_exits(model, U, x, 20_000, RngStream(99))
     ok = (np.asarray(HALF.contains(batch.y))
           & ((np.linalg.norm(batch.y - xi, axis=1) < 1.5 * r)
              | (np.linalg.norm(batch.y - x, axis=1) < 2.0 * gamma)))
@@ -290,9 +289,28 @@ def test_chain_decay_validates_start():
     with pytest.raises(DomainError):
         chain_decay(model, HALF, XI, 0.5, [0.0, 0.8], 100, RngStream(0))
     with pytest.raises(ConfigError):
-        chain_decay(tempered_chain(tempered_stable_kernel(2, 1.0, 1.0, 1.0),
-                                   0.25, 4.0),
+        chain_decay(StableLikeChain(tempered_stable_kernel(2, 1.0, 1.0, 1.0),
+                                    0.25, 4.0),
                     HALF, XI, 0.5, [0.0, 0.25], 100, RngStream(0))
+
+
+def test_bhp_scan_keeps_stall_warnings(monkeypatch):
+    gather = exitstats.gather_exits
+
+    def stalling_gather(*args, **kwargs):
+        batch, warnings = gather(*args, **kwargs)
+        return batch, warnings + ["stall rate 0.2% (stub)"]
+
+    monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
+    model = IsotropicStable(1.0, 2)
+    g1, g2 = _pair(0.5)
+    rep = bhp_scan(model, HALF, XI, 0.5, 1.0, g1, g2, grid_size=2, n=1000,
+                   rng=RngStream(47), cap=4000)
+    for e1, e2 in zip(rep.h1, rep.h2):
+        rounds = len(e1.warnings)
+        assert rounds >= 1 and e1.warnings == e2.warnings
+        assert e1.warnings == ["stall rate 0.2% (stub)"] * rounds
+        assert rep.to_dict()["h1"][0]["warnings"]
 
 
 def test_bhp_report_serialization():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhplab.domains import (Ball, Cone, HalfSpace, Intersection,
-                            SegmentComplement, SlitPlane, Union,
+from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace,
+                            Intersection, SegmentComplement, SlitPlane, Union,
                             box_minus_comb, from_descriptor)
 from bhplab.errors import ConfigError, DomainError
 
@@ -120,10 +120,15 @@ DOMAINS = [
 def test_dist_lb_is_a_valid_lower_bound(D):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, size=(3000, 2))
+    # the one oracle: membership and the bound both derive from clearance
+    c = D.clearance(pts)
     inside = D.contains(pts)
+    assert np.array_equal(inside, c > SURFACE_TOL)
+    assert D.contains(pts[0]) == (D.clearance(pts[0]) > SURFACE_TOL)
     pts = pts[inside]
     assert len(pts) > 50
     delta = D.dist_lb(pts)
+    assert np.array_equal(delta, c[inside])
     assert np.all(delta > 0)
     # probe each ball B(x, 0.999 delta): every probe must stay inside
     theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)

@@ -230,28 +230,27 @@ def test_gather_exits_clean_batch_has_no_stalls():
 
 
 def test_escalate_reaches_target():
-    stream = RngStream(9)
-
-    state = {"k": 0, "n": 0}
-
-    def draw(n, sub):
-        state["n"] += n
-        g = sub.generator()
-        vals = g.normal(10.0, 1.0, state["n"])   # pretend cumulative
-        return [Estimate.from_samples(vals)]
-
-    ests, total = escalate(draw, stream, n0=128, target=0.02)
-    assert ests[0].rel_stderr < 0.02
-    assert not ests[0].underpowered
-    assert total >= 128
+    # two functionals over common exits: the mean exit time of (-1, 1)
+    # from 0 (exactly 1) and the probability of exiting to the right
+    model = IsotropicStable(1.0, 1)
+    ests = escalate(model, Ball([0.0], 1.0), [0.0],
+                    [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
+                    RngStream(9), n0=128, target=0.02)
+    met, right = ests
+    assert met.n == right.n
+    rounds = met.n // 128
+    assert met.n % 128 == 0 and rounds & (rounds - 1) == 0   # doubling
+    for e in ests:
+        assert e.rel_stderr < 0.02
+        assert not e.underpowered and e.warnings == []
+    assert abs(met.value - 1.0) < 4.0 * met.stderr
 
 
 def test_escalate_marks_underpowered_at_cap():
-    def draw(n, sub):
-        # constant huge relative error regardless of n
-        return [Estimate(value=1.0, stderr=10.0, n=n, ci95=(-30.0, 30.0),
-                         method="stub")]
-
-    ests, total = escalate(draw, RngStream(1), n0=64, cap=256, target=0.02)
-    assert ests[0].underpowered
-    assert total >= 256
+    # P(|Y| > 100) is about 0.6%: hopeless at 2% precision with 256 paths
+    model = IsotropicStable(1.0, 1)
+    est, = escalate(model, Ball([0.0], 1.0), [0.0],
+                    [lambda b: np.abs(b.y[:, 0]) > 100.0], RngStream(1),
+                    n0=64, cap=256, target=0.02)
+    assert est.underpowered
+    assert est.n == 256          # rounds of 64, 64 and 128 paths

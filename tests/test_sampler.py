@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bhplab.domains import Ball
-from bhplab.errors import (CapabilityError, ConfigError, DomainError,
-                           SamplerStallError)
+from bhplab.domains import SURFACE_TOL, Ball
+from bhplab.errors import CapabilityError, ConfigError, DomainError
 from bhplab.kernel import isotropic_stable_kernel, tempered_stable_kernel
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
@@ -13,8 +12,7 @@ from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             expected_ball_exit_time, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
                             sample_exits, sde_step, stable_increment,
-                            survival_prob_ball, survival_scaling_reference,
-                            walk_exit_batch, walk_on_balls_exit)
+                            survival_prob_ball, walk_exit_batch_indexed)
 
 from conftest import ball_exit_prob_interval, ball_exit_tail_prob
 
@@ -67,12 +65,10 @@ def test_walk_self_similarity_bitwise(rng):
     # exits of B(0, r) are exactly r times exits of B(0, 1)
     model = IsotropicStable(1.0, 2)
     r = 7.0
-    b1 = walk_exit_batch(1.0, 2, Ball([0.0, 0.0], 1.0).contains,
-                         Ball([0.0, 0.0], 1.0).dist_lb,
-                         np.zeros((500, 2)), 1.0, RngStream(5))
-    br = walk_exit_batch(1.0, 2, Ball([0.0, 0.0], r).contains,
-                         Ball([0.0, 0.0], r).dist_lb,
-                         np.zeros((500, 2)), 1.0, RngStream(5))
+    b1 = sample_exits(model, Ball([0.0, 0.0], 1.0), [0.0, 0.0], 500,
+                      RngStream(5), rho=1.0)
+    br = sample_exits(model, Ball([0.0, 0.0], r), [0.0, 0.0], 500,
+                      RngStream(5), rho=1.0)
     assert np.allclose(br.y, r * b1.y, rtol=1e-12)
     assert np.all(b1.steps == 1)
 
@@ -80,12 +76,11 @@ def test_walk_self_similarity_bitwise(rng):
 def test_walk_exit_law_invariant_under_rho(rng):
     # the exit position law of the domain does not depend on the
     # walk-on-balls radius factor
+    model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     n = 30_000
-    a = walk_exit_batch(1.0, 1, D.contains, D.dist_lb, np.zeros((n, 1)),
-                        1.0, rng.substream(0))
-    b = walk_exit_batch(1.0, 1, D.contains, D.dist_lb, np.zeros((n, 1)),
-                        0.5, rng.substream(1))
+    a = sample_exits(model, D, [0.0], n, rng.substream(0), rho=1.0)
+    b = sample_exits(model, D, [0.0], n, rng.substream(1), rho=0.5)
     ks = stats.ks_2samp(a.y[:, 0], b.y[:, 0])
     assert ks.pvalue > 0.01
     assert not a.stalled.any() and not b.stalled.any()
@@ -96,8 +91,7 @@ def test_walk_time_weight_matches_closed_form(rng):
     alpha, r, x0 = 1.2, 2.0, 0.8
     D = Ball([0.0], r)
     n = 40_000
-    batch = walk_exit_batch(alpha, 1, D.contains, D.dist_lb,
-                            np.full((n, 1), x0), 0.7, rng)
+    batch = sample_exits(IsotropicStable(alpha, 1), D, [x0], n, rng, rho=0.7)
     expect = expected_ball_exit_time(1, alpha, r, x0)
     se = batch.w.std(ddof=1) / np.sqrt(n)
     assert abs(batch.w.mean() - expect) < 3.5 * se
@@ -106,40 +100,68 @@ def test_walk_time_weight_matches_closed_form(rng):
 def test_walk_weight_is_exact_from_center_at_rho_one(rng):
     alpha = 0.9
     D = Ball([0.0, 0.0], 3.0)
-    batch = walk_exit_batch(alpha, 2, D.contains, D.dist_lb,
-                            np.zeros((100, 2)), 1.0, rng)
+    batch = sample_exits(IsotropicStable(alpha, 2), D, [0.0, 0.0], 100, rng,
+                         rho=1.0)
     expect = mean_exit_constant(2, alpha) * 3.0 ** alpha
     assert np.allclose(batch.w, expect, rtol=1e-12)
 
 
 def test_walk_determinism_bitwise():
+    model = IsotropicStable(1.5, 1)
     D = Ball([0.0], 1.0)
-    a = walk_exit_batch(1.5, 1, D.contains, D.dist_lb, np.zeros((200, 1)),
-                        0.5, RngStream(77, 3))
-    b = walk_exit_batch(1.5, 1, D.contains, D.dist_lb, np.zeros((200, 1)),
-                        0.5, RngStream(77, 3))
+    a = sample_exits(model, D, [0.0], 200, RngStream(77, 3))
+    b = sample_exits(model, D, [0.0], 200, RngStream(77, 3))
     assert np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
 
 
 def test_walk_on_balls_single_sample_and_stall():
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
-    s = walk_on_balls_exit(model, D, [0.2], 0.5, RngStream(3))
-    assert not D.contains(s.y)
-    assert s.w > 0 and s.steps >= 1
-    with pytest.raises(SamplerStallError) as exc:
-        walk_on_balls_exit(model, D, [0.0], 0.001, RngStream(3), max_steps=1)
-    assert exc.value.n_stalled == 1 and exc.value.n_total == 1
+    s = sample_exits(model, D, [0.2], 1, RngStream(3))
+    assert not D.contains(s.y[0]) and not s.stalled[0]
+    assert s.w[0] > 0 and s.steps[0] >= 1
+    # a walker that runs out of steps is flagged, not reported as an exit
+    stuck = sample_exits(model, D, [0.0], 1, RngStream(3), rho=0.001,
+                         max_steps=1)
+    assert stuck.stalled[0] and stuck.steps[0] == 1
+    assert D.contains(stuck.y[0])
+
+
+def test_walk_evaluates_clearance_once_per_step(rng):
+    # the oracle sees each start once and each active walker once after
+    # every jump: n + total steps points, never a second query per step
+    D = Ball([0.0, 0.0], 1.0)
+    seen = []
+
+    def clearance(pts, idx):
+        assert len(pts) == len(idx)
+        seen.append(len(pts))
+        return D.clearance(pts)
+
+    n = 2000
+    batch = walk_exit_batch_indexed(1.5, 2, clearance, np.zeros((n, 2)), 0.5,
+                                    rng)
+    assert not batch.stalled.any()
+    assert sum(seen) == n + int(batch.steps.sum())
+    assert len(seen) == 1 + int(batch.steps.max())
+    ref = sample_exits(IsotropicStable(1.5, 2), D, [0.0, 0.0], n, rng)
+    assert np.array_equal(batch.y, ref.y) and np.array_equal(batch.w, ref.w)
 
 
 def test_walk_validates_inputs():
+    model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     with pytest.raises(DomainError):
-        walk_exit_batch(1.0, 1, D.contains, D.dist_lb, [[2.0]], 0.5,
-                        RngStream(0))
+        sample_exits(model, D, [2.0], 1, RngStream(0))          # outside D
     with pytest.raises(DomainError):
-        walk_exit_batch(1.0, 1, D.contains, D.dist_lb, [[0.0]], 1.5,
-                        RngStream(0))
+        sample_exits(model, D, [1.0 - 0.1 * SURFACE_TOL], 1, RngStream(0))
+    with pytest.raises(DomainError):
+        sample_exits(model, D, [0.0, 0.0], 1, RngStream(0))     # wrong dim
+    with pytest.raises(DomainError):
+        sample_exits(model, D, [0.0], 1, RngStream(0), rho=1.5)
+    with pytest.raises(DomainError):
+        walk_exit_batch_indexed(1.0, 1, lambda pts, idx: D.clearance(pts),
+                                [[2.0]], 0.5, RngStream(0))
 
 
 # ------------------------------------------------------------------ #
@@ -296,9 +318,16 @@ def test_survival_vanishes_for_tiny_horizons(rng):
 
 
 def test_survival_scaling_reference():
-    r, t = survival_scaling_reference(1.5, 2.0, 2.0)
-    assert r == 1.0
-    assert t == pytest.approx(2.0 / 2.0 ** 1.5)
+    # stable scaling: P_0(tau_{B(0,r)} < t) = P_0(tau_{B(0,1)} < t / r^alpha);
+    # the Euler scheme with exact increments keeps it path by path, up to
+    # rounding in the time step
+    alpha, r, t, n = 1.5, 2.0, 2.0, 4000
+    model = SdeStable(alpha, 1)
+    big = survival_prob_ball(model, [0.0], r, t, n, RngStream(5), n_steps=16)
+    unit = survival_prob_ball(model, [0.0], 1.0, t / r ** alpha, n,
+                              RngStream(5), n_steps=16)
+    assert 0.0 < big.value < 1.0
+    assert abs(big.value - unit.value) <= 1.0 / n
 
 
 def test_survival_chain_and_geometric_run(rng):
