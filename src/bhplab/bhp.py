@@ -17,8 +17,9 @@ from scipy import stats
 
 from .domains import SURFACE_TOL, Ball, Domain, Intersection
 from .errors import ConfigError, DomainError, UnderpoweredError
-from .exitstats import (ESCALATION_CAP, TARGET_REL_STDERR, Estimate,
-                        escalate, gather_exits, mean_exit_time)
+from .exitstats import ESCALATION_CAP, TARGET_REL_STDERR, escalate
+# unused here, but bench/tracer.py patches bhp.gather_exits by name
+from .exitstats import gather_exits  # noqa: F401
 from .kernel import boundary_integral
 from .rng import RngStream
 from .sampler import IsotropicStable, ProcessModel, walk_exit_batch_indexed
@@ -94,37 +95,21 @@ def far_field_indicator(xi, r_min: float, predicate=None) -> BoundaryData:
 # regular harmonic evaluation
 # ===================================================================== #
 
-def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float,
-                  g: BoundaryData, x, n: int, rng: RngStream,
-                  workers: int = 1, rho: float = 0.5) -> Estimate:
-    """h(x) = E_x[g(X at the exit of D & B(xi, 2r))], by direct MC."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g.validate(r)
-    if not D.contains(x) or np.linalg.norm(x - xi) >= 2.0 * r:
-        raise DomainError("evaluation point must lie in D & B(xi, 2r)")
-    U = D.truncate(xi, 2.0 * r)
-    batch, warnings = gather_exits(model, U, x, n, rng, workers, rho)
-    vals = g(batch.y)
-    est = Estimate.from_samples(vals, method="mc-mean-harmonic")
-    est.warnings.extend(warnings)
-    if not np.any(vals > 0):
-        est.warnings.append(
-            "degenerate data: no exit sample reached the support of g")
-    return est
+def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data, x,
+                  rng: RngStream, n0: int, cap: int = ESCALATION_CAP,
+                  target: float = TARGET_REL_STDERR, workers: int = 1,
+                  rho: float = 0.5) -> list:
+    """h_g(x) = E_x[g(X at the exit of D & B(xi, 2r))] for each g in `data`.
 
-
-def _harmonic_crn(model: ProcessModel, D: Domain, xi, r: float, data, x,
-                  rng: RngStream, n0: int, cap: int, target: float,
-                  workers: int = 1, rho: float = 0.5) -> list:
-    """Common-random-number estimates of h_g(x) for each g in `data`.
-
-    Every boundary function is averaged over the *same* exit samples of
-    D & B(xi, 2r); batches escalate until all relative standard errors
-    beat the target or the sample cap is reached (estimates then marked
-    underpowered).
+    Every datum is validated, then averaged over the *same* exit samples
+    of D & B(xi, 2r), escalated by `escalate` from n0 paths until every
+    relative standard error beats the target or `cap` paths are drawn
+    (estimates then marked underpowered).  A start outside the truncated
+    set raises DomainError.
     """
-    U = D.truncate(np.asarray(xi, dtype=float), 2.0 * r)
+    for g in data:
+        g.validate(r)
+    U = D.truncate(xi, 2.0 * r)
     return escalate(model, U, x, [lambda b, g=g: g(b.y) for g in data], rng,
                     n0, cap, target, workers, rho, method="mc-mean-harmonic")
 
@@ -177,21 +162,7 @@ class BhpReport:
     c_hat: float
     excluded_pairs: int
     n_total: int = 0
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi.tolist(), "r": self.r, "kappa": self.kappa,
-            "grid": self.grid.tolist(),
-            "h1": [e.to_dict() for e in self.h1],
-            "h2": [e.to_dict() for e in self.h2],
-            "ratio": self.ratio.tolist(),
-            "powered": self.powered.tolist(),
-            "c_hat": self.c_hat,
-            "excluded_pairs": self.excluded_pairs,
-            "n_total": self.n_total,
-            "warnings": list(self.warnings),
-        }
+    warnings: list = field(default_factory=list)   # distinct, first seen
 
 
 def _verified_radius(model: ProcessModel) -> float:
@@ -221,9 +192,6 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
     if r > r_ok:
         raise ConfigError(
             f"radius {r:g} exceeds this model's verified radius {r_ok:g}")
-    g1.validate(r)
-    g2.validate(r)
-
     if grid is None:
         grid = interior_grid(D, xi, kappa * r, grid_size,
                              DELTA_FLOOR_FACTOR * kappa * r, rng.substream(0))
@@ -234,9 +202,9 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
     h1, h2 = [], []
     n_total = 0
     for i, x in enumerate(grid):
-        e1, e2 = _harmonic_crn(model, D, xi, r, (g1, g2), x,
-                               rng.substream(1 + i), n0=n, cap=cap,
-                               target=target, workers=workers, rho=rho)
+        e1, e2 = eval_harmonic(model, D, xi, r, (g1, g2), x,
+                               rng.substream(1 + i), n, cap, target, workers,
+                               rho)
         h1.append(e1)
         h2.append(e2)
         n_total += e1.n
@@ -255,9 +223,11 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
         raise UnderpoweredError(
             "every grid pair failed the precision gate; increase n or cap")
     c_hat = float(np.nanmax(ratio[pair_ok]))
+    warnings = list(dict.fromkeys(w for e in h1 + h2 for w in e.warnings))
     return BhpReport(xi=xi, r=r, kappa=kappa, grid=grid, h1=h1, h2=h2,
                      ratio=ratio, powered=powered, c_hat=c_hat,
-                     excluded_pairs=excluded, n_total=n_total)
+                     excluded_pairs=excluded, n_total=n_total,
+                     warnings=warnings)
 
 
 def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
@@ -311,7 +281,6 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not (0 < c1 and 0 < c3 and c1 + c3 < c2 < 2.0):
         raise ConfigError("factorization fractions need c1 + c3 < c2 < 2")
-    g.validate(r)
     J = model.kernel
     integral = boundary_integral(J, xi, g.fn, r_min=c2 * r)
     if not integral > 0:
@@ -322,9 +291,8 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     h_est, e_est, rho_vals, powered = [], [], [], []
     for i, x in enumerate(grid):
         sub = rng.substream(1 + i)
-        h, = _harmonic_crn(model, D, xi, r, (g,), x, sub.substream(0),
-                           n0=n, cap=cap, target=target, workers=workers,
-                           rho=rho)
+        h, = eval_harmonic(model, D, xi, r, (g,), x, sub.substream(0), n, cap,
+                           target, workers, rho)
         ball = Intersection([D, Ball(x, c1 * r)])
         met, = escalate(model, ball, x, [lambda b: b.w], sub.substream(1),
                         n, cap, target, workers, rho,
@@ -359,20 +327,9 @@ class BoxDiagnostics:
     xi: np.ndarray
     r: float
     grid: np.ndarray
-    p_est: list                # per point: exit-before-subdomain estimate
-    e_est: list                # per point: mean exit time of D & B(xi, r)
+    p: list                    # per point: exit-before-subdomain estimate
+    e: list                    # per point: mean exit time of D & B(xi, r)
     layers: list               # dicts {j, radius, U, V, W, lambda_j}
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi.tolist(), "r": self.r, "grid": self.grid.tolist(),
-            "p": [e.to_dict() for e in self.p_est],
-            "e": [e.to_dict() for e in self.e_est],
-            "layers": [{**lay, "U": list(map(int, lay["U"])),
-                        "V": list(map(int, lay["V"])),
-                        "W": list(map(int, lay["W"]))}
-                       for lay in self.layers],
-        }
 
 
 def _layer_radius(r: float, j: int) -> float:
@@ -391,9 +348,8 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
     points within the shrinking radius whose q falls in
     [2^{-(j+1)}, 2^{-j}); cumulative layers V_j grow with j, and
     lambda_j = inf over V_j of E / (phi(r) P), with +inf on empty layers.
+    P and E at a point are estimated from the same n exits.
     """
-    from .exitstats import exit_before_subdomain  # estimator reuse
-
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     phi = phi if phi is not None else model.kernel.scale
     phi_r = float(phi(r))
@@ -402,12 +358,12 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
     trunc = D.truncate(xi, r)
     p_est, e_est = [], []
     for i, x in enumerate(grid):
-        sub = rng.substream(1 + i)
-        p_est.append(exit_before_subdomain(model, D, xi, r, x, n,
-                                           sub.substream(0), workers=workers,
-                                           rho=rho))
-        e_est.append(mean_exit_time(model, trunc, x, n, sub.substream(1),
-                                    workers=workers, rho=rho))
+        p_x, e_x = escalate(model, trunc, x,
+                            [lambda b: D.contains(b.y), lambda b: b.w],
+                            rng.substream(1 + i), n, n, workers=workers,
+                            rho=rho, method="mc-box-common-exits")
+        p_est.append(p_x)
+        e_est.append(e_x)
     p = np.array([e.value for e in p_est])
     e = np.array([e.value for e in e_est])
     q = p + e / phi_r
@@ -426,7 +382,7 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
         layers.append({"j": j, "radius": rad,
                        "U": np.nonzero(u_j)[0], "V": np.nonzero(v_cum)[0],
                        "W": np.nonzero(w_j)[0], "lambda_j": lam})
-    return BoxDiagnostics(xi=xi, r=r, grid=grid, p_est=p_est, e_est=e_est,
+    return BoxDiagnostics(xi=xi, r=r, grid=grid, p=p_est, e=e_est,
                           layers=layers)
 
 

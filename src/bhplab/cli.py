@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import operator
 import os
 import sys
 from datetime import datetime, timezone
@@ -44,30 +46,32 @@ EXIT_ACCEPTANCE = 4
 # report plumbing
 # ===================================================================== #
 
-def _clean(v):
+def encode(v):
+    """JSON-ready copy of a report value; dataclasses encode by field."""
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return {f.name: encode(getattr(v, f.name))
+                for f in dataclasses.fields(v)}
     if isinstance(v, np.ndarray):
-        return v.tolist()
+        return encode(v.tolist())
     if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
+        return encode(v.item())
     if isinstance(v, float) and not np.isfinite(v):
-        return {"__float__": "inf" if v > 0 else "-inf"} if not np.isnan(v) \
-            else {"__float__": "nan"}
+        return {"__float__": "nan" if np.isnan(v) else
+                "inf" if v > 0 else "-inf"}
     if isinstance(v, dict):
-        return {str(k): _clean(x) for k, x in v.items()}
+        return {str(k): encode(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_clean(x) for x in v]
-    if hasattr(v, "to_dict"):
-        return _clean(v.to_dict())
+        return [encode(x) for x in v]
     return v
 
 
-def check(name: str, value, threshold, op: str, status=None) -> dict:
-    if status is None:
-        ok = {"<": value < threshold, "<=": value <= threshold,
-              ">": value > threshold, ">=": value >= threshold,
-              "==": value == threshold,
-              "abs<=": abs(value) <= threshold}[op]
-        status = "pass" if ok else "fail"
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq,
+       "abs<=": lambda value, threshold: abs(value) <= threshold}
+
+
+def check(name: str, value, threshold, op: str) -> dict:
+    status = "pass" if OPS[op](value, threshold) else "fail"
     return {"name": name, "value": value, "threshold": threshold,
             "op": op, "status": status}
 
@@ -79,9 +83,9 @@ def write_report(out_dir: str, kind: str, config: dict, results,
         "schema": SCHEMA,
         "kind": kind,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": _clean(config),
-        "results": _clean(results),
-        "checks": _clean(checks),
+        "config": encode(config),
+        "results": encode(results),
+        "checks": encode(checks),
     }
     path = Path(out_dir) / f"{kind}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,8 +133,9 @@ def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
     try:
         results["jt"] = kernelmod.check_jt(J, J.scale, jt_grid, rng=rng)
     except DivergenceError as exc:
-        results["jt"] = {"condition": "(Jt)", "verdict": "violated",
-                         "notes": f"tail integral diverged: {exc}"}
+        results["jt"] = kernelmod.ConditionReport(
+            condition="(Jt)", verdict=kernelmod.VIOLATED,
+            notes=f"tail integral diverged: {exc}")
     results["phi"] = kernelmod.check_phi(
         J.scale, phi_grid,
         check_reverse=cfg.get("check_reverse_doubling", True))
@@ -146,25 +151,15 @@ def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
     checks = []
     expect = cfg.get("expect", {})
     jt = results["jt"]
-    consts = jt.constants if hasattr(jt, "constants") else {}
-    if "c4" in expect:
-        checks.append(check("jt-c4", consts.get("C4", float("nan")),
-                            expect["c4"],
-                            "==" if expect.get("tol", 0) == 0 else "abs<=",
-                            status="pass" if abs(consts.get("C4", np.inf)
-                                                 - expect["c4"])
-                            <= expect.get("tol", 1e-6) else "fail"))
-    if "c5" in expect:
-        checks.append(check("jt-c5", consts.get("C5", float("nan")),
-                            expect["c5"], "abs<=",
-                            status="pass" if abs(consts.get("C5", np.inf)
-                                                 - expect["c5"])
-                            <= expect.get("tol", 1e-6) else "fail"))
+    tol = expect.get("tol", 1e-6)
+    for key in ("c4", "c5"):
+        if key in expect:
+            got = jt.constants.get(key.upper(), float("nan"))
+            checks.append(check(f"jt-{key}", got - expect[key], tol,
+                                "abs<="))
     if "jt_verdict" in expect:
-        verdict = jt.verdict if hasattr(jt, "verdict") else jt["verdict"]
-        checks.append(check("jt-verdict", verdict, expect["jt_verdict"], "==",
-                            status="pass" if verdict == expect["jt_verdict"]
-                            else "fail"))
+        checks.append(check("jt-verdict", jt.verdict, expect["jt_verdict"],
+                            "=="))
     if "reverse_doubling_violated" in expect:
         got = results["phi"].verdict == "violated"
         checks.append(check("phi-reverse-doubling-violated", got,
@@ -297,7 +292,7 @@ def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
     results = {"r_series": series["r_series"],
                "c_hat_series": series["c_hat_series"],
                "series_spread": series["series_spread"],
-               "reports": [rep.to_dict() for rep in series["reports"]]}
+               "reports": series["reports"]}
     return [write_report(out, "bhp-scan", cfg, results, checks)], checks
 
 
@@ -329,8 +324,7 @@ def run_factorization(cfg: dict, rng: RngStream, workers: int,
         change = abs(reports[1]["band_ratio"] / reports[0]["band_ratio"] - 1)
         checks.append(check("factorization-band-stability", change,
                             float(cfg.get("max_band_change", 0.5)), "<"))
-    results = {"radii": radii,
-               "reports": [{k: v for k, v in rep.items()} for rep in reports]}
+    results = {"radii": radii, "reports": reports}
     return [write_report(out, "factorization", cfg, results, checks)], checks
 
 

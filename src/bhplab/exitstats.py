@@ -1,10 +1,11 @@
 """Monte Carlo estimators with uncertainty for exit statistics.
 
-Probabilities carry Wilson 95% intervals, means carry t-intervals; every
-estimate records its sample count and method tag.  Estimators split work
-across logical worker streams with disjoint RNG substreams and merge
-(sum, sumsq, count) triples, so results depend only on
-(seed, worker count), never on scheduling.
+`escalate` is the one driver that turns exit samples into estimates: it
+averages functionals over common exits, doubling the sample count until
+every estimate is precise or a path cap is reached.  Boolean functionals
+give Wilson 95% intervals, others t-intervals; the fixed-n estimators are
+one-round calls.  Worker streams use disjoint RNG substreams merged in
+order, so results depend only on (seed, worker count), never on scheduling.
 """
 
 from __future__ import annotations
@@ -87,18 +88,6 @@ class Estimate:
         return cls(value=mean, stderr=se, n=n,
                    ci95=(mean - tq * se, mean + tq * se), method=method)
 
-    @classmethod
-    def from_samples(cls, values, method: str = "mc-mean") -> "Estimate":
-        values = np.asarray(values, dtype=float)
-        return cls.from_moments(float(values.sum()),
-                                float((values * values).sum()),
-                                int(values.size), method=method)
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "n": self.n,
-                "ci95": list(self.ci95), "method": self.method,
-                "warnings": list(self.warnings),
-                "underpowered": self.underpowered}
 
 
 # ===================================================================== #
@@ -151,53 +140,39 @@ def gather_exits(model: ProcessModel, D: Domain, x, n: int, rng: RngStream,
 # ===================================================================== #
 
 def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
-                     rng: RngStream, workers: int = 1, rho: float = 0.5,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> Estimate:
-    """P_x(X_{tau_D} in A): fraction of exit samples landing in A.
+                     rng: RngStream, workers: int = 1,
+                     rho: float = 0.5) -> Estimate:
+    """P_x(X_{tau_D} in A): fraction of n exit samples landing in A.
 
     A is a vectorized predicate over exit points (a subset of the
     complement of D).
     """
-    batch, warnings = gather_exits(model, D, x, n, rng, workers, rho,
-                                   max_steps)
-    hits = np.asarray(A(batch.y), dtype=bool)
-    est = Estimate.binomial(int(hits.sum()), batch.n,
-                            method="mc-binomial-harmonic-measure")
-    est.warnings.extend(warnings)
+    est, = escalate(model, D, x, [lambda b: np.asarray(A(b.y), dtype=bool)],
+                    rng, n, n, workers=workers, rho=rho,
+                    method="mc-binomial-harmonic-measure")
     return est
 
 
 def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
-                   rng: RngStream, workers: int = 1, rho: float = 0.5,
-                   max_steps: int = DEFAULT_MAX_STEPS) -> Estimate:
-    """E_x[tau_D] via the accumulated closed-form time weights."""
-    batch, warnings = gather_exits(model, D, x, n, rng, workers, rho,
-                                   max_steps)
-    est = Estimate.from_samples(batch.w, method="mc-mean-exit-time")
-    est.warnings.extend(warnings)
+                   rng: RngStream, workers: int = 1,
+                   rho: float = 0.5) -> Estimate:
+    """E_x[tau_D] via the accumulated closed-form time weights of n paths."""
+    est, = escalate(model, D, x, [lambda b: b.w], rng, n, n, workers=workers,
+                    rho=rho, method="mc-mean-exit-time")
     return est
 
 
 def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
                           n: int, rng: RngStream, workers: int = 1,
-                          rho: float = 0.5,
-                          max_steps: int = DEFAULT_MAX_STEPS) -> Estimate:
+                          rho: float = 0.5) -> Estimate:
     """P_x(tau_D > tau_{B_D(xi, r)}): the process leaves B(xi,r) before D.
 
-    Estimated as the fraction of exit samples from D & B(xi,r) whose exit
-    point still lies in D.
+    Estimated as the fraction of n exit samples from D & B(xi,r) whose
+    exit point still lies in D.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not D.contains(x) or np.linalg.norm(x - xi) >= r:
-        raise DomainError("start point must lie in B_D(xi, r)")
-    trunc = D.truncate(xi, r)
-    batch, warnings = gather_exits(model, trunc, x, n, rng, workers, rho,
-                                   max_steps)
-    still_inside = np.asarray(D.contains(batch.y), dtype=bool)
-    est = Estimate.binomial(int(still_inside.sum()), batch.n,
-                            method="mc-binomial-exit-before-subdomain")
-    est.warnings.extend(warnings)
+    est, = escalate(model, D.truncate(xi, r), x, [lambda b: D.contains(b.y)],
+                    rng, n, n, workers=workers, rho=rho,
+                    method="mc-binomial-exit-before-subdomain")
     return est
 
 
@@ -250,39 +225,47 @@ def escalate(model: ProcessModel, D: Domain, x, functionals,
              rng: RngStream, n0: int, cap: int = ESCALATION_CAP,
              target: float = TARGET_REL_STDERR, workers: int = 1,
              rho: float = 0.5, method: str = "mc-mean") -> list:
-    """Mean estimates of several batch functionals over common exits.
+    """Estimates of several batch functionals over common exits.
 
     Each functional maps an exit batch to per-path values (e.g.
     `lambda b: g(b.y)` or `lambda b: b.w`), so every estimate is built
-    from the same paths.  Round k draws from `rng.substream(k)`: n0 paths
-    first, then as many as already counted (bounded by the cap), so the
-    sample count doubles per round.  Rounds stop once every relative
-    standard error is below `target`, or once the non-stalled path count
-    reaches `cap`, in which case the estimates are marked underpowered.
-    Every round's stall warnings are attached to each estimate.
+    from the same paths.  Boolean values give a binomial estimate of the
+    merged count, any others a mean estimate of the merged moments.
+    Round k draws from `rng.substream(k)`: n0 paths first, then as many
+    as already drawn (bounded by the cap), so the sample count doubles
+    per round.  Rounds stop once every relative standard error is below
+    `target`, or once `cap` paths have been drawn, in which case the
+    estimates are marked underpowered; `cap = n0` is a fixed-n estimate.
+    Stalled paths count as drawn but not in the estimates, and every
+    round's stall warnings are attached to each estimate.
     """
     sums = [0.0] * len(functionals)
     sumsq = [0.0] * len(functionals)
+    binary = [False] * len(functionals)
     warnings = []
-    total = 0
+    total = drawn = 0
     n = n0
     k = 0
     while True:
         batch, warn = gather_exits(model, D, x, n, rng.substream(k), workers,
                                    rho)
         k += 1
+        drawn += n
         warnings.extend(warn)
         for i, f in enumerate(functionals):
-            v = np.asarray(f(batch), dtype=float)
+            v = np.asarray(f(batch))
+            binary[i] = v.dtype == bool
+            v = v.astype(float)
             sums[i] += v.sum()
             sumsq[i] += (v * v).sum()
         total += batch.n
-        estimates = [Estimate.from_moments(s, q, total, method=method)
-                     for s, q in zip(sums, sumsq)]
+        estimates = [Estimate.binomial(int(s), total, method=method) if b
+                     else Estimate.from_moments(s, q, total, method=method)
+                     for s, q, b in zip(sums, sumsq, binary)]
         precise = max(e.rel_stderr for e in estimates) < target
-        if precise or total >= cap:
+        if precise or drawn >= cap:
             for e in estimates:
                 e.underpowered = not precise
                 e.warnings.extend(warnings)
             return estimates
-        n = min(total, cap - total)
+        n = min(drawn, cap - drawn)

@@ -142,8 +142,8 @@ def geometric_stable_kernel(dim: int, alpha: float) -> JumpKernelSpec:
     """j(z) = |z|^{-d} min(1, |z|^{-alpha}), as kappa(z) against the geostable phi.
 
     The density equals kappa(s) / (s^d phi(s)) with
-    kappa(s) = phi(s) * min(1, s^{-alpha}); kappa is bounded between
-    positive constants because phi matches the tail behaviour on both ends.
+    kappa(s) = phi(s) * min(1, s^{-alpha}); kappa is bounded above by 1
+    and tends to 0 only logarithmically as s -> 0.
     """
     phi = ScaleFunction.geometric_stable(alpha)
 
@@ -151,8 +151,8 @@ def geometric_stable_kernel(dim: int, alpha: float) -> JumpKernelSpec:
         s = np.linalg.norm(np.atleast_2d(z), axis=-1)
         return phi(s) * np.minimum(1.0, s ** (-alpha))
 
-    # kappa(s) = phi(s) min(1, s^-alpha): -> 1 at infinity, ~ 1/(1+log(1/s))
-    # * s^-... wait: for s<1 kappa = s^... ; bounds below are numerical
+    # kappa(s) is 1 for s >= 1 and 1/(1 - log s) for s < 1; the bounds are
+    # its extrema over the probed range s in [1e-12, 1e12]
     s_probe = np.logspace(-12, 12, 2001)
     k_probe = phi(s_probe) * np.minimum(1.0, s_probe ** (-alpha))
     return JumpKernelSpec(dim=dim, scale=phi, kappa=kappa,
@@ -186,26 +186,6 @@ class ConditionReport:
     witness: dict | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "constants": clean(self.constants),
-            "test_points": clean(self.test_points),
-            "witness": clean(self.witness),
-            "notes": self.notes,
-        }
 
 
 # ===================================================================== #

@@ -8,6 +8,7 @@ from bhplab.bhp import (BhpReport, BoundaryData, bhp_scan, bhp_scan_series,
 from bhplab.domains import Ball, HalfSpace, SlitPlane
 from bhplab.errors import ConfigError, DomainError
 from bhplab import exitstats
+from bhplab.cli import encode
 from bhplab.exitstats import harmonic_measure
 from bhplab.rng import RngStream
 from bhplab.sampler import IsotropicStable, StableLikeChain, sample_exits
@@ -54,7 +55,8 @@ def test_eval_harmonic_matches_harmonic_measure():
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
     x = [0.0, 0.25]
-    est = eval_harmonic(model, HALF, XI, r, g, x, 20_000, RngStream(3))
+    est, = eval_harmonic(model, HALF, XI, r, (g,), x, RngStream(3), 20_000,
+                         20_000)
     # with indicator data, h(x) is the harmonic measure of the far field
     U = HALF.truncate(XI, 2.0 * r)
     hm = harmonic_measure(model, U, x,
@@ -69,8 +71,8 @@ def test_eval_harmonic_is_linear_in_the_data():
     g = far_field_indicator(XI, 2.0 * r)
     g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
                        xi=XI, sup_bound=10.0)
-    a = eval_harmonic(model, HALF, XI, r, g, [0.0, 0.25], 5000, RngStream(7))
-    b = eval_harmonic(model, HALF, XI, r, g10, [0.0, 0.25], 5000, RngStream(7))
+    a, b = eval_harmonic(model, HALF, XI, r, (g, g10), [0.0, 0.25],
+                         RngStream(7), 5000, 5000)
     assert b.value == pytest.approx(10.0 * a.value, rel=1e-12)
 
 
@@ -78,9 +80,14 @@ def test_eval_harmonic_validates_the_point():
     model = IsotropicStable(1.0, 2)
     g = far_field_indicator(XI, 1.0)
     with pytest.raises(DomainError):
-        eval_harmonic(model, HALF, XI, 0.5, g, [0.0, -0.5], 100, RngStream(0))
+        eval_harmonic(model, HALF, XI, 0.5, (g,), [0.0, -0.5], RngStream(0),
+                      100, 100)
     with pytest.raises(DomainError):
-        eval_harmonic(model, HALF, XI, 0.5, g, [5.0, 0.25], 100, RngStream(0))
+        eval_harmonic(model, HALF, XI, 0.5, (g,), [5.0, 0.25], RngStream(0),
+                      100, 100)
+    with pytest.raises(ConfigError):   # the data must vanish on B(xi, 2r)
+        eval_harmonic(model, HALF, XI, 0.6, (g,), [0.0, 0.25], RngStream(0),
+                      100, 100)
 
 
 # ------------------------------------------------------------------ #
@@ -232,8 +239,27 @@ def test_box_diagnostics_layers():
     assert radii[0] < 0.75
     for lay in diag.layers:
         assert lay["lambda_j"] > 0
-    payload = diag.to_dict()
+    payload = encode(diag)
     assert len(payload["layers"]) == 3
+
+
+def test_box_diagnostics_walks_once_per_grid_point(monkeypatch):
+    # P and E at a grid point come from the same exits: one gather each
+    gather = exitstats.gather_exits
+    calls = []
+
+    def counting_gather(*args, **kwargs):
+        calls.append(args[3])
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(exitstats, "gather_exits", counting_gather)
+    model = IsotropicStable(1.0, 2)
+    diag = box_diagnostics(model, HALF, XI, 1.0, j_max=2, grid_size=5,
+                           n=300, rng=RngStream(31))
+    assert calls == [300] * 5
+    for p, e in zip(diag.p, diag.e):
+        assert p.n == e.n == 300
+        assert 0.0 <= p.value <= 1.0 and e.value > 0.0
 
 
 def test_box_diagnostics_trivial_domain_has_infinite_lambda():
@@ -310,7 +336,8 @@ def test_bhp_scan_keeps_stall_warnings(monkeypatch):
         rounds = len(e1.warnings)
         assert rounds >= 1 and e1.warnings == e2.warnings
         assert e1.warnings == ["stall rate 0.2% (stub)"] * rounds
-        assert rep.to_dict()["h1"][0]["warnings"]
+        assert encode(rep)["h1"][0]["warnings"]
+    assert rep.warnings == ["stall rate 0.2% (stub)"]
 
 
 def test_bhp_report_serialization():
@@ -318,6 +345,6 @@ def test_bhp_report_serialization():
     g = far_field_indicator(XI, 1.0)
     rep = bhp_scan(model, HALF, XI, 0.5, 1.0, g, g, grid_size=2, n=1000,
                    rng=RngStream(47), cap=20_000)
-    d = rep.to_dict()
+    d = encode(rep)
     assert isinstance(d["ratio"], list)
     assert d["r"] == 0.5

@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import ball_exit_prob_interval
 
+from bhplab import exitstats
+from bhplab.cli import encode
 from bhplab.domains import Ball, HalfSpace, Intersection
 from bhplab.errors import DomainError, EstimationError
 from bhplab.exitstats import (Estimate, escalate, exit_before_subdomain,
                               gather_exits, harmonic_measure, lemma24_bounds,
                               mean_exit_time, set_distance, split_n)
 from bhplab.rng import RngStream
-from bhplab.sampler import IsotropicStable
+from bhplab.sampler import BatchExit, IsotropicStable
 from bhplab.scale import ScaleFunction
 
 
@@ -40,7 +42,7 @@ def test_binomial_estimate_validation():
 
 def test_from_samples_matches_t_interval():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
-    e = Estimate.from_samples(vals)
+    e = Estimate.from_moments(vals.sum(), (vals * vals).sum(), vals.size)
     assert e.value == pytest.approx(2.5)
     assert e.stderr == pytest.approx(vals.std(ddof=1) / 2.0)
     lo, hi = e.ci95
@@ -49,12 +51,12 @@ def test_from_samples_matches_t_interval():
 
 
 def test_single_sample_estimate_degenerates():
-    e = Estimate.from_samples([3.0])
+    e = Estimate.from_moments(3.0, 9.0, 1)
     assert e.value == 3.0 and e.stderr == 0.0 and e.ci95 == (3.0, 3.0)
 
 
 def test_estimate_serialization():
-    d = Estimate.binomial(3, 10).to_dict()
+    d = encode(Estimate.binomial(3, 10))
     assert set(d) == {"value", "stderr", "n", "ci95", "method", "warnings",
                       "underpowered"}
 
@@ -254,3 +256,44 @@ def test_escalate_marks_underpowered_at_cap():
                     n0=64, cap=256, target=0.02)
     assert est.underpowered
     assert est.n == 256          # rounds of 64, 64 and 128 paths
+
+
+def test_escalate_fixed_n_with_stalls_is_one_round(monkeypatch):
+    # a stub drops k paths of every batch larger than k as if they had
+    # stalled: a fixed-n call (cap = n0 = n) draws once and keeps n - k
+    gather = exitstats.gather_exits
+    calls = []
+
+    def stalling_gather(model, D, x, n, *args, **kwargs):
+        calls.append(n)
+        batch, warnings = gather(model, D, x, n, *args, **kwargs)
+        if n <= k:
+            return batch, warnings
+        keep = slice(0, n - k)
+        return (BatchExit(y=batch.y[keep], w=batch.w[keep],
+                          steps=batch.steps[keep],
+                          stalled=batch.stalled[keep]),
+                warnings + [f"stall rate {k / n:.3%} (stub)"])
+
+    monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
+    n, k = 400, 3
+    model = IsotropicStable(1.0, 1)
+    met, right = escalate(model, Ball([0.0], 1.0), [0.0],
+                          [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
+                          RngStream(3), n0=n, cap=n)
+    assert calls == [n]
+    assert met.n == right.n == n - k
+    assert met.warnings == right.warnings == ["stall rate 0.750% (stub)"]
+    assert right.method == met.method
+    assert 0.0 <= right.value <= 1.0
+
+
+def test_fixed_n_estimators_flag_imprecise_estimates():
+    # fixed-n estimates report whether they reach the 2% target
+    model = IsotropicStable(1.0, 1)
+    D = Ball([0.0], 1.0)
+    rare = harmonic_measure(model, D, [0.0], lambda y: y[:, 0] > 100.0,
+                            500, RngStream(2))
+    met = mean_exit_time(model, D, [0.0], 20_000, RngStream(2))
+    assert rare.underpowered and rare.n == 500
+    assert met.rel_stderr < 0.02 and not met.underpowered

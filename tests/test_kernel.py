@@ -228,7 +228,8 @@ def test_report_serialization_roundtrip(rng):
     import json
     J = isotropic_stable_kernel(1, 1.0)
     rep = check_jt(J, J.scale, np.logspace(-2, 1, 13), rng=rng)
-    payload = json.dumps(rep.to_dict())
+    from bhplab.cli import encode
+    payload = json.dumps(encode(rep))
     assert "holds-numerically" in payload
 
 
