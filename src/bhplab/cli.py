@@ -223,9 +223,10 @@ def run_ep_check(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
     results = {"table": rows, "c_max": c_max}
 
     if cfg.get("scaling_check", True):
+        # by scaling, P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1))
+        default_pair = [[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]
         pairs = []
-        for (r1, t1), (r2, t2) in cfg.get(
-                "scaling_pairs", [[[1.0, 1.0], [2.0, 2.0 ** 1]]]):
+        for (r1, t1), (r2, t2) in cfg.get("scaling_pairs", [default_pair]):
             e1 = survival_prob_ball(model, x0, r1, t1, n, rng.substream(k),
                                     n_steps=n_steps, sde_fallback=fallback)
             e2 = survival_prob_ball(model, x0, r2, t2, n,

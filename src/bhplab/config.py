@@ -91,7 +91,8 @@ def build_model(spec: dict):
             bounds = (1.0, 1.0)
             if scale != 1.0:
                 dim = spec["dim"]
-                sigma = (lambda s, d: (lambda x: s * np.eye(d)))(scale, dim)
+                sigma = (lambda s, d: (lambda x: np.broadcast_to(
+                    s * np.eye(d), (len(x), d, d))))(scale, dim)
                 bounds = (scale, scale)
             return SdeStable(alpha=spec["alpha"], dim=spec["dim"],
                              dt=spec.get("dt", 1e-2), sigma=sigma,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_SUBSTREAM_SPAN = 1_000_003   # substreams per stream
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, i: int) -> "RngStream":
-        """Derived stream i; substreams of distinct streams never collide."""
-        return RngStream(self.seed, self.stream * 1_000_003 + i + 1)
+        """Derived stream i, for 0 <= i < 1_000_003.
+
+        Stream s owns the ids s * 1_000_003 + 1 ... (s + 1) * 1_000_003,
+        so substreams of distinct streams never collide.
+        """
+        if not 0 <= i < _SUBSTREAM_SPAN:
+            raise ValueError(
+                f"substream index must lie in [0, {_SUBSTREAM_SPAN}), got {i}")
+        return RngStream(self.seed, self.stream * _SUBSTREAM_SPAN + i + 1)
 
     def partition(self, k: int) -> list["RngStream"]:
         """k disjoint worker streams for parallel estimation."""

@@ -195,13 +195,17 @@ class SdeStable(ProcessModel):
     """Euler scheme for dX = sigma(X-) dZ with Z isotropic alpha-stable.
 
     Increments of Z are exact (subordinated Gaussian), so for constant
-    sigma the scheme is exact in law at the monitoring times.
+    sigma the scheme is exact in law at the monitoring times.  `sigma` is
+    batched: it maps an (m, d) array of points to the (m, d, d) stack of
+    coefficient matrices, one per point; None means the identity.  Every
+    matrix it returns must have its singular values inside
+    `sigma_bounds`.
     """
 
     alpha: float
     dim: int
     dt: float = 1e-2
-    sigma: object = None               # callable x -> (d,d) matrix, or None
+    sigma: object = None               # callable (m,d) -> (m,d,d), or None
     sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
     exactness = "weak-order-approximation"
 
@@ -500,53 +504,73 @@ def stable_increment(alpha: float, d: int, dt: float, n: int,
     return np.sqrt(2.0 * s)[:, None] * g.standard_normal((n, d))
 
 
+def _sigma_dz(model: SdeStable, x: np.ndarray,
+              dz: np.ndarray) -> np.ndarray:
+    """sigma(x) dZ for points x and increments dz, both of shape (m, d).
+
+    One sigma call and one stacked SVD for the whole batch; a matrix
+    whose singular values leave the declared ellipticity bounds raises
+    ConfigError naming its point.
+    """
+    if model.sigma is None:
+        return dz
+    m, d = x.shape
+    sig = np.asarray(model.sigma(x), dtype=float)
+    if sig.shape != (m, d, d):
+        raise ConfigError(
+            f"sigma must map (m, d) points to (m, d, d) matrices: expected "
+            f"shape {(m, d, d)}, got {sig.shape}")
+    sv = np.linalg.svd(sig, compute_uv=False)
+    lo, hi = model.sigma_bounds
+    bad = ((sv.min(axis=1) < lo * (1 - 1e-9))
+           | (sv.max(axis=1) > hi * (1 + 1e-9)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConfigError(
+            f"sigma({x[k].tolist()}) has singular values outside the declared "
+            f"ellipticity bounds [{lo}, {hi}]")
+    return np.matmul(sig, dz[:, :, None])[:, :, 0]
+
+
 def sde_step(model: SdeStable, x, dt: float | None = None,
              rng: RngStream | None = None,
              g: np.random.Generator | None = None) -> np.ndarray:
-    """One Euler step x' = x + sigma(x) dZ with an exact stable increment."""
+    """One Euler step x' = x + sigma(x) dZ with an exact stable increment.
+
+    The increment is drawn from `g`, or from a fresh generator of `rng`;
+    one of them is required.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dt = model.dt if dt is None else dt
     if g is None:
-        g = (rng or RngStream(0)).generator()
-    dz = stable_increment(model.alpha, model.dim, dt, 1, g)[0]
-    if model.sigma is None:
-        return x + dz
-    sig = np.asarray(model.sigma(x), dtype=float)
-    sv = np.linalg.svd(sig, compute_uv=False)
-    lo, hi = model.sigma_bounds
-    if sv.min() < lo * (1 - 1e-9) or sv.max() > hi * (1 + 1e-9):
-        raise ConfigError(
-            f"sigma({x.tolist()}) has singular values outside the declared "
-            f"ellipticity bounds [{lo}, {hi}]")
-    return x + sig @ dz
+        if rng is None:
+            raise DomainError("sde_step needs an rng stream or a generator")
+        g = rng.generator()
+    dz = stable_increment(model.alpha, model.dim, dt, 1, g)
+    return x + _sigma_dz(model, x[None, :], dz)[0]
 
 
 def _sde_paths_exit_indicator(model: SdeStable, x0, r: float, t: float,
                               n: int, n_steps: int,
                               g: np.random.Generator) -> np.ndarray:
-    """Indicator of leaving B(x0, r) by time t, monitored at n_steps times."""
+    """Indicator of leaving B(x0, r) by time t, monitored at n_steps times.
+
+    Only the paths still inside move; each step draws one increment per
+    such path, in path order.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = t / n_steps
-    x = np.tile(x0, (n, 1))
     exited = np.zeros(n, dtype=bool)
-    lo, hi = model.sigma_bounds
+    alive = np.arange(n)
+    x = np.tile(x0, (n, 1))
     for _ in range(n_steps):
-        alive = ~exited
-        m = int(alive.sum())
-        if m == 0:
+        if alive.size == 0:
             break
-        dz = stable_increment(model.alpha, model.dim, dt, m, g)
-        if model.sigma is None:
-            x[alive] += dz
-        else:
-            xa = x[alive]
-            for i, k in enumerate(np.nonzero(alive)[0]):
-                sig = np.asarray(model.sigma(xa[i]), dtype=float)
-                sv = np.linalg.svd(sig, compute_uv=False)
-                if sv.min() < lo * (1 - 1e-9) or sv.max() > hi * (1 + 1e-9):
-                    raise ConfigError("sigma violates the ellipticity bounds")
-                x[k] = x[k] + sig @ dz[i]
-        exited |= np.linalg.norm(x - x0, axis=1) > r
+        dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
+        x = x + _sigma_dz(model, x, dz)
+        out = np.linalg.norm(x - x0, axis=1) > r
+        exited[alive[out]] = True
+        alive, x = alive[~out], x[~out]
     return exited
 
 

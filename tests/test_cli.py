@@ -83,6 +83,20 @@ def test_ep_check_runs(tmp_path):
     assert len(rep["results"]["table"]) == 1
 
 
+def test_ep_check_default_scaling_pair_follows_alpha(tmp_path):
+    # the default pair must rescale time by phi(2) / phi(1) = 2^alpha
+    cfg = _write(tmp_path, "c.json", {
+        "model": {"type": "sde-stable", "alpha": 1.5, "dim": 2},
+        "r_list": [1.0], "t_factors": [0.1], "n": 20000, "n_steps": 32,
+        "seed": 5,
+    })
+    rc = main(["ep-check", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    rep = _load_report(tmp_path, "ep-check")
+    status = {c["name"]: c["status"] for c in rep["checks"]}
+    assert status["ep-scaling-0"] == "pass"
+
+
 def test_chain_decay_runs(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},

@@ -34,6 +34,16 @@ def test_substreams_of_distinct_streams_never_collide(seed, s, i, j):
     assert a.stream != b.stream
 
 
+def test_substream_index_range():
+    # the largest index stays below the next stream's first substream
+    top = RngStream(1, 0).substream(1_000_002)
+    assert top.stream != RngStream(1, 1).substream(0).stream
+    RngStream(1, 0).substream(0)
+    for i in (-1, 1_000_003):
+        with pytest.raises(ValueError):
+            RngStream(1, 0).substream(i)
+
+
 def test_invalid_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(-1)

@@ -7,7 +7,8 @@ from bhplab.errors import CapabilityError, ConfigError, DomainError
 from bhplab.kernel import isotropic_stable_kernel, tempered_stable_kernel
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
-                            StableLikeChain, ball_exit_centered,
+                            StableLikeChain, _sde_paths_exit_indicator,
+                            ball_exit_centered,
                             ball_exit_isotropic, chain_exit_batch, chain_step,
                             expected_ball_exit_time, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
@@ -271,20 +272,43 @@ def test_one_sided_stable_rejects_bad_index(rng):
 # Euler scheme and survival probabilities
 # ------------------------------------------------------------------ #
 
+def _constant_sigma(s, d):
+    """Batched sigma = s I: (m, d) points -> (m, d, d) matrices."""
+    return lambda x: np.broadcast_to(s * np.eye(d), (len(x), d, d))
+
+
+def _rotating_sigma(x):
+    """Rotation by |x| times the scale 1 + 1/(1 + |x|^2), inside [1, 2]."""
+    r = np.linalg.norm(x, axis=1)
+    c, s = np.cos(r), np.sin(r)
+    rot = np.stack([np.stack([c, -s], axis=-1),
+                    np.stack([s, c], axis=-1)], axis=-2)
+    return (1.0 + 1.0 / (1.0 + r ** 2))[:, None, None] * rot
+
+
 def test_sde_step_identity_and_scaled_sigma():
     model = SdeStable(1.0, 2, dt=0.1)
     x1 = sde_step(model, [0.0, 0.0], g=RngStream(9).generator())
-    scaled = SdeStable(1.0, 2, dt=0.1, sigma=lambda x: 2.0 * np.eye(2),
+    scaled = SdeStable(1.0, 2, dt=0.1, sigma=_constant_sigma(2.0, 2),
                        sigma_bounds=(2.0, 2.0))
     x2 = sde_step(scaled, [0.0, 0.0], g=RngStream(9).generator())
     assert np.allclose(x2, 2.0 * x1, rtol=1e-12)
 
 
 def test_sde_step_enforces_ellipticity():
-    model = SdeStable(1.0, 2, dt=0.1, sigma=lambda x: 3.0 * np.eye(2),
+    model = SdeStable(1.0, 2, dt=0.1, sigma=_constant_sigma(3.0, 2),
                       sigma_bounds=(1.0, 1.0))
     with pytest.raises(ConfigError):
         sde_step(model, [0.0, 0.0], g=RngStream(1).generator())
+
+
+def test_sde_step_needs_a_random_source():
+    model = SdeStable(1.0, 2, dt=0.1)
+    with pytest.raises(DomainError):
+        sde_step(model, [0.0, 0.0])
+    a = sde_step(model, [0.0, 0.0], rng=RngStream(4))
+    b = sde_step(model, [0.0, 0.0], g=RngStream(4).generator())
+    assert np.array_equal(a, b)
 
 
 def test_survival_scaled_sigma_equivalent_to_scaled_ball(rng):
@@ -292,7 +316,7 @@ def test_survival_scaled_sigma_equivalent_to_scaled_ball(rng):
     # identity-coefficient scheme exiting B(0, r)
     n = 20_000
     base = SdeStable(1.0, 1, dt=0.05)
-    doubled = SdeStable(1.0, 1, dt=0.05, sigma=lambda x: 2.0 * np.eye(1),
+    doubled = SdeStable(1.0, 1, dt=0.05, sigma=_constant_sigma(2.0, 1),
                         sigma_bounds=(2.0, 2.0))
     p1 = survival_prob_ball(base, [0.0], 1.0, 1.0, n, rng.substream(0),
                             n_steps=20)
@@ -300,6 +324,43 @@ def test_survival_scaled_sigma_equivalent_to_scaled_ball(rng):
                             n_steps=20)
     joint_se = np.hypot(p1.stderr, p2.stderr)
     assert abs(p1.value - p2.value) < 3.5 * joint_se
+
+
+def test_batched_euler_matches_per_path_loop(rng):
+    # reference: the Euler scheme one path at a time, drawing the alive
+    # paths' increments in path order, as the batched scheme must
+    model = SdeStable(1.5, 2, sigma=_rotating_sigma, sigma_bounds=(1.0, 2.0))
+    x0, r, t, n, n_steps = np.array([0.3, -0.2]), 1.0, 0.3, 2000, 16
+    got = _sde_paths_exit_indicator(model, x0, r, t, n, n_steps,
+                                    rng.generator())
+    g = rng.generator()
+    x = np.tile(x0, (n, 1))
+    want = np.zeros(n, dtype=bool)
+    for _ in range(n_steps):
+        alive = np.nonzero(~want)[0]
+        dz = stable_increment(1.5, 2, t / n_steps, len(alive), g)
+        for i, k in enumerate(alive):
+            x[k] = x[k] + _rotating_sigma(x[k][None, :])[0] @ dz[i]
+        want |= np.linalg.norm(x - x0, axis=1) > r
+    assert 0 < want.sum() < n
+    assert np.array_equal(got, want)
+
+
+def test_survival_rejects_sigma_leaving_its_bounds(rng):
+    # sigma = (1 + |x|) I keeps its bounds only on |x| <= 0.5
+    model = SdeStable(1.5, 2, sigma=lambda x: (
+        1.0 + np.linalg.norm(x, axis=1))[:, None, None] * np.eye(2),
+        sigma_bounds=(1.0, 1.5))
+    with pytest.raises(ConfigError, match=r"sigma\(\[.+\]\) has singular"):
+        survival_prob_ball(model, [0.0, 0.0], 5.0, 1.0, 1000, rng)
+
+
+def test_survival_rejects_unbatched_sigma(rng):
+    model = SdeStable(1.5, 2, sigma=lambda x: 2.0 * np.eye(2),
+                      sigma_bounds=(2.0, 2.0))
+    with pytest.raises(ConfigError,
+                       match=r"expected shape \(5, 2, 2\), got \(2, 2\)"):
+        survival_prob_ball(model, [0.0, 0.0], 1.0, 1.0, 5, rng)
 
 
 def test_survival_exact_model_needs_explicit_fallback(rng):
