@@ -232,28 +232,24 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
 
 def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
                     g_factory, grid_size: int, n: int, rng: RngStream,
-                    grid_relative: bool = True, **kwargs) -> dict:
+                    **kwargs) -> dict:
     """Run bhp_scan over a radius series; g_factory(r) -> (g1, g2).
 
-    With grid_relative (the default) one grid is drawn at the first
-    radius and rescaled about xi for the others, so that on sets
-    invariant under dilation about xi the radii see congruent grids and
-    the c_hat series varies by MC noise only.
+    One grid is drawn at the first radius and rescaled about xi for the
+    others, so that on sets invariant under dilation about xi the radii
+    see congruent grids and the c_hat series varies by MC noise only.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     reports = []
-    base_grid = None
+    grid = None
     r0 = float(r_series[0])
     for k, r in enumerate(r_series):
         g1, g2 = g_factory(float(r))
-        grid = None
-        if grid_relative and base_grid is not None:
-            grid = xi_arr + (float(r) / r0) * (base_grid - xi_arr)
+        if reports:
+            grid = xi_arr + (float(r) / r0) * (reports[0].grid - xi_arr)
         reports.append(bhp_scan(model, D, xi, float(r), kappa, g1, g2,
                                 grid_size, n, rng.substream(k), grid=grid,
                                 **kwargs))
-        if base_grid is None:
-            base_grid = reports[0].grid
     series = [rep.c_hat for rep in reports]
     return {"r_series": [float(r) for r in r_series],
             "c_hat_series": series,

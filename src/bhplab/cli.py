@@ -124,7 +124,7 @@ def _predicate(spec: dict):
 # ===================================================================== #
 
 def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
-                     out: str) -> list:
+                     out: str) -> str:
     J = build_kernel(cfg["kernel"])
     jt_grid = np.asarray(cfg.get("jt_grid", np.logspace(-2, 1, 13).tolist()))
     phi_grid = np.asarray(cfg.get("phi_grid",
@@ -164,11 +164,11 @@ def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
         got = results["phi"].verdict == "violated"
         checks.append(check("phi-reverse-doubling-violated", got,
                             expect["reverse_doubling_violated"], "=="))
-    return [write_report(out, "check-kernel", cfg, results, checks)], checks
+    return write_report(out, "check-kernel", cfg, results, checks)
 
 
 def run_exit_stats(cfg: dict, rng: RngStream, workers: int,
-                   out: str) -> list:
+                   out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     x = np.asarray(cfg.get("x", [0.0] * D.dim), dtype=float)
@@ -195,10 +195,10 @@ def run_exit_stats(cfg: dict, rng: RngStream, workers: int,
         tol = sig * est.stderr + float(exp.get("tol", 0.0))
         checks.append(check(f"exit-stats:{name}",
                             est.value - float(exp["value"]), tol, "abs<="))
-    return [write_report(out, "exit-stats", cfg, results, checks)], checks
+    return write_report(out, "exit-stats", cfg, results, checks)
 
 
-def run_ep_check(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
+def run_ep_check(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     model = build_model(cfg["model"])
     phi = model.kernel.scale
     r_list = [float(r) for r in cfg.get("r_list", [0.25, 1.0, 4.0])]
@@ -247,7 +247,7 @@ def run_ep_check(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
     for i, pair in enumerate(results.get("scaling_pairs", [])):
         checks.append(check(f"ep-scaling-{i}", pair["diff"],
                             3 * pair["joint_stderr"] + 1e-12, "abs<="))
-    return [write_report(out, "ep-check", cfg, results, checks)], checks
+    return write_report(out, "ep-check", cfg, results, checks)
 
 
 def _half_plane_pair(xi, r: float, axis: int):
@@ -259,7 +259,7 @@ def _half_plane_pair(xi, r: float, axis: int):
     return g1, g2
 
 
-def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
+def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -294,11 +294,11 @@ def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
                "c_hat_series": series["c_hat_series"],
                "series_spread": series["series_spread"],
                "reports": series["reports"]}
-    return [write_report(out, "bhp-scan", cfg, results, checks)], checks
+    return write_report(out, "bhp-scan", cfg, results, checks)
 
 
 def run_factorization(cfg: dict, rng: RngStream, workers: int,
-                      out: str) -> list:
+                      out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -326,10 +326,10 @@ def run_factorization(cfg: dict, rng: RngStream, workers: int,
         checks.append(check("factorization-band-stability", change,
                             float(cfg.get("max_band_change", 0.5)), "<"))
     results = {"radii": radii, "reports": reports}
-    return [write_report(out, "factorization", cfg, results, checks)], checks
+    return write_report(out, "factorization", cfg, results, checks)
 
 
-def run_box_method(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
+def run_box_method(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -342,11 +342,11 @@ def run_box_method(cfg: dict, rng: RngStream, workers: int, out: str) -> list:
     checks = []
     if finite:
         checks.append(check("box-lambda-positive", min(finite), 0.0, ">"))
-    return [write_report(out, "box-method", cfg, diag, checks)], checks
+    return write_report(out, "box-method", cfg, diag, checks)
 
 
 def run_chain_decay(cfg: dict, rng: RngStream, workers: int,
-                    out: str) -> list:
+                    out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -358,7 +358,7 @@ def run_chain_decay(cfg: dict, rng: RngStream, workers: int,
     if table["fit"] is not None:
         checks.append(check("chain-decay-rate", table["fit"]["rate_upper95"],
                             1.0, "<"))
-    return [write_report(out, "chain-decay", cfg, table, checks)], checks
+    return write_report(out, "chain-decay", cfg, table, checks)
 
 
 RUNNERS = {
@@ -452,7 +452,7 @@ def main(argv=None) -> int:
         cfg["seed"] = seed
         out = cfg.get("out") or "."
         rng = RngStream(seed)
-        paths, checks = RUNNERS[args.command](cfg, rng, workers, out)
+        path = RUNNERS[args.command](cfg, rng, workers, out)
     except (ConfigError, DomainError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -466,10 +466,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    for p in paths:
-        print(p)
-    if any(c.get("status") == "underpowered" for c in checks):
-        return EXIT_UNDERPOWERED
+    print(path)
     return EXIT_OK
 
 

@@ -12,6 +12,10 @@ the two-sided tail estimate tail(x, r) ~ 1/phi(r), and the doubling /
 reverse-doubling behaviour of phi.  Verdicts are sampled certificates,
 not proofs: a check can refute a condition (with a reproducible witness)
 or support it on the tested set.
+
+One outward radial quadrature, `_outward_integral`, serves both the tail
+masses J(x, B(x, r)^c) and the boundary integrals of g(y) J(xi, dy) over
+|y - xi| >= r that the BHP harness needs.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .scale import ScaleFunction
 
 QUAD_REL_TOL = 1e-6          # declared relative quadrature error for tail masses
 _SEG_DECADES_CAP = 60        # give up (divergence) after this many radial decades
+_BOUNDARY_NODES = 256        # angular nodes for boundary integrals
 
 
 def sphere_area(d: int) -> float:
@@ -122,16 +127,6 @@ class JumpKernelSpec:
         out = self.kappa_at(x, z) * self.radial_profile(s)
         return out
 
-    def kappa_angular_mean(self, x, s, nodes):
-        """Mean of kappa(x, s*u) over the fixed direction nodes u."""
-        if not callable(self.kappa):
-            return float(self.kappa) * np.ones_like(np.asarray(s, dtype=float))
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        z = s[:, None, None] * nodes[None, :, :]
-        xs = np.broadcast_to(np.asarray(x, float), z.shape[:-1] + (self.dim,))
-        vals = self.kappa_at(xs, z)
-        return vals.mean(axis=1)
-
 
 def isotropic_stable_kernel(dim: int, alpha: float) -> JumpKernelSpec:
     """kappa == 1 power kernel: j(z) = |z|^{-d-alpha}."""
@@ -203,66 +198,83 @@ class TailMass:
         return self.value
 
 
-def _radial_integral(J: JumpKernelSpec, x, a: float, b: float,
-                     nodes) -> float:
-    """integral over [a, b] of s^{d-1} * kappa_mean(x,s) * radial_profile(s) ds.
+def _angular_mean(J: JumpKernelSpec, x: np.ndarray, nodes, g=None):
+    """s -> mean over the direction nodes u of g(x + s u) * kappa(x, s u).
 
-    Integrated in u = log s for stability of heavy-tailed integrands.
+    g == 1 when omitted; for a constant kappa that mean is kappa itself.
+    """
+    if g is None and not callable(J.kappa):
+        kappa = float(J.kappa)
+        return lambda s: kappa
+
+    def ang(s):
+        z = s * nodes
+        kv = J.kappa_at(np.broadcast_to(x, z.shape), z)
+        if g is not None:
+            kv = np.asarray(g(x + z), dtype=float) * kv
+        return float(np.mean(kv))
+    return ang
+
+
+def _outward_integral(J: JumpKernelSpec, ang, r: float,
+                      r_max: float = math.inf) -> float:
+    """omega_d * integral over [r, r_max] of ang(s) s^{d-1} profile(s) ds.
+
+    Integrated decade by decade outward, in u = log s for stability of
+    heavy-tailed integrands.  Returns at r_max, once the kernel has
+    vanished, or once a full decade [a, b] (b >= 5a) adds at most
+    QUAD_REL_TOL of a non-zero total and less than the decade before it,
+    so that data vanishing near r do not stop it early; a sliver left over
+    where the scale table ends mid-decade adds ~0 whether or not the
+    integral converges, so it is no evidence.  Raises DivergenceError at
+    the scale table's edge or after _SEG_DECADES_CAP decades.
     """
     d = J.dim
+    omega = sphere_area(d)
 
     def f(u):
         s = math.exp(u)
-        km = float(J.kappa_angular_mean(x, s, nodes)[0]) if callable(J.kappa) \
-            else float(J.kappa)
-        return km * s ** d * float(J.radial_profile(s))
+        return ang(s) * s ** d * float(J.radial_profile(s))
 
-    val, _ = integrate.quad(f, math.log(a), math.log(b),
-                            epsrel=QUAD_REL_TOL * 1e-2, epsabs=0.0, limit=200)
-    return val
+    edge = J.scale.r_max
+    total = 0.0
+    prev_seg = None
+    a = float(r)
+    for _ in range(_SEG_DECADES_CAP):
+        b = min(a * 10.0, r_max, edge)
+        seg, _ = integrate.quad(f, math.log(a), math.log(b),
+                                epsrel=QUAD_REL_TOL * 1e-2, epsabs=0.0,
+                                limit=200)
+        seg = omega * seg
+        total += seg
+        if b >= r_max or float(J.radial_profile(b)) == 0.0:
+            return total
+        if b >= 5.0 * a and total != 0.0 and \
+                abs(seg) <= QUAD_REL_TOL * abs(total) and \
+                (prev_seg is None or abs(seg) < abs(prev_seg)):
+            return total
+        if b >= edge:
+            raise DivergenceError(
+                f"integral from r={r:g} not converged at the scale-function "
+                f"range edge r={edge:g}")
+        prev_seg = seg
+        a = b
+    raise DivergenceError(
+        f"integral from r={r:g} shows no decay after {_SEG_DECADES_CAP} "
+        f"decades (accumulated {total:g})")
 
 
 def tail_mass(J: JumpKernelSpec, x, r: float) -> TailMass:
-    """J(x, B(x, r)^c) by adaptive radial quadrature.
+    """J(x, B(x, r)^c) by the outward radial quadrature.
 
-    Integrates decade by decade outward; raises DivergenceError if the
-    decade contributions fail to decay within the configured cap (or the
-    scale function's table ends before convergence).
+    Raises DivergenceError if the tail integral does not converge before
+    the scale function's table ends or within the decade cap.
     """
     if not r > 0:
         raise DomainError("tail_mass needs r > 0")
     x = np.asarray(x, dtype=float)
-    nodes = angular_nodes(J.dim) if callable(J.kappa) else None
-
-    omega = sphere_area(J.dim)
-    total = 0.0
-    a = float(r)
-    prev_seg = None
-    r_cap = J.scale.r_max
-    for k in range(_SEG_DECADES_CAP):
-        b = a * 10.0
-        if b > r_cap:
-            b = r_cap
-        seg = omega * _radial_integral(J, x, a, b, nodes)
-        total += seg
-        # only a (nearly) full decade is evidence of convergence: a sliver
-        # left over when the scale table ends mid-decade contributes ~0
-        # regardless of whether the tail integral actually converges
-        full_segment = b >= 5.0 * a
-        converged = full_segment and total > 0 and \
-            seg <= QUAD_REL_TOL * total and \
-            (prev_seg is None or seg < prev_seg)
-        if b >= r_cap and not converged:
-            raise DivergenceError(
-                f"tail integral not converged at the scale-function range "
-                f"edge r={r_cap:g}")
-        if converged or total == 0.0:
-            return TailMass(total)
-        prev_seg = seg
-        a = b
-    raise DivergenceError(
-        f"tail integral from r={r:g} shows no decay after "
-        f"{_SEG_DECADES_CAP} decades (accumulated {total:g})")
+    ang = _angular_mean(J, x, angular_nodes(J.dim))
+    return TailMass(_outward_integral(J, ang, r))
 
 
 def ball_mass(J: JumpKernelSpec, x, center, s: float,
@@ -444,19 +456,6 @@ def check_jc2(J: JumpKernelSpec, configs, c3: float,
         witness=worst if verdict == VIOLATED else None)
 
 
-def c3_from_reverse_doubling(c4: float, c5: float,
-                             rd_c1: float, rd_c2: float) -> float:
-    """C3 = C1^k with k = floor(log(2 C5/C4) / log C2) + 1.
-
-    The separation constant that makes (Jc.2) follow from (Jt) when the
-    scale function is reverse doubling with constants (rd_c1, rd_c2).
-    """
-    if not (rd_c1 > 1 and rd_c2 > 1):
-        raise DomainError("reverse doubling constants must exceed 1")
-    k = math.floor(math.log(2.0 * c5 / c4) / math.log(rd_c2)) + 1
-    return rd_c1 ** k
-
-
 def check_phi(phi: ScaleFunction, r_grid, check_reverse: bool = True,
               rd_c1: float = 2.0, rd_eps: float = 0.05) -> ConditionReport:
     """Fit doubling constants of phi and optionally test reverse doubling.
@@ -516,49 +515,15 @@ def check_phi(phi: ScaleFunction, r_grid, check_reverse: bool = True,
 # ===================================================================== #
 
 def boundary_integral(J: JumpKernelSpec, xi, g, r_min: float,
-                      r_max: float = np.inf, n_angular: int = 256) -> float:
+                      r_max: float = np.inf) -> float:
     """integral of g(y) J(xi, dy) over |y - xi| >= r_min (and <= r_max).
 
-    Radial adaptive quadrature with a fixed-node angular average of
-    g(xi + s u) * kappa(xi, s u); exact enough for indicator-type g.
+    The outward radial quadrature with a fixed-node angular average of
+    g(xi + s u) * kappa(xi, s u) over 256 directions; exact enough for
+    indicator-type g.
     """
     if not r_min > 0:
         raise DomainError("boundary_integral needs r_min > 0")
     xi = np.asarray(xi, dtype=float)
-    d = J.dim
-    nodes = angular_nodes(d, n_angular)
-    omega = sphere_area(d)
-
-    def ang_mean(s):
-        z = s * nodes
-        y = xi + z
-        gv = np.asarray(g(y), dtype=float)
-        kv = J.kappa_at(np.broadcast_to(xi, z.shape), z)
-        return float(np.mean(gv * kv))
-
-    def f(u):
-        s = math.exp(u)
-        return ang_mean(s) * s ** d * float(J.radial_profile(s))
-
-    total = 0.0
-    a = float(r_min)
-    prev_seg = None
-    cap = min(r_max, J.scale.r_max)
-    for _ in range(_SEG_DECADES_CAP):
-        b = min(a * 10.0, cap)
-        seg, _ = integrate.quad(f, math.log(a), math.log(b),
-                                epsrel=1e-8, epsabs=1e-14, limit=200)
-        seg *= omega
-        total += seg
-        if b >= cap:
-            if math.isfinite(cap) and cap == r_max:
-                return total
-            if abs(seg) <= QUAD_REL_TOL * max(abs(total), 1e-300):
-                return total
-            raise DivergenceError("boundary integral hit the scale table edge")
-        if total != 0.0 and abs(seg) <= QUAD_REL_TOL * abs(total) and \
-                (prev_seg is None or abs(seg) < abs(prev_seg)):
-            return total
-        prev_seg = seg
-        a = b
-    raise DivergenceError("boundary integral shows no decay")
+    ang = _angular_mean(J, xi, angular_nodes(J.dim, _BOUNDARY_NODES), g)
+    return _outward_integral(J, ang, r_min, r_max)

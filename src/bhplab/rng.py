@@ -47,7 +47,3 @@ class RngStream:
             raise ValueError(
                 f"substream index must lie in [0, {_SUBSTREAM_SPAN}), got {i}")
         return RngStream(self.seed, self.stream * _SUBSTREAM_SPAN + i + 1)
-
-    def partition(self, k: int) -> list["RngStream"]:
-        """k disjoint worker streams for parallel estimation."""
-        return [self.substream(i) for i in range(k)]

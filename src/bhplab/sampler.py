@@ -550,13 +550,14 @@ def sde_step(model: SdeStable, x, dt: float | None = None,
     return x + _sigma_dz(model, x[None, :], dz)[0]
 
 
-def _sde_paths_exit_indicator(model: SdeStable, x0, r: float, t: float,
-                              n: int, n_steps: int,
-                              g: np.random.Generator) -> np.ndarray:
+def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
+                          t: float, n: int, n_steps: int,
+                          g: np.random.Generator) -> np.ndarray:
     """Indicator of leaving B(x0, r) by time t, monitored at n_steps times.
 
     Only the paths still inside move; each step draws one increment per
-    such path, in path order.
+    such path, in path order: sigma(x) dZ with an exact stable dZ for
+    SdeStable, a gamma-subordinated stable increment for GeometricStable.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = t / n_steps
@@ -566,8 +567,12 @@ def _sde_paths_exit_indicator(model: SdeStable, x0, r: float, t: float,
     for _ in range(n_steps):
         if alive.size == 0:
             break
-        dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
-        x = x + _sigma_dz(model, x, dz)
+        if isinstance(model, GeometricStable):
+            x = x + geometric_stable_increment(model.alpha, model.dim, dt,
+                                               alive.size, g)
+        else:
+            dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
+            x = x + _sigma_dz(model, x, dz)
         out = np.linalg.norm(x - x0, axis=1) > r
         exited[alive[out]] = True
         alive, x = alive[~out], x[~out]
@@ -632,20 +637,8 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
                 "identity-coefficient SDE fallback to estimate survival")
         model = SdeStable(alpha=model.alpha, dim=model.dim, dt=t / n_steps)
 
-    if isinstance(model, SdeStable):
-        exited = _sde_paths_exit_indicator(model, x, r, t, n, n_steps, g)
-    elif isinstance(model, GeometricStable):
-        dt = t / n_steps
-        pos = np.tile(x, (n, 1))
-        exited = np.zeros(n, dtype=bool)
-        for _ in range(n_steps):
-            alive = ~exited
-            m = int(alive.sum())
-            if m == 0:
-                break
-            pos[alive] += geometric_stable_increment(model.alpha, model.dim,
-                                                     dt, m, g)
-            exited |= np.linalg.norm(pos - x, axis=1) > r
+    if isinstance(model, (SdeStable, GeometricStable)):
+        exited = _paths_exit_indicator(model, x, r, t, n, n_steps, g)
     elif isinstance(model, StableLikeChain):
         from .domains import Ball
         batch = chain_exit_batch(model, Ball(x, r), np.tile(x, (n, 1)),

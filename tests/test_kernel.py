@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from bhplab.errors import ConfigError, DivergenceError, DomainError
-from bhplab.kernel import (TripleSamplingConfig, ball_mass,
+from bhplab.kernel import (JumpKernelSpec, TripleSamplingConfig, ball_mass,
                            boundary_integral, check_jc1, check_jc2,
                            check_jt, check_phi, geometric_stable_kernel,
                            isotropic_stable_kernel, sphere_area, tail_mass,
@@ -48,7 +48,7 @@ def test_tail_mass_requires_positive_radius():
         tail_mass(J, [0.0], 0.0)
 
 
-def test_tail_mass_divergence_detected():
+def _slowly_growing_scale_kernel():
     # slowly growing tabulated scale: the radial integrand decays so
     # slowly that the table ends before the tail integral converges
     r = np.logspace(-6, 10, 60)
@@ -56,9 +56,25 @@ def test_tail_mass_divergence_detected():
     vals[r > 1.0] = (1.0 + np.log(r[r > 1.0])) ** 0.5
     phi = ScaleFunction.tabulated(r, vals)
     J = isotropic_stable_kernel(1, 1.0)
-    J = type(J)(dim=1, scale=phi)
+    return type(J)(dim=1, scale=phi)
+
+
+def test_tail_mass_divergence_detected():
+    J = _slowly_growing_scale_kernel()
     with pytest.raises(DivergenceError):
         tail_mass(J, [0.0], 1.0)
+
+
+def test_tail_mass_direction_dependent_kappa():
+    # kappa(x, z) = 1 + z_1 / (2 |z|) averages to 1 over every sphere, so
+    # the tail mass is the kappa == 1 closed form omega / alpha at r = 1
+    def kappa(x, z):
+        return 1.0 + 0.5 * z[..., 0] / np.linalg.norm(z, axis=-1)
+
+    J = JumpKernelSpec(dim=2, scale=ScaleFunction.power(1.5), kappa=kappa,
+                       kappa_lo=0.5, kappa_hi=1.5)
+    tm = tail_mass(J, [0.3, -0.1], 1.0)
+    assert tm.value == pytest.approx(sphere_area(2) / 1.5, rel=1e-6)
 
 
 # ------------------------------------------------------------------ #
@@ -134,7 +150,6 @@ def test_check_jc1_variable_coefficients(rng):
         x = np.atleast_2d(x)
         return 1.0 + 0.5 * np.sin(x[..., 0])
 
-    from bhplab.kernel import JumpKernelSpec
     J = JumpKernelSpec(dim=1, scale=phi, kappa=kappa, kappa_lo=0.5,
                        kappa_hi=1.5)
     rep = check_jc1(J, TripleSamplingConfig(n_triples=20_000, rng=rng))
@@ -224,6 +239,21 @@ def test_boundary_integral_annulus_with_rmax():
     assert got == pytest.approx(2.0 * (1.0 - 0.25), rel=1e-6)
 
 
+def test_boundary_integral_datum_vanishing_on_first_decade():
+    # g = 1{|y| > 20} from r_min = 1: the decade [1, 10] adds exactly 0,
+    # which must not stop the quadrature; int_{|y|>20} y^-2 dy = 2/20
+    J = isotropic_stable_kernel(1, 1.0)
+    got = boundary_integral(J, [0.0], lambda y: (np.abs(y[:, 0]) > 20.0)
+                            .astype(float), r_min=1.0)
+    assert got == pytest.approx(2.0 / 20.0, rel=1e-6)
+
+
+def test_boundary_integral_divergence_detected():
+    J = _slowly_growing_scale_kernel()
+    with pytest.raises(DivergenceError):
+        boundary_integral(J, [0.0], lambda y: np.ones(len(y)), r_min=1.0)
+
+
 def test_report_serialization_roundtrip(rng):
     import json
     J = isotropic_stable_kernel(1, 1.0)
@@ -234,7 +264,6 @@ def test_report_serialization_roundtrip(rng):
 
 
 def test_kernel_spec_validation():
-    from bhplab.kernel import JumpKernelSpec
     with pytest.raises(ConfigError):
         JumpKernelSpec(dim=0, scale=ScaleFunction.power(1.0))
     with pytest.raises(ConfigError):

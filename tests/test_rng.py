@@ -19,9 +19,9 @@ def test_distinct_streams_differ():
 
 
 def test_partition_is_disjoint_and_deterministic():
-    parts = RngStream(9).partition(8)
+    parts = [RngStream(9).substream(i) for i in range(8)]
     assert len({p.stream for p in parts}) == 8
-    again = RngStream(9).partition(8)
+    again = [RngStream(9).substream(i) for i in range(8)]
     assert parts == again
 
 

@@ -7,10 +7,11 @@ from bhplab.errors import CapabilityError, ConfigError, DomainError
 from bhplab.kernel import isotropic_stable_kernel, tempered_stable_kernel
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
-                            StableLikeChain, _sde_paths_exit_indicator,
+                            StableLikeChain, _paths_exit_indicator,
                             ball_exit_centered,
                             ball_exit_isotropic, chain_exit_batch, chain_step,
-                            expected_ball_exit_time, mean_exit_constant,
+                            expected_ball_exit_time,
+                            geometric_stable_increment, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
                             sample_exits, sde_step, stable_increment,
                             survival_prob_ball, walk_exit_batch_indexed)
@@ -331,7 +332,7 @@ def test_batched_euler_matches_per_path_loop(rng):
     # paths' increments in path order, as the batched scheme must
     model = SdeStable(1.5, 2, sigma=_rotating_sigma, sigma_bounds=(1.0, 2.0))
     x0, r, t, n, n_steps = np.array([0.3, -0.2]), 1.0, 0.3, 2000, 16
-    got = _sde_paths_exit_indicator(model, x0, r, t, n, n_steps,
+    got = _paths_exit_indicator(model, x0, r, t, n, n_steps,
                                     rng.generator())
     g = rng.generator()
     x = np.tile(x0, (n, 1))
@@ -400,6 +401,29 @@ def test_survival_chain_and_geometric_run(rng):
                               n_steps=16)
     assert 0.0 <= est2.value <= 1.0
 
+
+
+def test_geometric_survival_matches_per_path_loop(rng):
+    # reference: the gamma-subordinated process one path at a time,
+    # drawing the alive paths' increments in path order, as the batched
+    # path loop must
+    model = GeometricStable(1.5, 2)
+    x0, r, t, n, n_steps = np.array([0.3, -0.2]), 1.0, 0.5, 2000, 16
+    got = _paths_exit_indicator(model, x0, r, t, n, n_steps, rng.generator())
+    g = rng.generator()
+    x = np.tile(x0, (n, 1))
+    want = np.zeros(n, dtype=bool)
+    for _ in range(n_steps):
+        alive = np.nonzero(~want)[0]
+        dx = geometric_stable_increment(1.5, 2, t / n_steps, len(alive), g)
+        for i, k in enumerate(alive):
+            x[k] = x[k] + dx[i]
+        want |= np.linalg.norm(x - x0, axis=1) > r
+    assert 0 < want.sum() < n
+    assert np.array_equal(got, want)
+    # survival_prob_ball draws from a fresh generator of its stream
+    est = survival_prob_ball(model, x0, r, t, n, rng, n_steps=n_steps)
+    assert est.value == want.sum() / n
 
 # ------------------------------------------------------------------ #
 # unified exit sampling
