@@ -15,7 +15,7 @@ from .kernel import (ConditionReport, JumpKernelSpec, check_jc1, check_jc2,
 from .rng import RngStream
 from .sampler import (BatchExit, GeometricStable, IsotropicStable,
                       SdeStable, StableLikeChain, ball_exit_isotropic,
-                      chain_step, sample_exits, sde_step, survival_prob_ball)
+                      sample_exits, sde_step, survival_prob_ball)
 from .scale import ScaleFunction
 from .bhp import (BhpReport, BoundaryData, bhp_scan, bhp_scan_series,
                   box_diagnostics, chain_decay, eval_harmonic,

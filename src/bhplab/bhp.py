@@ -44,15 +44,12 @@ class BoundaryData:
     fn: object              # vectorized y -> values >= 0
     support_radius: float   # g == 0 on B(xi, support_radius)
     xi: np.ndarray          # the boundary point the support is anchored to
-    sup_bound: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "xi",
                            np.atleast_1d(np.asarray(self.xi, dtype=float)))
         if not self.support_radius > 0:
             raise ConfigError("boundary data needs a positive support radius")
-        if not self.sup_bound > 0:
-            raise ConfigError("boundary data needs a positive sup bound")
 
     def __call__(self, y):
         return np.asarray(self.fn(np.atleast_2d(np.asarray(y, dtype=float))),

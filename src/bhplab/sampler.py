@@ -154,8 +154,11 @@ class StableLikeChain(ProcessModel):
     """Continuous-time lattice chain with rates h^d j(x, y - x) within R_c.
 
     Jumps beyond the cutoff are aggregated into a single far jump drawn
-    from the normalized radial tail, preserving the total tail mass
-    exactly for constant coefficients.
+    from the normalized radial tail, carrying the exact tail mass beyond
+    R_c.  A callable kappa (variable coefficients) is sampled by thinning
+    against kappa_hi: jumps are proposed at the envelope rates and kept
+    with probability kappa(x, z) / kappa_hi, which is exact for the chain,
+    far jumps included.
     """
 
     kernel_spec: JumpKernelSpec
@@ -199,7 +202,9 @@ class SdeStable(ProcessModel):
     batched: it maps an (m, d) array of points to the (m, d, d) stack of
     coefficient matrices, one per point; None means the identity.  Every
     matrix it returns must have its singular values inside
-    `sigma_bounds`.
+    `sigma_bounds`.  `dt` is only the default step of `sde_step`:
+    `survival_prob_ball`, and with it ep-check, always steps at
+    t / n_steps, so a config's `dt` does not set ep-check's step.
     """
 
     alpha: float
@@ -317,7 +322,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
 @dataclass
 class _ChainTables:
     offsets: np.ndarray       # (m, d) lattice displacement vectors
-    rates: np.ndarray         # (m,) rates for constant coefficients
+    rates: np.ndarray         # (m,) near rates at the envelope kappa
     far_rate: float
     total_rate: float
     near_cdf: np.ndarray      # (m,) cumulative jump probabilities (near part)
@@ -339,7 +344,8 @@ def _build_chain_tables(model: StableLikeChain) -> _ChainTables:
     ks = model.kernel_spec
     offsets = _lattice_offsets(ks.dim, model.h, model.r_cut)
     s = np.linalg.norm(offsets, axis=1)
-    kappa = float(ks.kappa) if ks.isotropic else 1.0
+    # envelope: kappa itself if constant, kappa_hi if callable (thinned)
+    kappa = float(ks.kappa) if ks.isotropic else ks.kappa_hi
     rates = kappa * model.h ** ks.dim * np.asarray(ks.radial_profile(s))
     # aggregated far jump: exact tail mass beyond the cutoff
     unit = JumpKernelSpec(dim=ks.dim, scale=ks.scale, kappa=kappa,
@@ -375,51 +381,23 @@ def _far_jumps(tables: _ChainTables, d: int, h: float, n: int,
     return _snap(z, h)
 
 
-def chain_step(model: StableLikeChain, x, rng: RngStream):
-    """One transition of the lattice chain: (next point, holding time).
-
-    Works for variable coefficients by evaluating kappa(x, .) on the
-    stencil; constant-coefficient rates come from the cached tables.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ks = model.kernel_spec
-    t = model.tables
-    g = rng.generator()
-    if ks.isotropic:
-        rates, far_rate = t.rates, t.far_rate
-    else:
-        s = np.linalg.norm(t.offsets, axis=1)
-        kap = ks.kappa_at(np.broadcast_to(x, t.offsets.shape), t.offsets)
-        rates = kap * model.h ** ks.dim * np.asarray(ks.radial_profile(s))
-        far_rate = t.far_rate  # constant-envelope aggregate (documented bias)
-    total = float(rates.sum()) + far_rate
-    if total <= 0:
-        raise ConfigError("chain has zero total jump rate at this point")
-    holding = g.exponential(1.0 / total)
-    if g.random() < far_rate / total:
-        z = _far_jumps(t, ks.dim, model.h, 1, g)[0]
-    else:
-        k = int(np.searchsorted(np.cumsum(rates) / rates.sum(), g.random()))
-        k = min(k, len(rates) - 1)
-        z = t.offsets[k]
-    return x + z, holding
-
-
 def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
                      rng: RngStream, max_steps: int = DEFAULT_MAX_STEPS,
                      t_max: float | None = None) -> BatchExit:
-    """Vectorized chain exits from D (constant coefficients only).
+    """Vectorized chain exits from D.
 
-    Weights accumulate the expected holding time 1/total_rate per step,
-    the same conditional-expectation trick as the walk on balls.  With
-    `t_max` set, paths additionally stop once their (random, exponential)
-    clock passes t_max; such paths report y = last position inside D and
+    Jumps are proposed from the tables at the envelope rate.  For a
+    callable kappa each proposal z from x is kept with probability
+    kappa(x, z) / kappa_hi and is otherwise void, so the walker stays
+    (thinning); a kappa outside [kappa_lo, kappa_hi] raises ConfigError
+    naming the point.  Weights accumulate the expected holding time
+    1/total_rate per proposal, the same conditional-expectation trick as
+    the walk on balls, and `steps` counts proposals.  With `t_max` set,
+    paths additionally stop once their (random, exponential) clock passes
+    t_max; such paths report y = last position inside D and
     stalled = False, letting callers estimate time marginals.
     """
-    if not model.kernel_spec.isotropic:
-        raise CapabilityError(
-            "vectorized chain exits require constant coefficients; "
-            "use chain_step for variable kappa")
+    ks = model.kernel_spec
     t = model.tables
     g = rng.generator()
     x = _snap(np.array(np.atleast_2d(starts), dtype=float), model.h,
@@ -429,6 +407,7 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
         raise DomainError("chain_exit_batch: a start point lies outside D")
     p_far = t.far_rate / t.total_rate
     expected_hold = 1.0 / t.total_rate
+    near_cdf = t.near_cdf / t.near_cdf[-1]
 
     y = np.empty_like(x)
     w = np.zeros(n)
@@ -451,18 +430,26 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
         near = ~far
         if near.any():
             v = (u[near] - p_far) / (1.0 - p_far)
-            idx = np.minimum(np.searchsorted(t.near_cdf / t.near_cdf[-1], v),
-                             len(t.offsets) - 1)
+            idx = np.minimum(np.searchsorted(near_cdf, v), len(t.offsets) - 1)
             z[near] = t.offsets[idx]
+        if not ks.isotropic:
+            xa = x[active]
+            kap = np.broadcast_to(ks.kappa_at(xa, z), (m,))
+            ok = ((kap >= ks.kappa_lo * (1 - 1e-9))
+                  & (kap <= ks.kappa_hi * (1 + 1e-9)))
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ConfigError(
+                    f"kappa({xa[k].tolist()}, {z[k].tolist()}) = {kap[k]:g} "
+                    f"lies outside the declared bounds "
+                    f"[{ks.kappa_lo}, {ks.kappa_hi}]")
+            z[g.random(m) >= kap / ks.kappa_hi] = 0.0
         x[active] += z
         steps[active] += 1
         inside = D.contains(x[active])
         if t_max is not None:
-            timed_out = inside & (clock[active] > t_max)
-            inside = inside & ~timed_out
-            done = active[~inside]
-        else:
-            done = active[~inside]
+            inside &= clock[active] <= t_max
+        done = active[~inside]
         y[done] = x[done]
         active = active[inside]
     if len(active):
@@ -635,7 +622,7 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
             raise CapabilityError(
                 "the exact-exit-law model has no time marginal; enable the "
                 "identity-coefficient SDE fallback to estimate survival")
-        model = SdeStable(alpha=model.alpha, dim=model.dim, dt=t / n_steps)
+        model = SdeStable(alpha=model.alpha, dim=model.dim)
 
     if isinstance(model, (SdeStable, GeometricStable)):
         exited = _paths_exit_indicator(model, x, r, t, n, n_steps, g)

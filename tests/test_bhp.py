@@ -70,7 +70,7 @@ def test_eval_harmonic_is_linear_in_the_data():
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
     g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
-                       xi=XI, sup_bound=10.0)
+                       xi=XI)
     a, b = eval_harmonic(model, HALF, XI, r, (g, g10), [0.0, 0.25],
                          RngStream(7), 5000, 5000)
     assert b.value == pytest.approx(10.0 * a.value, rel=1e-12)
@@ -154,7 +154,7 @@ def test_bhp_scan_scaling_invariance_of_data():
     r = 0.5
     g1, g2 = _pair(r)
     s1 = BoundaryData(fn=lambda y: 7.0 * g1.fn(y), support_radius=2.0 * r,
-                      xi=XI, sup_bound=7.0)
+                      xi=XI)
     a = bhp_scan(model, HALF, XI, r, 1.0, g1, g2, grid_size=3, n=4000,
                  rng=RngStream(19), cap=200_000)
     b = bhp_scan(model, HALF, XI, r, 1.0, s1, g2, grid_size=3, n=4000,
@@ -202,7 +202,7 @@ def test_factorization_homogeneous_in_the_data():
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
     g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
-                       xi=XI, sup_bound=10.0)
+                       xi=XI)
     a = factorization_check(model, HALF, XI, r, 0.5, 1.5, 2.0 / 3.0, g,
                             grid_size=3, n=2000, rng=RngStream(29),
                             cap=100_000)

@@ -4,17 +4,20 @@ from scipy import stats
 
 from bhplab.domains import SURFACE_TOL, Ball
 from bhplab.errors import CapabilityError, ConfigError, DomainError
-from bhplab.kernel import isotropic_stable_kernel, tempered_stable_kernel
+from bhplab.exitstats import escalate
+from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
+                           tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             StableLikeChain, _paths_exit_indicator,
                             ball_exit_centered,
-                            ball_exit_isotropic, chain_exit_batch, chain_step,
+                            ball_exit_isotropic, chain_exit_batch,
                             expected_ball_exit_time,
                             geometric_stable_increment, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
                             sample_exits, sde_step, stable_increment,
                             survival_prob_ball, walk_exit_batch_indexed)
+from bhplab.scale import ScaleFunction
 
 from conftest import ball_exit_prob_interval, ball_exit_tail_prob
 
@@ -193,12 +196,81 @@ def test_chain_exits_are_symmetric(rng):
     assert abs(p - 0.5) < 3.5 * np.sqrt(0.25 / len(y))
 
 
-def test_chain_step_matches_batch_rates(rng):
-    model = _unit_chain()
-    x1, hold = chain_step(model, [0.0], rng)
-    assert hold > 0
-    assert x1.shape == (1,)
-    assert not np.allclose(x1, 0.0)
+def _variable_chain(kappa_lo=0.5, kappa_hi=2.0):
+    # x-dependent, z-symmetric coefficients in [0.73, 1.95]; every far jump
+    # (|z| > 1) sees kappa = a(x)
+    def kappa(x, z):
+        a = 1.5 + 0.45 * np.tanh(4.0 * x[:, 0])
+        return a * (1.0 - 0.4 * np.maximum(0.0, 1.0 - 2.0 * np.abs(z[:, 0])))
+
+    ks = JumpKernelSpec(dim=1, scale=ScaleFunction.power(1.0), kappa=kappa,
+                        kappa_lo=kappa_lo, kappa_hi=kappa_hi)
+    return StableLikeChain(ks, 2.0 ** -3, 4.0, lattice_offset=0.5), kappa
+
+
+def test_variable_kappa_chain_matches_direct_rate_loop(rng):
+    # reference: the chain with its own rates kappa(x, z) h |z|^-2 on the
+    # stencil and a(x) * 2 / R_c for the far jump (radius R_c / U, sign
+    # fair, snapped to h Z), one path at a time, weighted by the expected
+    # holding time 1 / total rate; the sampler proposes at kappa_hi and
+    # thins instead
+    model, kappa = _variable_chain()
+    h, r_cut, x0, n = model.h, model.r_cut, 0.3125, 20_000
+    batch = chain_exit_batch(model, Ball([0.0], 1.0), np.full((n, 1), x0),
+                             rng.substream(0))
+    k = np.arange(-32, 33)
+    z = k[k != 0] * h                   # the stencil 0 < |z| <= R_c
+    sites = {}
+    g = rng.substream(1).generator()
+    w, right = np.zeros(n), np.zeros(n, dtype=bool)
+    for i in range(n):
+        x = x0
+        while abs(x) < 1.0:
+            if x not in sites:
+                near = kappa(np.full((len(z), 1), x), z[:, None]) * h / z ** 2
+                far = (1.5 + 0.45 * np.tanh(4.0 * x)) * 2.0 / r_cut
+                lam = near.sum() + far
+                sites[x] = (1.0 / lam, far / lam, np.cumsum(near) / near.sum())
+            hold, p_far, cdf = sites[x]
+            w[i] += hold
+            if g.random() < p_far:
+                sign = 1.0 if g.random() < 0.5 else -1.0
+                x += sign * round(r_cut / g.random() / h) * h
+            else:
+                x += z[min(int(np.searchsorted(cdf, g.random())),
+                           len(z) - 1)]
+        right[i] = x > 0
+    se = np.sqrt(batch.w.var() / n + w.var() / n)
+    assert abs(batch.w.mean() - w.mean()) < 4 * se
+    p, q = float((batch.y[:, 0] > 0).mean()), float(right.mean())
+    assert abs(p - q) < 4 * np.sqrt((p * (1 - p) + q * (1 - q)) / n)
+
+
+def test_chain_rejects_kappa_outside_its_bounds(rng):
+    # the declared envelope [1, 2] misses kappa's low values, so thinning
+    # against kappa_hi alone would bias the chain silently
+    model, _ = _variable_chain(kappa_lo=1.0)
+    with pytest.raises(ConfigError, match=r"kappa\(\[-0\.6875\], \[.*\]\) = "
+                       r".* outside the declared bounds \[1\.0, 2\.0\]"):
+        chain_exit_batch(model, Ball([0.0], 1.0), np.full((100, 1), -0.6875),
+                         rng)
+    model, _ = _variable_chain(kappa_hi=1.5)
+    with pytest.raises(ConfigError, match="outside the declared bounds"):
+        chain_exit_batch(model, Ball([0.0], 1.0), np.full((100, 1), 0.3125),
+                         rng)
+
+
+def test_variable_kappa_chain_feeds_the_instruments(rng):
+    model, _ = _variable_chain()
+    D = Ball([0.0], 1.0)
+    mean, right = escalate(model, D, [0.3125],
+                           [lambda b: b.w, lambda b: b.y[:, 0] > 0],
+                           rng.substream(0), 2000, cap=8000, target=0.01)
+    assert mean.n == right.n == 8000 and not mean.warnings
+    assert 0.2 < mean.value < 0.24 and 0.55 < right.value < 0.64
+    est = survival_prob_ball(model, [0.3125], 1.0, 0.1, 4000,
+                             rng.substream(1))
+    assert 0.0 < est.value < 1.0
 
 
 def test_chain_validation():
@@ -213,9 +285,6 @@ def test_chain_validation():
 
 
 def test_chain_rejects_asymmetric_kernel_at_large_alpha():
-    from bhplab.kernel import JumpKernelSpec
-    from bhplab.scale import ScaleFunction
-
     def kappa(x, z):
         z = np.atleast_2d(z)
         return 1.0 + 0.5 * np.tanh(z[..., 0])
