@@ -92,23 +92,27 @@ def far_field_indicator(xi, r_min: float, predicate=None) -> BoundaryData:
 # regular harmonic evaluation
 # ===================================================================== #
 
-def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data, x,
-                  rng: RngStream, n0: int, cap: int = ESCALATION_CAP,
+def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
+                  points, rngs, n0: int, cap: int = ESCALATION_CAP,
                   target: float = TARGET_REL_STDERR, workers: int = 1,
                   rho: float = 0.5) -> list:
     """h_g(x) = E_x[g(X at the exit of D & B(xi, 2r))] for each g in `data`.
 
-    Every datum is validated, then averaged over the *same* exit samples
+    Returns, for each start x in `points` (one per stream in `rngs`),
+    the list of estimates for the data in order.  Every datum is
+    validated, then averaged at each point over the *same* exit samples
     of D & B(xi, 2r), escalated by `escalate` from n0 paths until every
     relative standard error beats the target or `cap` paths are drawn
-    (estimates then marked underpowered).  A start outside the truncated
+    (estimates then marked underpowered).  All points walk the same set,
+    so `escalate` walks them in lockstep.  A start outside the truncated
     set raises DomainError.
     """
     for g in data:
         g.validate(r)
     U = D.truncate(xi, 2.0 * r)
-    return escalate(model, U, x, [lambda b, g=g: g(b.y) for g in data], rng,
-                    n0, cap, target, workers, rho, method="mc-mean-harmonic")
+    return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
+                    rngs, n0, cap, target, workers, rho,
+                    method="mc-mean-harmonic")
 
 
 # ===================================================================== #
@@ -119,6 +123,8 @@ def interior_grid(D: Domain, xi, radius: float, size: int,
                   delta_floor: float, rng: RngStream,
                   max_tries: int = 1_000_000) -> np.ndarray:
     """size points of D & B(xi, radius) with clearance >= delta_floor."""
+    if size < 1:
+        raise ConfigError("a grid needs at least one point")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d = xi.shape[0]
     g = rng.generator()
@@ -196,15 +202,11 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         if not np.all(D.contains(grid)):
             raise DomainError("a supplied grid point lies outside the domain")
-    h1, h2 = [], []
-    n_total = 0
-    for i, x in enumerate(grid):
-        e1, e2 = eval_harmonic(model, D, xi, r, (g1, g2), x,
-                               rng.substream(1 + i), n, cap, target, workers,
-                               rho)
-        h1.append(e1)
-        h2.append(e2)
-        n_total += e1.n
+    h1, h2 = map(list, zip(*eval_harmonic(
+        model, D, xi, r, (g1, g2), grid,
+        [rng.substream(1 + i) for i in range(len(grid))], n, cap, target,
+        workers, rho)))
+    n_total = sum(e.n for e in h1)
 
     v1 = np.array([e.value for e in h1])
     v2 = np.array([e.value for e in h2])
@@ -281,16 +283,17 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
 
     grid = interior_grid(D, xi, c3 * r, grid_size,
                          DELTA_FLOOR_FACTOR * c3 * r, rng.substream(0))
-    h_est, e_est, rho_vals, powered = [], [], [], []
-    for i, x in enumerate(grid):
-        sub = rng.substream(1 + i)
-        h, = eval_harmonic(model, D, xi, r, (g,), x, sub.substream(0), n, cap,
-                           target, workers, rho)
+    subs = [rng.substream(1 + i) for i in range(len(grid))]
+    h_est = [h for h, in eval_harmonic(model, D, xi, r, (g,), grid,
+                                       [sub.substream(0) for sub in subs], n,
+                                       cap, target, workers, rho)]
+    e_est, rho_vals, powered = [], [], []
+    for x, sub, h in zip(grid, subs, h_est):
+        # each point walks its own ball, so these walks run one by one
         ball = Intersection([D, Ball(x, c1 * r)])
-        met, = escalate(model, ball, x, [lambda b: b.w], sub.substream(1),
-                        n, cap, target, workers, rho,
-                        method="mc-mean-exit-time")
-        h_est.append(h)
+        (met,), = escalate(model, ball, [x], [lambda b: b.w],
+                           [sub.substream(1)], n, cap, target, workers, rho,
+                           method="mc-mean-exit-time")
         e_est.append(met)
         ok = h.rel_stderr < gate and met.rel_stderr < gate
         powered.append(ok)
@@ -349,14 +352,10 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
     grid = interior_grid(D, xi, 0.75 * r, grid_size,
                          DELTA_FLOOR_FACTOR * 0.75 * r, rng.substream(0))
     trunc = D.truncate(xi, r)
-    p_est, e_est = [], []
-    for i, x in enumerate(grid):
-        p_x, e_x = escalate(model, trunc, x,
-                            [lambda b: D.contains(b.y), lambda b: b.w],
-                            rng.substream(1 + i), n, n, workers=workers,
-                            rho=rho, method="mc-box-common-exits")
-        p_est.append(p_x)
-        e_est.append(e_x)
+    p_est, e_est = map(list, zip(*escalate(
+        model, trunc, grid, [lambda b: D.contains(b.y), lambda b: b.w],
+        [rng.substream(1 + i) for i in range(len(grid))], n, n,
+        workers=workers, rho=rho, method="mc-box-common-exits")))
     p = np.array([e.value for e in p_est])
     e = np.array([e.value for e in e_est])
     q = p + e / phi_r

@@ -42,6 +42,32 @@ def _as_points(x, dim):
     raise DomainError(f"expected points of shape (n, {dim}) or ({dim},)")
 
 
+def _row_dot(pts, v):
+    """pts @ v for (m, d) points, summing the column products in order.
+
+    A BLAS matrix-vector product rounds a row differently depending on
+    where it sits in the batch; here each row's value depends on that row
+    alone, so a walker's clearance does not depend on who walks with it.
+    """
+    s = pts[:, 0] * v[0]
+    for k in range(1, len(v)):
+        s += pts[:, k] * v[k]
+    return s
+
+
+def _row_norm(v):
+    """Euclidean norms of the rows of an (m, d) array.
+
+    Sums the squared columns in order, then takes one square root: for
+    d <= 7 this is bitwise equal to np.linalg.norm(v, axis=1), without
+    numpy's slow reduction over a short last axis.
+    """
+    s = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        s += v[:, k] * v[:, k]
+    return np.sqrt(s)
+
+
 def _segment_distance(pts, a, b):
     """Distances from pts (n,2+) to the closed segment [a, b]."""
     a = np.asarray(a, dtype=float)
@@ -49,10 +75,10 @@ def _segment_distance(pts, a, b):
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+        return _row_norm(pts - a)
+    t = np.clip(_row_dot(pts - a, ab) / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1)
+    return _row_norm(pts - proj)
 
 
 class Domain:
@@ -126,7 +152,7 @@ class Ball(Domain):
         return anchors
 
     def _clearance(self, pts):
-        return self.radius - np.linalg.norm(pts - self.center, axis=1)
+        return self.radius - _row_norm(pts - self.center)
 
 
 @dataclass(frozen=True)
@@ -153,7 +179,7 @@ class HalfSpace(Domain):
         return [self.offset * self.normal]
 
     def _clearance(self, pts):
-        return pts @ self.normal - self.offset
+        return _row_dot(pts, self.normal) - self.offset
 
 
 @dataclass(frozen=True)
@@ -175,7 +201,7 @@ class SlitPlane(Domain):
         # distance to the slit: |x2| when x1 >= 0, else distance to the tip
         return np.where(pts[:, 0] >= 0.0,
                         np.abs(pts[:, 1]),
-                        np.linalg.norm(pts, axis=1))
+                        _row_norm(pts))
 
 
 @dataclass(frozen=True)
@@ -217,10 +243,10 @@ class Cone(Domain):
 
     def _clearance(self, pts):
         rel = pts - self.vertex
-        s = np.linalg.norm(rel, axis=1)
+        s = _row_norm(rel)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cos_psi = np.where(s > 0, rel @ self.axis / np.where(s > 0, s, 1.0),
-                               1.0)
+            cos_psi = np.where(
+                s > 0, _row_dot(rel, self.axis) / np.where(s > 0, s, 1.0), 1.0)
         psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
         gap = self.half_angle - psi
         # nearest boundary point is the lateral surface unless the angular

@@ -6,6 +6,10 @@ every estimate is precise or a path cap is reached.  Boolean functionals
 give Wilson 95% intervals, others t-intervals; the fixed-n estimators are
 one-round calls.  Worker streams use disjoint RNG substreams merged in
 order, so results depend only on (seed, worker count), never on scheduling.
+Many start points escalate in one call: each round walks the worker
+parts of the points still running in lockstep, at most LOCKSTEP_PATHS
+paths at a time, and each point's estimates equal those of a call of
+its own.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
 ESCALATION_CAP = 10_000_000
 TARGET_REL_STDERR = 0.02
+LOCKSTEP_PATHS = 2 ** 14      # paths per gather and walk; bounds their memory
 
 
 # ===================================================================== #
@@ -103,36 +108,59 @@ def split_n(n: int, workers: int) -> list:
     return [s for s in sizes if s > 0]
 
 
-def gather_exits(model: ProcessModel, D: Domain, x, n: int, rng: RngStream,
+def _lockstep_chunks(sizes: list):
+    """Consecutive slices of `sizes` summing to at most LOCKSTEP_PATHS;
+    a larger size gets a slice of its own."""
+    start = total = 0
+    for i, s in enumerate(sizes):
+        if i > start and total + s > LOCKSTEP_PATHS:
+            yield slice(start, i)
+            start, total = i, 0
+        total += s
+    if sizes:
+        yield slice(start, len(sizes))
+
+
+def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
                  workers: int = 1, rho: float = 0.5,
                  max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
-    """Merged exit batch over worker streams, with the stall policy applied.
+    """Exit batches of several points, with the stall policy applied per point.
 
-    Returns (batch restricted to non-stalled paths, warnings list).
-    Raises EstimationError if more than 5% of paths stalled.
+    Point j draws ns[j] paths split over `workers` parts; part i draws
+    from rngs[j].substream(i).  The parts of all points walk in lockstep,
+    as the groups of `sample_exits` calls of at most LOCKSTEP_PATHS paths
+    each (a larger part walks alone).  Each part draws exactly what a
+    call of its own would, so nothing depends on how they are grouped.
+
+    Returns (batch, counts, warnings): the non-stalled paths of all
+    points in point order, how many of them belong to each point, and
+    each point's warning list.  Raises EstimationError at the first point
+    with more than 5% of its paths stalled.
     """
-    parts = []
-    for i, ni in enumerate(split_n(n, workers)):
-        parts.append(sample_exits(model, D, x, ni, rng.substream(i),
-                                  rho=rho, max_steps=max_steps))
-    batch = BatchExit(y=np.concatenate([p.y for p in parts]),
-                      w=np.concatenate([p.w for p in parts]),
-                      steps=np.concatenate([p.steps for p in parts]),
-                      stalled=np.concatenate([p.stalled for p in parts]))
-    n_stall = int(batch.stalled.sum())
-    frac = n_stall / batch.n
-    warnings = []
-    if frac > STALL_FAIL_FRACTION:
-        raise EstimationError(
-            f"sampler stall rate {frac:.2%} exceeds the 5% reliability limit "
-            f"({n_stall}/{batch.n})")
-    if frac > STALL_WARN_FRACTION:
-        warnings.append(f"stall rate {frac:.3%} ({n_stall}/{batch.n}); "
-                        f"estimates use the non-stalled paths only")
-    ok = ~batch.stalled
-    clean = BatchExit(y=batch.y[ok], w=batch.w[ok], steps=batch.steps[ok],
-                      stalled=batch.stalled[ok])
-    return clean, warnings
+    parts = [(x, size, rng.substream(i))
+             for x, n, rng in zip(points, ns, rngs)
+             for i, size in enumerate(split_n(n, workers))]
+    batches = []
+    for chunk in _lockstep_chunks([size for _, size, _ in parts]):
+        xs, sizes, streams = zip(*parts[chunk])
+        batches.append(sample_exits(model, D, xs, sizes, streams, rho=rho,
+                                    max_steps=max_steps))
+    batch = BatchExit.concat(batches)
+    counts, warnings = [], []
+    start = 0
+    for n in ns:
+        n_stall = int(batch.stalled[start:start + n].sum())
+        start += n
+        frac = n_stall / n
+        if frac > STALL_FAIL_FRACTION:
+            raise EstimationError(
+                f"sampler stall rate {frac:.2%} exceeds the 5% reliability "
+                f"limit ({n_stall}/{n})")
+        warnings.append(
+            [f"stall rate {frac:.3%} ({n_stall}/{n}); estimates use the "
+             f"non-stalled paths only"] if frac > STALL_WARN_FRACTION else [])
+        counts.append(n - n_stall)
+    return batch.take(~batch.stalled), counts, warnings
 
 
 # ===================================================================== #
@@ -147,9 +175,10 @@ def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
     A is a vectorized predicate over exit points (a subset of the
     complement of D).
     """
-    est, = escalate(model, D, x, [lambda b: np.asarray(A(b.y), dtype=bool)],
-                    rng, n, n, workers=workers, rho=rho,
-                    method="mc-binomial-harmonic-measure")
+    (est,), = escalate(model, D, [x],
+                       [lambda b: np.asarray(A(b.y), dtype=bool)], [rng], n,
+                       n, workers=workers, rho=rho,
+                       method="mc-binomial-harmonic-measure")
     return est
 
 
@@ -157,8 +186,8 @@ def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
                    rng: RngStream, workers: int = 1,
                    rho: float = 0.5) -> Estimate:
     """E_x[tau_D] via the accumulated closed-form time weights of n paths."""
-    est, = escalate(model, D, x, [lambda b: b.w], rng, n, n, workers=workers,
-                    rho=rho, method="mc-mean-exit-time")
+    (est,), = escalate(model, D, [x], [lambda b: b.w], [rng], n, n,
+                       workers=workers, rho=rho, method="mc-mean-exit-time")
     return est
 
 
@@ -170,9 +199,10 @@ def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
     Estimated as the fraction of n exit samples from D & B(xi,r) whose
     exit point still lies in D.
     """
-    est, = escalate(model, D.truncate(xi, r), x, [lambda b: D.contains(b.y)],
-                    rng, n, n, workers=workers, rho=rho,
-                    method="mc-binomial-exit-before-subdomain")
+    (est,), = escalate(model, D.truncate(xi, r), [x],
+                       [lambda b: D.contains(b.y)], [rng], n, n,
+                       workers=workers, rho=rho,
+                       method="mc-binomial-exit-before-subdomain")
     return est
 
 
@@ -221,51 +251,79 @@ def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
 # precision escalation
 # ===================================================================== #
 
-def escalate(model: ProcessModel, D: Domain, x, functionals,
-             rng: RngStream, n0: int, cap: int = ESCALATION_CAP,
+def escalate(model: ProcessModel, D: Domain, points, functionals,
+             rngs, n0: int, cap: int = ESCALATION_CAP,
              target: float = TARGET_REL_STDERR, workers: int = 1,
              rho: float = 0.5, method: str = "mc-mean") -> list:
-    """Estimates of several batch functionals over common exits.
+    """Estimates of several batch functionals over common exits, per point.
 
-    Each functional maps an exit batch to per-path values (e.g.
-    `lambda b: g(b.y)` or `lambda b: b.w`), so every estimate is built
-    from the same paths.  Boolean values give a binomial estimate of the
-    merged count, any others a mean estimate of the merged moments.
-    Round k draws from `rng.substream(k)`: n0 paths first, then as many
-    as already drawn (bounded by the cap), so the sample count doubles
-    per round.  Rounds stop once every relative standard error is below
-    `target`, or once `cap` paths have been drawn, in which case the
-    estimates are marked underpowered; `cap = n0` is a fixed-n estimate.
-    Stalled paths count as drawn but not in the estimates, and every
-    round's stall warnings are attached to each estimate.
+    `points` holds one start point per stream in `rngs`; the result
+    holds one estimate list per point, equal to what a one-point call on
+    (points[j], rngs[j]) returns.  Each functional maps an exit batch to
+    per-path values (e.g. `lambda b: g(b.y)` or `lambda b: b.w`), so a
+    point's estimates are built from the same paths.  Boolean values
+    give a binomial estimate of the merged count, any others a mean
+    estimate of the merged moments.
+
+    Round k of point j draws from `rngs[j].substream(k)`: n0 paths first,
+    then as many as already drawn (bounded by the cap), so the sample
+    count doubles per round.  A point stops once every relative standard
+    error is below `target`, or once `cap` paths have been drawn, in which
+    case its estimates are marked underpowered; `cap = n0` is a fixed-n
+    estimate.  Stalled paths count as drawn but not in the estimates, and
+    every round's stall warnings are attached to each of the point's
+    estimates.
+
+    A round gathers the exits of the points still running in
+    consecutive chunks of at most LOCKSTEP_PATHS paths (a larger point
+    gets a gather of its own), and `gather_exits` walks each chunk in
+    lockstep; draws do not depend on which points walk together.  If
+    several points break the stall limit, the first in (round, point)
+    order raises.
     """
-    sums = [0.0] * len(functionals)
-    sumsq = [0.0] * len(functionals)
-    binary = [False] * len(functionals)
-    warnings = []
-    total = drawn = 0
+    rngs = list(rngs)
+    points = np.asarray(points, dtype=float).reshape(len(rngs), -1)
+    m, nf = len(rngs), len(functionals)
+    sums = [[0.0] * nf for _ in range(m)]
+    sumsq = [[0.0] * nf for _ in range(m)]
+    binary = [False] * nf
+    warnings = [[] for _ in range(m)]
+    total = [0] * m
+    results = [None] * m
+    running = list(range(m))
+    drawn = k = 0
     n = n0
-    k = 0
-    while True:
-        batch, warn = gather_exits(model, D, x, n, rng.substream(k), workers,
-                                   rho)
+    while running:
+        for c in _lockstep_chunks([n] * len(running)):
+            chunk = running[c]
+            batch, counts, warns = gather_exits(
+                model, D, points[chunk], [n] * len(chunk),
+                [rngs[j].substream(k) for j in chunk], workers, rho)
+            start = 0
+            for j, cnt, warn in zip(chunk, counts, warns):
+                part = batch.take(slice(start, start + cnt))
+                start += cnt
+                warnings[j].extend(warn)
+                for i, f in enumerate(functionals):
+                    v = np.asarray(f(part))
+                    binary[i] = v.dtype == bool
+                    v = v.astype(float)
+                    sums[j][i] += v.sum()
+                    sumsq[j][i] += (v * v).sum()
+                total[j] += cnt
         k += 1
         drawn += n
-        warnings.extend(warn)
-        for i, f in enumerate(functionals):
-            v = np.asarray(f(batch))
-            binary[i] = v.dtype == bool
-            v = v.astype(float)
-            sums[i] += v.sum()
-            sumsq[i] += (v * v).sum()
-        total += batch.n
-        estimates = [Estimate.binomial(int(s), total, method=method) if b
-                     else Estimate.from_moments(s, q, total, method=method)
-                     for s, q, b in zip(sums, sumsq, binary)]
-        precise = max(e.rel_stderr for e in estimates) < target
-        if precise or drawn >= cap:
-            for e in estimates:
-                e.underpowered = not precise
-                e.warnings.extend(warnings)
-            return estimates
+        for j in running:
+            estimates = [
+                Estimate.binomial(int(s), total[j], method=method) if b
+                else Estimate.from_moments(s, q, total[j], method=method)
+                for s, q, b in zip(sums[j], sumsq[j], binary)]
+            precise = max(e.rel_stderr for e in estimates) < target
+            if precise or drawn >= cap:
+                for e in estimates:
+                    e.underpowered = not precise
+                    e.warnings.extend(warnings[j])
+                results[j] = estimates
+        running = [j for j in running if results[j] is None]
         n = min(drawn, cap - drawn)
+    return results

@@ -7,7 +7,10 @@ Composing exact ball exits inside a domain ("walk on balls") yields exact
 samples of the domain exit position, plus an unbiased accumulator for the
 mean exit time via the closed-form expected ball-exit time.  The walk
 reads one number of the domain per walker and step, its signed clearance
-(`Domain.clearance`): it sizes the next ball and decides the exit.
+(`Domain.clearance`): it sizes the next ball and decides the exit.  One
+walk can carry many groups of paths, each with its own random stream, in
+lockstep: they share every clearance call and position update, while
+each group draws exactly what a walk of its own would.
 
 Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
 gamma-subordinated stable) cover variable coefficients and non-power
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import SURFACE_TOL, Domain
+from .domains import SURFACE_TOL, Domain, _row_norm
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
 from .kernel import (JumpKernelSpec, isotropic_stable_kernel, sphere_area,
                      tail_mass)
@@ -61,23 +64,40 @@ def expected_ball_exit_time(d: int, alpha: float, r: float,
 # exact ball exits
 # ===================================================================== #
 
-def _unit_directions(d: int, n: int, g: np.random.Generator) -> np.ndarray:
+def _directions(d: int, v: np.ndarray) -> np.ndarray:
+    """Uniform unit vectors, shape (n, d), from the raw draws v of
+    `_direction_draws`: signs of uniforms if d = 1, else normalized
+    Gaussians."""
     if d == 1:
-        return np.where(g.random(n) < 0.5, -1.0, 1.0)[:, None]
-    v = g.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+        return np.where(v < 0.5, -1.0, 1.0)[:, None]
+    return v / _row_norm(v)[:, None]
 
 
-def ball_exit_centered(alpha: float, d: int, n: int,
-                       g: np.random.Generator) -> np.ndarray:
+def _direction_draws(d: int, n: int, g: np.random.Generator) -> np.ndarray:
+    return g.random(n) if d == 1 else g.standard_normal((n, d))
+
+
+def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
     """n exact unit-ball exit points from the center, shape (n, d).
 
     The exit radius is 1/sqrt(B) with B ~ Beta(a/2, 1 - a/2); the
-    direction is uniform by rotational symmetry.
+    direction is uniform by rotational symmetry.  `n` and `g` may also
+    be equal-length sequences: each generator g[j] in turn draws its
+    n[j] radii and then its n[j] directions, exactly as a call of its
+    own would, and the points come back concatenated in that order (a
+    generator with n[j] = 0 draws nothing).
     """
-    b = g.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=n)
-    radii = 1.0 / np.sqrt(b)
-    return radii[:, None] * _unit_directions(d, n, g)
+    if np.ndim(n) == 0:
+        n, g = [n], [g]
+    b, v = [], []
+    for nj, gj in zip(n, g):
+        if nj:
+            b.append(gj.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=nj))
+            v.append(_direction_draws(d, nj, gj))
+    if not b:
+        return np.empty((0, d))
+    radii = 1.0 / np.sqrt(np.concatenate(b))
+    return radii[:, None] * _directions(d, np.concatenate(v))
 
 
 def ball_exit_isotropic(alpha: float, d: int, x_rel, rng: RngStream,
@@ -267,10 +287,23 @@ class BatchExit:
     def n(self) -> int:
         return len(self.w)
 
+    def take(self, key) -> "BatchExit":
+        """The paths selected by an index array, slice or mask."""
+        return BatchExit(y=self.y[key], w=self.w[key], steps=self.steps[key],
+                         stalled=self.stalled[key])
+
+    @classmethod
+    def concat(cls, parts) -> "BatchExit":
+        """The paths of several batches, in order."""
+        return cls(y=np.concatenate([p.y for p in parts]),
+                   w=np.concatenate([p.w for p in parts]),
+                   steps=np.concatenate([p.steps for p in parts]),
+                   stalled=np.concatenate([p.stalled for p in parts]))
+
 
 def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
-                            rho: float, rng: RngStream,
-                            max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
+                            rho: float, rng, max_steps: int = DEFAULT_MAX_STEPS,
+                            sizes=None) -> BatchExit:
     """Walk-on-balls exits for many starting points at once.
 
     `clearance(pts, idx)` is the signed clearance of the (m, d) points
@@ -280,38 +313,63 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     each jump: a walker with clearance c > SURFACE_TOL is inside and next
     exits the ball B(x, rho * c) exactly, accumulating the closed-form
     expected ball-exit time; any other walker has exited.
+
+    The starts may form consecutive groups, each with its own stream:
+    `rng` is then a sequence of RngStreams and `sizes` their group sizes
+    (one stream, the default, is the one-group case).  All groups walk in
+    lockstep, one clearance call and one position update per step for
+    all of them, but each draws from its own generator in the order a
+    walk of its own would: active walkers stay in path order, so group
+    j's t-th draw gets exactly the count its own walk would ask for, and
+    a group with no active walker draws nothing.  Every group's exits are
+    therefore bit-identical to a separate walk, `max_steps` included.
     """
     if not 0 < rho <= 1:
         raise DomainError("ball factor rho must lie in (0, 1]")
     x = np.array(np.atleast_2d(starts), dtype=float)
     n = x.shape[0]
-    active = np.arange(n)
-    c = np.asarray(clearance(x, active), dtype=float)
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    sizes = [n] if sizes is None else [int(s) for s in sizes]
+    if len(sizes) != len(rngs) or sum(sizes) != n:
+        raise DomainError("walk exit: one stream per group, and group sizes "
+                          "summing to the number of starts")
+    idx = np.arange(n)
+    c = np.asarray(clearance(x, idx), dtype=float)
     if not np.all(c > SURFACE_TOL):
         raise DomainError("walk exit: a start point lies outside the domain")
-    g = rng.generator()
+    gens = [r.generator() for r in rngs]
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    counts = sizes
     y = np.empty_like(x)
     w = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
+    # the active walkers, compacted: positions x, weights wa, path idx;
+    # all of them have taken the same number of steps
+    wa = np.zeros(n)
     ce = mean_exit_constant(d, alpha)
-    for _ in range(max_steps):
-        if len(active) == 0:
+    for step in range(1, max_steps + 1):
+        if len(idx) == 0:
             break
         radii = rho * c
-        w[active] += ce * radii ** alpha
-        z = ball_exit_centered(alpha, d, len(active), g)
-        x[active] += radii[:, None] * z
-        steps[active] += 1
-        c = np.asarray(clearance(x[active], active), dtype=float)
+        wa += ce * radii ** alpha
+        x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
+        c = np.asarray(clearance(x, idx), dtype=float)
         inside = c > SURFACE_TOL
-        done = active[~inside]
-        y[done] = x[done]
-        active = active[inside]
-        c = c[inside]
-    if len(active):
-        stalled[active] = True
-        y[active] = x[active]
+        if not inside.all():
+            out = ~inside
+            done = idx[out]
+            y[done] = x[out]
+            w[done] = wa[out]
+            steps[done] = step
+            x, wa, idx, c, group = (x[inside], wa[inside], idx[inside],
+                                    c[inside], group[inside])
+            counts = np.bincount(group, minlength=len(sizes)).tolist()
+    if len(idx):
+        stalled[idx] = True
+        y[idx] = x
+        w[idx] = wa
+        steps[idx] = max_steps
     return BatchExit(y=y, w=w, steps=steps, stalled=stalled)
 
 
@@ -360,7 +418,10 @@ def _build_chain_tables(model: StableLikeChain) -> _ChainTables:
     u = np.linspace(math.log(model.r_cut),
                     math.log(model.r_cut) + 10 * math.log(10.0), 4097)
     sg = np.exp(u)
-    dens = 1.0 / (ks.scale(sg) * ks.temper_factor(sg))  # f(e^u) e^u du
+    # f(e^u) e^u du; a tempered scale * temper overflows far out, where
+    # the density is correctly 0
+    with np.errstate(over="ignore"):
+        dens = 1.0 / (ks.scale(sg) * ks.temper_factor(sg))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(u))])
     cdf /= cdf[-1]
@@ -377,7 +438,7 @@ def _far_jumps(tables: _ChainTables, d: int, h: float, n: int,
                g: np.random.Generator) -> np.ndarray:
     radii = np.interp(g.random(n), tables.far_radius_cdf,
                       tables.far_radius_grid)
-    z = radii[:, None] * _unit_directions(d, n, g)
+    z = radii[:, None] * _directions(d, _direction_draws(d, n, g))
     return _snap(z, h)
 
 
@@ -578,7 +639,7 @@ def geometric_stable_increment(alpha: float, d: int, dt: float, n: int,
 # unified exit sampling and survival probabilities
 # ===================================================================== #
 
-def sample_exits(model: ProcessModel, D: Domain, x, n: int, rng: RngStream,
+def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
                  rho: float = 0.5,
                  max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
     """n exit samples of D from x under the given model.
@@ -587,15 +648,25 @@ def sample_exits(model: ProcessModel, D: Domain, x, n: int, rng: RngStream,
     approximation-grade for the lattice chain.  Other variants carry no
     exit-law sampler.  A start outside D, or of the wrong dimension,
     raises DomainError.
+
+    `n` and `rng` may also be equal-length sequences, with `x` then one
+    start point per group: group j draws n[j] paths from x[j] on rng[j],
+    bit-identical to a call of its own, and the groups come back
+    consecutive in one batch.  Walks on balls run their groups in
+    lockstep (`walk_exit_batch_indexed`); chains run them in turn.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    starts = np.tile(x, (n, 1))
+    if isinstance(rng, RngStream):
+        x, n, rng = [x], [n], [rng]
+    points = np.asarray(x, dtype=float).reshape(len(rng), -1)
     if isinstance(model, IsotropicStable):
         return walk_exit_batch_indexed(model.alpha, model.dim,
                                        lambda pts, idx: D.clearance(pts),
-                                       starts, rho, rng, max_steps)
+                                       np.repeat(points, n, axis=0), rho,
+                                       rng, max_steps, sizes=n)
     if isinstance(model, StableLikeChain):
-        return chain_exit_batch(model, D, starts, rng, max_steps)
+        return BatchExit.concat([
+            chain_exit_batch(model, D, np.tile(p, (nj, 1)), r, max_steps)
+            for p, nj, r in zip(points, n, rng)])
     raise CapabilityError(
         f"{type(model).__name__} provides no exit-law sampler")
 

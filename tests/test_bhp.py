@@ -55,8 +55,8 @@ def test_eval_harmonic_matches_harmonic_measure():
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
     x = [0.0, 0.25]
-    est, = eval_harmonic(model, HALF, XI, r, (g,), x, RngStream(3), 20_000,
-                         20_000)
+    (est,), = eval_harmonic(model, HALF, XI, r, (g,), [x], [RngStream(3)],
+                            20_000, 20_000)
     # with indicator data, h(x) is the harmonic measure of the far field
     U = HALF.truncate(XI, 2.0 * r)
     hm = harmonic_measure(model, U, x,
@@ -71,8 +71,8 @@ def test_eval_harmonic_is_linear_in_the_data():
     g = far_field_indicator(XI, 2.0 * r)
     g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
                        xi=XI)
-    a, b = eval_harmonic(model, HALF, XI, r, (g, g10), [0.0, 0.25],
-                         RngStream(7), 5000, 5000)
+    (a, b), = eval_harmonic(model, HALF, XI, r, (g, g10), [[0.0, 0.25]],
+                            [RngStream(7)], 5000, 5000)
     assert b.value == pytest.approx(10.0 * a.value, rel=1e-12)
 
 
@@ -80,14 +80,14 @@ def test_eval_harmonic_validates_the_point():
     model = IsotropicStable(1.0, 2)
     g = far_field_indicator(XI, 1.0)
     with pytest.raises(DomainError):
-        eval_harmonic(model, HALF, XI, 0.5, (g,), [0.0, -0.5], RngStream(0),
-                      100, 100)
+        eval_harmonic(model, HALF, XI, 0.5, (g,), [[0.0, -0.5]],
+                      [RngStream(0)], 100, 100)
     with pytest.raises(DomainError):
-        eval_harmonic(model, HALF, XI, 0.5, (g,), [5.0, 0.25], RngStream(0),
-                      100, 100)
+        eval_harmonic(model, HALF, XI, 0.5, (g,), [[5.0, 0.25]],
+                      [RngStream(0)], 100, 100)
     with pytest.raises(ConfigError):   # the data must vanish on B(xi, 2r)
-        eval_harmonic(model, HALF, XI, 0.6, (g,), [0.0, 0.25], RngStream(0),
-                      100, 100)
+        eval_harmonic(model, HALF, XI, 0.6, (g,), [[0.0, 0.25]],
+                      [RngStream(0)], 100, 100)
 
 
 # ------------------------------------------------------------------ #
@@ -109,6 +109,8 @@ def test_interior_grid_fails_when_infeasible():
         # clearance floor larger than the ball radius
         interior_grid(D, [0.0, 0.0], 0.5, 8, 2.0, RngStream(1),
                       max_tries=10_000)
+    with pytest.raises(ConfigError):
+        interior_grid(D, [0.0, 0.0], 0.5, 0, 0.1, RngStream(1))
 
 
 # ------------------------------------------------------------------ #
@@ -244,19 +246,20 @@ def test_box_diagnostics_layers():
 
 
 def test_box_diagnostics_walks_once_per_grid_point(monkeypatch):
-    # P and E at a grid point come from the same exits: one gather each
+    # P and E at a grid point come from the same exits: each point walks
+    # once, all of them in one lockstep gather
     gather = exitstats.gather_exits
     calls = []
 
     def counting_gather(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(list(args[3]))
         return gather(*args, **kwargs)
 
     monkeypatch.setattr(exitstats, "gather_exits", counting_gather)
     model = IsotropicStable(1.0, 2)
     diag = box_diagnostics(model, HALF, XI, 1.0, j_max=2, grid_size=5,
                            n=300, rng=RngStream(31))
-    assert calls == [300] * 5
+    assert calls == [[300] * 5]
     for p, e in zip(diag.p, diag.e):
         assert p.n == e.n == 300
         assert 0.0 <= p.value <= 1.0 and e.value > 0.0
@@ -324,8 +327,9 @@ def test_bhp_scan_keeps_stall_warnings(monkeypatch):
     gather = exitstats.gather_exits
 
     def stalling_gather(*args, **kwargs):
-        batch, warnings = gather(*args, **kwargs)
-        return batch, warnings + ["stall rate 0.2% (stub)"]
+        batch, counts, warnings = gather(*args, **kwargs)
+        return batch, counts, [w + ["stall rate 0.2% (stub)"]
+                               for w in warnings]
 
     monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
     model = IsotropicStable(1.0, 2)

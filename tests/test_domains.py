@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace,
                             Intersection, SegmentComplement, SlitPlane, Union,
-                            box_minus_comb, from_descriptor)
+                            _row_norm, box_minus_comb, from_descriptor)
 from bhplab.errors import ConfigError, DomainError
 
 
@@ -260,3 +260,11 @@ def test_from_descriptor_errors():
         from_descriptor({"type": "moebius-strip"})
     with pytest.raises(ConfigError):
         from_descriptor({"type": "cone", "vertex": [0.0, 0.0]})
+
+
+def test_row_norm_is_bitwise_linalg_norm():
+    g = np.random.default_rng(11)
+    for d in range(1, 8):
+        for mag in 10.0 ** np.arange(-12, 4):
+            v = mag * g.standard_normal((257, d))
+            assert np.array_equal(_row_norm(v), np.linalg.norm(v, axis=1))

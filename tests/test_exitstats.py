@@ -13,7 +13,7 @@ from bhplab.exitstats import (Estimate, escalate, exit_before_subdomain,
                               gather_exits, harmonic_measure, lemma24_bounds,
                               mean_exit_time, set_distance, split_n)
 from bhplab.rng import RngStream
-from bhplab.sampler import BatchExit, IsotropicStable
+from bhplab.sampler import BatchExit, IsotropicStable, sample_exits
 from bhplab.scale import ScaleFunction
 
 
@@ -219,25 +219,25 @@ def test_gather_exits_stall_policy_fails_hard():
     D = Ball([0.0], 1.0)
     with pytest.raises(EstimationError):
         # one step almost never exits with a tiny ball factor
-        gather_exits(model, D, [0.0], 200, RngStream(1), rho=0.001,
+        gather_exits(model, D, [[0.0]], [200], [RngStream(1)], rho=0.001,
                      max_steps=1)
 
 
 def test_gather_exits_clean_batch_has_no_stalls():
     model = IsotropicStable(1.0, 1)
-    batch, warnings = gather_exits(model, Ball([0.0], 1.0), [0.0], 500,
-                                   RngStream(2))
+    batch, counts, warnings = gather_exits(model, Ball([0.0], 1.0), [[0.0]],
+                                           [500], [RngStream(2)])
     assert not batch.stalled.any()
-    assert batch.n == 500
+    assert batch.n == 500 and counts == [500] and warnings == [[]]
 
 
 def test_escalate_reaches_target():
     # two functionals over common exits: the mean exit time of (-1, 1)
     # from 0 (exactly 1) and the probability of exiting to the right
     model = IsotropicStable(1.0, 1)
-    ests = escalate(model, Ball([0.0], 1.0), [0.0],
-                    [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
-                    RngStream(9), n0=128, target=0.02)
+    ests, = escalate(model, Ball([0.0], 1.0), [[0.0]],
+                     [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
+                     [RngStream(9)], n0=128, target=0.02)
     met, right = ests
     assert met.n == right.n
     rounds = met.n // 128
@@ -251,9 +251,9 @@ def test_escalate_reaches_target():
 def test_escalate_marks_underpowered_at_cap():
     # P(|Y| > 100) is about 0.6%: hopeless at 2% precision with 256 paths
     model = IsotropicStable(1.0, 1)
-    est, = escalate(model, Ball([0.0], 1.0), [0.0],
-                    [lambda b: np.abs(b.y[:, 0]) > 100.0], RngStream(1),
-                    n0=64, cap=256, target=0.02)
+    (est,), = escalate(model, Ball([0.0], 1.0), [[0.0]],
+                       [lambda b: np.abs(b.y[:, 0]) > 100.0], [RngStream(1)],
+                       n0=64, cap=256, target=0.02)
     assert est.underpowered
     assert est.n == 256          # rounds of 64, 64 and 128 paths
 
@@ -264,28 +264,81 @@ def test_escalate_fixed_n_with_stalls_is_one_round(monkeypatch):
     gather = exitstats.gather_exits
     calls = []
 
-    def stalling_gather(model, D, x, n, *args, **kwargs):
-        calls.append(n)
-        batch, warnings = gather(model, D, x, n, *args, **kwargs)
+    def stalling_gather(model, D, points, ns, *args, **kwargs):
+        calls.append(list(ns))
+        batch, counts, warnings = gather(model, D, points, ns, *args,
+                                         **kwargs)
+        n, = ns
         if n <= k:
-            return batch, warnings
+            return batch, counts, warnings
         keep = slice(0, n - k)
         return (BatchExit(y=batch.y[keep], w=batch.w[keep],
                           steps=batch.steps[keep],
                           stalled=batch.stalled[keep]),
-                warnings + [f"stall rate {k / n:.3%} (stub)"])
+                [n - k], [warnings[0] + [f"stall rate {k / n:.3%} (stub)"]])
 
     monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
     n, k = 400, 3
     model = IsotropicStable(1.0, 1)
-    met, right = escalate(model, Ball([0.0], 1.0), [0.0],
-                          [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
-                          RngStream(3), n0=n, cap=n)
-    assert calls == [n]
+    (met, right), = escalate(model, Ball([0.0], 1.0), [[0.0]],
+                             [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
+                             [RngStream(3)], n0=n, cap=n)
+    assert calls == [[n]]
     assert met.n == right.n == n - k
     assert met.warnings == right.warnings == ["stall rate 0.750% (stub)"]
     assert right.method == met.method
     assert 0.0 <= right.value <= 1.0
+
+
+def test_gather_exits_equals_separate_part_walks():
+    # part i of point j walks on rngs[j].substream(i), exactly as a
+    # sample_exits call of its own; stalled paths are dropped per point
+    model = IsotropicStable(1.0, 1)
+    D = Ball([0.0], 1.0)
+    points, ns = [[0.5], [-0.2], [0.0]], [301, 20, 150]
+    rngs = [RngStream(8).substream(j) for j in range(len(points))]
+    batch, counts, warnings = gather_exits(model, D, points, ns, rngs,
+                                           workers=2, max_steps=20)
+    parts = [sample_exits(model, D, x, size, rng.substream(i), max_steps=20)
+             for x, n, rng in zip(points, ns, rngs)
+             for i, size in enumerate(split_n(n, 2))]
+    full = BatchExit.concat(parts)
+    ref = full.take(~full.stalled)
+    for f in ("y", "w", "steps"):
+        assert np.array_equal(getattr(batch, f), getattr(ref, f)), f
+    ends = np.cumsum(ns)
+    assert counts == [int((~full.stalled[e - n:e]).sum())
+                      for n, e in zip(ns, ends)]
+    assert sum(counts) < sum(ns)
+    assert all(len(w) == 1 for w in warnings)   # every point stalled a path
+
+
+def _escalate_points(points, rngs, workers=2):
+    model = IsotropicStable(1.0, 1)
+    return escalate(model, Ball([0.0], 1.0), points,
+                    [lambda b: b.w, lambda b: b.y[:, 0] > 0.0], rngs,
+                    n0=64, cap=4096, target=0.04, workers=workers)
+
+
+def test_escalate_many_points_equals_one_point_calls():
+    # the nearer a start is to -1, the rarer a right exit and the more
+    # rounds it takes: points stop at different rounds, yet each equals
+    # its own one-point call
+    points = [[0.6], [0.0], [-0.6], [-0.9]]
+    rngs = [RngStream(5).substream(j) for j in range(len(points))]
+    got = _escalate_points(points, rngs)
+    assert len({ests[0].n for ests in got}) >= 3
+    for p, r, ests in zip(points, rngs, got):
+        assert ests == _escalate_points([p], [r])[0]
+
+
+def test_escalate_ignores_the_lockstep_budget(monkeypatch):
+    points = [[0.6], [0.0], [-0.6], [-0.9]]
+    rngs = [RngStream(6).substream(j) for j in range(len(points))]
+    ref = _escalate_points(points, rngs)
+    for budget in (1, 100, 10 ** 9):
+        monkeypatch.setattr(exitstats, "LOCKSTEP_PATHS", budget)
+        assert _escalate_points(points, rngs) == ref
 
 
 def test_fixed_n_estimators_flag_imprecise_estimates():

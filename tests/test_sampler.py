@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bhplab.domains import SURFACE_TOL, Ball
+from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane
 from bhplab.errors import CapabilityError, ConfigError, DomainError
 from bhplab.exitstats import escalate
 from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
@@ -153,6 +153,48 @@ def test_walk_evaluates_clearance_once_per_step(rng):
     assert np.array_equal(batch.y, ref.y) and np.array_equal(batch.w, ref.w)
 
 
+def test_grouped_ball_exits_equal_per_generator_calls(rng):
+    sizes = [5, 0, 1, 300]
+    for d in (1, 2, 3):
+        streams = [rng.substream(10 * d + j) for j in range(len(sizes))]
+        got = ball_exit_centered(1.3, d, sizes,
+                                 [s.generator() for s in streams])
+        ref = np.concatenate([ball_exit_centered(1.3, d, n, s.generator())
+                              for n, s in zip(sizes, streams)])
+        assert got.shape == (sum(sizes), d)
+        assert np.array_equal(got, ref)
+
+
+def _walk_groups(D, points, sizes, streams, rho, max_steps):
+    starts = np.repeat(np.asarray(points, dtype=float), sizes, axis=0)
+    return walk_exit_batch_indexed(1.5, 2, lambda pts, idx: D.clearance(pts),
+                                   starts, rho, streams, max_steps, sizes)
+
+
+def test_lockstep_groups_equal_separate_walks(rng):
+    # groups of different sizes and starts (one empty) walking in
+    # lockstep give each group the exits of a walk of its own, also when
+    # the step budget stalls most of them
+    points = [[-0.3, 0.2], [0.1, 0.05], [0.0, 0.3], [-0.2, -0.1]]
+    sizes = [700, 40, 0, 1500]
+    streams = [rng.substream(j) for j in range(len(points))]
+    # an oblique half-space: its clearance is a dot product per row
+    half = HalfSpace([0.3, 1.0], -0.5).truncate([0.0, 0.0], 0.8)
+    slit = SlitPlane().truncate([0.0, 0.0], 0.8)
+    for D, rho, max_steps in [(slit, 0.5, 10 ** 6), (half, 0.5, 10 ** 6),
+                              (slit, 0.1, 3)]:
+        got = _walk_groups(D, points, sizes, streams, rho, max_steps)
+        refs = [_walk_groups(D, [p], [n], [s], rho, max_steps)
+                for p, n, s in zip(points, sizes, streams)]
+        for f in ("y", "w", "steps", "stalled"):
+            assert np.array_equal(getattr(got, f),
+                                  np.concatenate([getattr(r, f)
+                                                  for r in refs])), f
+        if max_steps == 3:
+            assert 0 < got.stalled.sum() < got.n
+            assert np.all(got.steps[got.stalled] == 3)
+
+
 def test_walk_validates_inputs():
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
@@ -263,14 +305,23 @@ def test_chain_rejects_kappa_outside_its_bounds(rng):
 def test_variable_kappa_chain_feeds_the_instruments(rng):
     model, _ = _variable_chain()
     D = Ball([0.0], 1.0)
-    mean, right = escalate(model, D, [0.3125],
-                           [lambda b: b.w, lambda b: b.y[:, 0] > 0],
-                           rng.substream(0), 2000, cap=8000, target=0.01)
+    (mean, right), = escalate(model, D, [[0.3125]],
+                              [lambda b: b.w, lambda b: b.y[:, 0] > 0],
+                              [rng.substream(0)], 2000, cap=8000, target=0.01)
     assert mean.n == right.n == 8000 and not mean.warnings
     assert 0.2 < mean.value < 0.24 and 0.55 < right.value < 0.64
     est = survival_prob_ball(model, [0.3125], 1.0, 0.1, 4000,
                              rng.substream(1))
     assert 0.0 < est.value < 1.0
+
+
+def test_tempered_chain_tables_build_without_warnings():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = StableLikeChain(tempered_stable_kernel(1, 0.8, 1.0), 2.0 ** -4,
+                            4.0).tables
+    assert t.far_rate > 0 and t.far_radius_cdf[-1] == 1.0
 
 
 def test_chain_validation():
