@@ -10,10 +10,12 @@ box/chain constructions used to control exit probabilities.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.integrate import IntegrationWarning
 
 from .domains import SURFACE_TOL, Ball, Domain, Intersection
 from .errors import ConfigError, DomainError, UnderpoweredError
@@ -94,8 +96,7 @@ def far_field_indicator(xi, r_min: float, predicate=None) -> BoundaryData:
 
 def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
                   points, rngs, n0: int, cap: int = ESCALATION_CAP,
-                  target: float = TARGET_REL_STDERR, workers: int = 1,
-                  rho: float = 0.5) -> list:
+                  target: float = TARGET_REL_STDERR, rho: float = 0.5) -> list:
     """h_g(x) = E_x[g(X at the exit of D & B(xi, 2r))] for each g in `data`.
 
     Returns, for each start x in `points` (one per stream in `rngs`),
@@ -111,8 +112,7 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
         g.validate(r)
     U = D.truncate(xi, 2.0 * r)
     return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
-                    rngs, n0, cap, target, workers, rho,
-                    method="mc-mean-harmonic")
+                    rngs, n0, cap, target, rho, method="mc-mean-harmonic")
 
 
 # ===================================================================== #
@@ -177,8 +177,7 @@ def _verified_radius(model: ProcessModel) -> float:
 
 def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
              g1: BoundaryData, g2: BoundaryData, grid_size: int, n: int,
-             rng: RngStream, workers: int = 1, rho: float = 0.5,
-             cap: int = ESCALATION_CAP,
+             rng: RngStream, rho: float = 0.5, cap: int = ESCALATION_CAP,
              target: float = TARGET_REL_STDERR,
              gate: float = PAIR_GATE_REL_STDERR,
              grid: np.ndarray | None = None) -> BhpReport:
@@ -204,8 +203,7 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
             raise DomainError("a supplied grid point lies outside the domain")
     h1, h2 = map(list, zip(*eval_harmonic(
         model, D, xi, r, (g1, g2), grid,
-        [rng.substream(1 + i) for i in range(len(grid))], n, cap, target,
-        workers, rho)))
+        [rng.substream(1 + i) for i in range(len(grid))], n, cap, target, rho)))
     n_total = sum(e.n for e in h1)
 
     v1 = np.array([e.value for e in h1])
@@ -263,21 +261,22 @@ def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
 def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
                         c1: float, c2: float, c3: float, g: BoundaryData,
                         grid_size: int, n: int, rng: RngStream,
-                        workers: int = 1, rho: float = 0.5,
-                        cap: int = ESCALATION_CAP,
+                        rho: float = 0.5, cap: int = ESCALATION_CAP,
                         target: float = TARGET_REL_STDERR,
                         gate: float = PAIR_GATE_REL_STDERR) -> dict:
     """rho(x) = h(x) / (E_x[tau of D & B(x, c1 r)] * int g dJ(xi, .)).
 
     The integral runs over |y - xi| >= c2 r; since g vanishes on
     B(xi, 2r) it equals the boundary integral of the data itself.
-    Reports rho per powered grid point and the max/min band.
+    Reports rho per powered grid point, the max/min band, and the distinct
+    quadrature and estimate warnings in first-seen order.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not (0 < c1 and 0 < c3 and c1 + c3 < c2 < 2.0):
         raise ConfigError("factorization fractions need c1 + c3 < c2 < 2")
-    J = model.kernel
-    integral = boundary_integral(J, xi, g.fn, r_min=c2 * r)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        integral = boundary_integral(model.kernel, xi, g.fn, r_min=c2 * r)
     if not integral > 0:
         raise DomainError("boundary integral of g vanishes; rho is undefined")
 
@@ -286,13 +285,13 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     subs = [rng.substream(1 + i) for i in range(len(grid))]
     h_est = [h for h, in eval_harmonic(model, D, xi, r, (g,), grid,
                                        [sub.substream(0) for sub in subs], n,
-                                       cap, target, workers, rho)]
+                                       cap, target, rho)]
     e_est, rho_vals, powered = [], [], []
     for x, sub, h in zip(grid, subs, h_est):
         # each point walks its own ball, so these walks run one by one
         ball = Intersection([D, Ball(x, c1 * r)])
         (met,), = escalate(model, ball, [x], [lambda b: b.w],
-                           [sub.substream(1)], n, cap, target, workers, rho,
+                           [sub.substream(1)], n, cap, target, rho,
                            method="mc-mean-exit-time")
         e_est.append(met)
         ok = h.rel_stderr < gate and met.rel_stderr < gate
@@ -304,12 +303,15 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     if not powered.any():
         raise UnderpoweredError("no factorization grid point passed the gate")
     band = rho_vals[powered]
+    notes = [f"boundary integral: {str(w.message).splitlines()[0]}"
+             for w in caught] + [w for e in h_est + e_est for w in e.warnings]
     return {"xi": xi, "r": r, "c1": c1, "c2": c2, "c3": c3,
             "integral": integral, "grid": grid, "h": h_est,
             "mean_exit": e_est, "rho": rho_vals, "powered": powered,
             "band_max": float(np.nanmax(band)),
             "band_min": float(np.nanmin(band)),
-            "band_ratio": float(np.nanmax(band) / np.nanmin(band))}
+            "band_ratio": float(np.nanmax(band) / np.nanmin(band)),
+            "warnings": list(dict.fromkeys(notes))}
 
 
 # ===================================================================== #
@@ -336,7 +338,7 @@ def _layer_radius(r: float, j: int) -> float:
 
 def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
                     grid_size: int, n: int, rng: RngStream,
-                    workers: int = 1, rho: float = 0.5, phi=None) -> BoxDiagnostics:
+                    rho: float = 0.5, phi=None) -> BoxDiagnostics:
     """Classify grid points into dyadic layers and compute layer infima.
 
     Each point x in B_D(xi, 3r/4) gets q(x) = P_x(exit of D & B(xi,r)
@@ -354,8 +356,8 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
     trunc = D.truncate(xi, r)
     p_est, e_est = map(list, zip(*escalate(
         model, trunc, grid, [lambda b: D.contains(b.y), lambda b: b.w],
-        [rng.substream(1 + i) for i in range(len(grid))], n, n,
-        workers=workers, rho=rho, method="mc-box-common-exits")))
+        [rng.substream(1 + i) for i in range(len(grid))], n, n, rho=rho,
+        method="mc-box-common-exits")))
     p = np.array([e.value for e in p_est])
     e = np.array([e.value for e in e_est])
     q = p + e / phi_r

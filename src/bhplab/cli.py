@@ -2,8 +2,9 @@
 
 Each subcommand loads a JSON config, runs one experiment kind, and
 writes a JSON report (plus optional CSV) into the output directory.
-Reports are deterministic for a fixed (config, seed, workers) triple:
-the timestamp is the only nondeterministic field.
+Reports are deterministic for a fixed (config, seed) pair: the
+timestamp is the only nondeterministic field.  Config keys a command
+does not read are ignored.
 
 Exit codes: 0 completed (a "violated" verdict is data, not failure),
 1 configuration error, 2 runtime/stall error, 3 underpowered,
@@ -17,7 +18,6 @@ import csv
 import dataclasses
 import json
 import operator
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -95,36 +95,46 @@ def write_report(out_dir: str, kind: str, config: dict, results,
     return str(path)
 
 
+def _value(spec: dict, what: str) -> float:
+    try:
+        return float(spec["value"])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{what} {spec!r} needs a numeric 'value'") from None
+
+
+def _axis(axis, d: int, what: str) -> int:
+    axis = int(axis)
+    if not 0 <= axis < d:
+        raise ConfigError(f"{what} {axis} lies outside [0, {d})")
+    return axis
+
+
 def _predicate(spec: dict):
     """Vectorized exit-point predicate from a JSON target spec."""
     kind = spec.get("kind", "complement")
     if kind == "complement":
         return lambda y: np.ones(len(np.atleast_2d(y)), dtype=bool)
-    if kind == "norm-gt":
+    if kind in ("norm-gt", "norm-le"):
         c = np.asarray(spec.get("center", [0.0]), dtype=float)
-        v = float(spec["value"])
-        return lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1) > v
+        stat = lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1)
+    elif kind in ("coordinate-gt", "coordinate-lt"):
+        axis = int(spec.get("axis", 0))
+        stat = lambda y: np.atleast_2d(y)[:, axis]
+    else:
+        raise ConfigError(f"unknown target kind {kind!r}")
+    v = _value(spec, "target")
+    if kind.endswith("-gt"):
+        return lambda y: stat(y) > v
     if kind == "norm-le":
-        c = np.asarray(spec.get("center", [0.0]), dtype=float)
-        v = float(spec["value"])
-        return lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1) <= v
-    if kind == "coordinate-gt":
-        axis = int(spec.get("axis", 0))
-        v = float(spec["value"])
-        return lambda y: np.atleast_2d(y)[:, axis] > v
-    if kind == "coordinate-lt":
-        axis = int(spec.get("axis", 0))
-        v = float(spec["value"])
-        return lambda y: np.atleast_2d(y)[:, axis] < v
-    raise ConfigError(f"unknown target kind {kind!r}")
+        return lambda y: stat(y) <= v
+    return lambda y: stat(y) < v
 
 
 # ===================================================================== #
 # experiment runners
 # ===================================================================== #
 
-def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
-                     out: str) -> str:
+def run_check_kernel(cfg: dict, rng: RngStream, out: str) -> str:
     J = build_kernel(cfg["kernel"])
     jt_grid = np.asarray(cfg.get("jt_grid", np.logspace(-2, 1, 13).tolist()))
     phi_grid = np.asarray(cfg.get("phi_grid",
@@ -167,38 +177,40 @@ def run_check_kernel(cfg: dict, rng: RngStream, workers: int,
     return write_report(out, "check-kernel", cfg, results, checks)
 
 
-def run_exit_stats(cfg: dict, rng: RngStream, workers: int,
-                   out: str) -> str:
+def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     x = np.asarray(cfg.get("x", [0.0] * D.dim), dtype=float)
     n = int(cfg.get("n", 100_000))
     rho = float(cfg.get("rho", 0.5))
-    results = {"mean_exit_time": exitstats.mean_exit_time(
-        model, D, x, n, rng.substream(0), workers=workers, rho=rho)}
-    targets = {}
-    for i, tspec in enumerate(cfg.get("targets", [])):
-        est = exitstats.harmonic_measure(model, D, x, _predicate(tspec), n,
-                                         rng.substream(1 + i),
-                                         workers=workers, rho=rho)
-        targets[tspec.get("name", f"target{i}")] = est
-    results["targets"] = targets
+    tspecs = cfg.get("targets", [])
+    predicates = [_predicate(t) for t in tspecs]
+    names = [t.get("name", f"target{i}") for i, t in enumerate(tspecs)]
+    expect = cfg.get("expect", [])
+    refs = [_value(exp, "expect entry") for exp in expect]
+    for exp in expect:
+        if exp.get("target") not in ["mean_exit_time", *names]:
+            raise ConfigError(f"expect entry {exp!r} names none of the "
+                              f"targets {['mean_exit_time', *names]}")
+
+    met = exitstats.mean_exit_time(model, D, x, n, rng.substream(0), rho=rho)
+    targets = {name: exitstats.harmonic_measure(model, D, x, pred, n,
+                                                rng.substream(1 + i), rho=rho)
+               for i, (name, pred) in enumerate(zip(names, predicates))}
+    results = {"mean_exit_time": met, "targets": targets}
 
     checks = []
-    for exp in cfg.get("expect", []):
-        name = exp["target"]
-        if name == "mean_exit_time":
-            est = results["mean_exit_time"]
-        else:
-            est = targets[name]
+    ests = {**targets, "mean_exit_time": met}
+    for exp, ref in zip(expect, refs):
+        est = ests[exp["target"]]
         sig = float(exp.get("sigmas", 3.0))
         tol = sig * est.stderr + float(exp.get("tol", 0.0))
-        checks.append(check(f"exit-stats:{name}",
-                            est.value - float(exp["value"]), tol, "abs<="))
+        checks.append(check(f"exit-stats:{exp['target']}", est.value - ref,
+                            tol, "abs<="))
     return write_report(out, "exit-stats", cfg, results, checks)
 
 
-def run_ep_check(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
+def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     phi = model.kernel.scale
     r_list = [float(r) for r in cfg.get("r_list", [0.25, 1.0, 4.0])]
@@ -259,7 +271,7 @@ def _half_plane_pair(xi, r: float, axis: int):
     return g1, g2
 
 
-def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
+def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -268,11 +280,10 @@ def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     grid_size = int(cfg.get("grid_size", 12))
     n = int(cfg.get("n", 4096))
     cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
-    axis = int(cfg.get("split_axis", D.dim - 1))
+    axis = _axis(cfg.get("split_axis", D.dim - 1), D.dim, "split_axis")
     series = bhp.bhp_scan_series(
         model, D, xi, r_series, kappa,
-        lambda r: _half_plane_pair(xi, r, axis),
-        grid_size, n, rng, workers=workers, cap=cap)
+        lambda r: _half_plane_pair(xi, r, axis), grid_size, n, rng, cap=cap)
 
     for rep in series["reports"]:
         csv_path = Path(out) / f"bhp-scan-r{rep.r:g}.csv"
@@ -297,8 +308,7 @@ def run_bhp_scan(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     return write_report(out, "bhp-scan", cfg, results, checks)
 
 
-def run_factorization(cfg: dict, rng: RngStream, workers: int,
-                      out: str) -> str:
+def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -308,7 +318,7 @@ def run_factorization(cfg: dict, rng: RngStream, workers: int,
     grid_size = int(cfg.get("grid_size", 8))
     n = int(cfg.get("n", 4096))
     cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
-    axis = int(cfg.get("split_axis", 0))
+    axis = _axis(cfg.get("split_axis", 0), D.dim, "split_axis")
     radii = [float(r) for r in cfg.get("r_series", [cfg.get("r", 0.5)])]
     reports = []
     for k, r in enumerate(radii):
@@ -316,7 +326,7 @@ def run_factorization(cfg: dict, rng: RngStream, workers: int,
                                     lambda y: y[:, axis] > float(xi[axis]))
         reports.append(bhp.factorization_check(
             model, D, xi, r, c1, c2, c3, g, grid_size, n, rng.substream(k),
-            workers=workers, cap=cap))
+            cap=cap))
     checks = []
     for rep, r in zip(reports, radii):
         checks.append(check(f"factorization-band-r{r:g}", rep["band_ratio"],
@@ -329,14 +339,14 @@ def run_factorization(cfg: dict, rng: RngStream, workers: int,
     return write_report(out, "factorization", cfg, results, checks)
 
 
-def run_box_method(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
+def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     r = float(cfg.get("r", 1.0))
     diag = bhp.box_diagnostics(model, D, xi, r, int(cfg.get("j_max", 6)),
                                int(cfg.get("grid_size", 24)),
-                               int(cfg.get("n", 8192)), rng, workers=workers)
+                               int(cfg.get("n", 8192)), rng)
     lam = [lay["lambda_j"] for lay in diag.layers]
     finite = [v for v in lam if np.isfinite(v)]
     checks = []
@@ -345,8 +355,7 @@ def run_box_method(cfg: dict, rng: RngStream, workers: int, out: str) -> str:
     return write_report(out, "box-method", cfg, diag, checks)
 
 
-def run_chain_decay(cfg: dict, rng: RngStream, workers: int,
-                    out: str) -> str:
+def run_chain_decay(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
@@ -422,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--r-series", default=None,
                         help="comma-separated radius list override")
@@ -439,20 +447,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        overrides = {"seed": args.seed, "workers": args.workers,
-                     "out": args.out, "n": args.n}
+        overrides = {"seed": args.seed, "out": args.out, "n": args.n}
         if args.r_series:
             overrides["r_series"] = [float(v)
                                      for v in args.r_series.split(",")]
         cfg = resolve(cfg, overrides)
-        seed = int(cfg.get("seed", 0))
-        workers = int(os.environ.get("BHPLAB_WORKERS",
-                                     cfg.get("workers", 1)))
-        cfg["workers"] = workers
-        cfg["seed"] = seed
-        out = cfg.get("out") or "."
-        rng = RngStream(seed)
-        path = RUNNERS[args.command](cfg, rng, workers, out)
+        cfg["seed"] = int(cfg.get("seed", 0))
+        path = RUNNERS[args.command](cfg, RngStream(cfg["seed"]),
+                                     cfg.get("out") or ".")
     except (ConfigError, DomainError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,12 +4,12 @@
 averages functionals over common exits, doubling the sample count until
 every estimate is precise or a path cap is reached.  Boolean functionals
 give Wilson 95% intervals, others t-intervals; the fixed-n estimators are
-one-round calls.  Worker streams use disjoint RNG substreams merged in
-order, so results depend only on (seed, worker count), never on scheduling.
-Many start points escalate in one call: each round walks the worker
-parts of the points still running in lockstep, at most LOCKSTEP_PATHS
-paths at a time, and each point's estimates equal those of a call of
-its own.
+one-round calls.  A round of n paths splits into ceil(n / PART_PATHS)
+near-even parts, each on its own RNG substream, so results depend only
+on the seed and the config.  Many start points escalate in one call:
+each round walks the parts of the points still running in lockstep, at
+most LOCKSTEP_PATHS paths at a time, and each point's estimates equal
+those of a call of its own.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
 ESCALATION_CAP = 10_000_000
 TARGET_REL_STDERR = 0.02
+PART_PATHS = 2 ** 14          # paths per RNG part; fixes which draws are made
 LOCKSTEP_PATHS = 2 ** 14      # paths per gather and walk; bounds their memory
 
 
@@ -96,15 +97,15 @@ class Estimate:
 
 
 # ===================================================================== #
-# worker plumbing
+# RNG parts and lockstep chunks
 # ===================================================================== #
 
-def split_n(n: int, workers: int) -> list:
-    """Deterministic near-even split of n across workers."""
-    if workers < 1:
-        raise DomainError("need at least one worker")
-    base = n // workers
-    sizes = [base + (1 if i < n % workers else 0) for i in range(workers)]
+def split_n(n: int, parts: int) -> list:
+    """Deterministic near-even split of n into `parts` sizes."""
+    if parts < 1:
+        raise DomainError("need at least one part")
+    base = n // parts
+    sizes = [base + (1 if i < n % parts else 0) for i in range(parts)]
     return [s for s in sizes if s > 0]
 
 
@@ -122,15 +123,15 @@ def _lockstep_chunks(sizes: list):
 
 
 def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
-                 workers: int = 1, rho: float = 0.5,
-                 max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
+                 rho: float = 0.5, max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
     """Exit batches of several points, with the stall policy applied per point.
 
-    Point j draws ns[j] paths split over `workers` parts; part i draws
-    from rngs[j].substream(i).  The parts of all points walk in lockstep,
-    as the groups of `sample_exits` calls of at most LOCKSTEP_PATHS paths
-    each (a larger part walks alone).  Each part draws exactly what a
-    call of its own would, so nothing depends on how they are grouped.
+    Point j draws ns[j] paths split into ceil(ns[j] / PART_PATHS)
+    near-even parts; part i draws from rngs[j].substream(i).  The parts
+    of all points walk in lockstep, as the groups of `sample_exits` calls
+    of at most LOCKSTEP_PATHS paths each (a larger part walks alone).
+    Each part draws exactly what a call of its own would, so nothing
+    depends on how they are grouped.
 
     Returns (batch, counts, warnings): the non-stalled paths of all
     points in point order, how many of them belong to each point, and
@@ -139,7 +140,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
     """
     parts = [(x, size, rng.substream(i))
              for x, n, rng in zip(points, ns, rngs)
-             for i, size in enumerate(split_n(n, workers))]
+             for i, size in enumerate(split_n(n, -(-n // PART_PATHS)))]
     batches = []
     for chunk in _lockstep_chunks([size for _, size, _ in parts]):
         xs, sizes, streams = zip(*parts[chunk])
@@ -168,8 +169,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
 # ===================================================================== #
 
 def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
-                     rng: RngStream, workers: int = 1,
-                     rho: float = 0.5) -> Estimate:
+                     rng: RngStream, rho: float = 0.5) -> Estimate:
     """P_x(X_{tau_D} in A): fraction of n exit samples landing in A.
 
     A is a vectorized predicate over exit points (a subset of the
@@ -177,22 +177,20 @@ def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
     """
     (est,), = escalate(model, D, [x],
                        [lambda b: np.asarray(A(b.y), dtype=bool)], [rng], n,
-                       n, workers=workers, rho=rho,
-                       method="mc-binomial-harmonic-measure")
+                       n, rho=rho, method="mc-binomial-harmonic-measure")
     return est
 
 
 def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
-                   rng: RngStream, workers: int = 1,
-                   rho: float = 0.5) -> Estimate:
+                   rng: RngStream, rho: float = 0.5) -> Estimate:
     """E_x[tau_D] via the accumulated closed-form time weights of n paths."""
     (est,), = escalate(model, D, [x], [lambda b: b.w], [rng], n, n,
-                       workers=workers, rho=rho, method="mc-mean-exit-time")
+                       rho=rho, method="mc-mean-exit-time")
     return est
 
 
 def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
-                          n: int, rng: RngStream, workers: int = 1,
+                          n: int, rng: RngStream,
                           rho: float = 0.5) -> Estimate:
     """P_x(tau_D > tau_{B_D(xi, r)}): the process leaves B(xi,r) before D.
 
@@ -200,14 +198,12 @@ def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
     exit point still lies in D.
     """
     (est,), = escalate(model, D.truncate(xi, r), [x],
-                       [lambda b: D.contains(b.y)], [rng], n, n,
-                       workers=workers, rho=rho,
+                       [lambda b: D.contains(b.y)], [rng], n, n, rho=rho,
                        method="mc-binomial-exit-before-subdomain")
     return est
 
 
-def set_distance(U: Domain, W: Domain, probes: int = 4096,
-                 rng: RngStream | None = None) -> float:
+def set_distance(U: Domain, W: Domain) -> float:
     """Distance d(U, W), exact for ball pairs, conservative otherwise.
 
     For non-ball pairs the bound is a probe minimum over anchor points,
@@ -226,21 +222,19 @@ def set_distance(U: Domain, W: Domain, probes: int = 4096,
 
 def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
                    rng: RngStream, phi, r_bar: float = np.inf,
-                   workers: int = 1, rho: float = 0.5,
-                   dist_uw: float | None = None) -> dict:
+                   rho: float = 0.5) -> dict:
     """Compare P_x(X_{tau_U} in W) against E_x[tau_U] / phi(d(U,W) ^ r_bar).
 
     Returns {"lhs": Estimate, "rhs": float, "implied_constant": float,
     "dist": float}; the implied constant is lhs/rhs.
     """
-    d_uw = set_distance(U, W) if dist_uw is None else float(dist_uw)
+    d_uw = set_distance(U, W)
     if not d_uw > 0:
         raise DomainError("lemma comparison needs d(U, W) > 0 "
                           "(W must not touch the closure of U)")
-    lhs = harmonic_measure(model, U, x, W.contains, n,
-                           rng.substream(0), workers=workers, rho=rho)
-    met = mean_exit_time(model, U, x, n, rng.substream(1), workers=workers,
-                         rho=rho)
+    lhs = harmonic_measure(model, U, x, W.contains, n, rng.substream(0),
+                           rho=rho)
+    met = mean_exit_time(model, U, x, n, rng.substream(1), rho=rho)
     rhs = met.value / float(phi(min(d_uw, r_bar)))
     implied = lhs.value / rhs if rhs > 0 else np.inf
     return {"lhs": lhs, "mean_exit_time": met, "rhs": rhs,
@@ -253,8 +247,8 @@ def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
 
 def escalate(model: ProcessModel, D: Domain, points, functionals,
              rngs, n0: int, cap: int = ESCALATION_CAP,
-             target: float = TARGET_REL_STDERR, workers: int = 1,
-             rho: float = 0.5, method: str = "mc-mean") -> list:
+             target: float = TARGET_REL_STDERR, rho: float = 0.5,
+             method: str = "mc-mean") -> list:
     """Estimates of several batch functionals over common exits, per point.
 
     `points` holds one start point per stream in `rngs`; the result
@@ -277,9 +271,9 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     A round gathers the exits of the points still running in
     consecutive chunks of at most LOCKSTEP_PATHS paths (a larger point
     gets a gather of its own), and `gather_exits` walks each chunk in
-    lockstep; draws do not depend on which points walk together.  If
-    several points break the stall limit, the first in (round, point)
-    order raises.
+    lockstep; draws depend on PART_PATHS, not on LOCKSTEP_PATHS or on
+    which points walk together.  If several points break the stall
+    limit, the first in (round, point) order raises.
     """
     rngs = list(rngs)
     points = np.asarray(points, dtype=float).reshape(len(rngs), -1)
@@ -298,7 +292,7 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
             chunk = running[c]
             batch, counts, warns = gather_exits(
                 model, D, points[chunk], [n] * len(chunk),
-                [rngs[j].substream(k) for j in chunk], workers, rho)
+                [rngs[j].substream(k) for j in chunk], rho)
             start = 0
             for j, cnt, warn in zip(chunk, counts, warns):
                 part = batch.take(slice(start, start + cnt))

@@ -235,7 +235,7 @@ def test_chain_decay_rate_below_one_slit_plane():
 
 
 # ------------------------------------------------------------------ #
-# 11. byte-identical reports for a fixed (config, seed, workers) triple
+# 11. byte-identical reports for a fixed (config, seed) pair
 # ------------------------------------------------------------------ #
 
 def test_reports_are_deterministic(tmp_path):
@@ -243,7 +243,7 @@ def test_reports_are_deterministic(tmp_path):
     cfg_path.write_text(json.dumps({
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
         "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
-        "n": 10_000, "seed": SEED, "workers": 2, "rho": 0.7,
+        "n": 10_000, "seed": SEED, "rho": 0.7,
         "targets": [{"name": "far", "kind": "norm-gt", "center": [0.0],
                      "value": 2.0}],
     }))

@@ -217,6 +217,26 @@ def test_factorization_homogeneous_in_the_data():
     assert np.all(a["rho"][a["powered"]] > 0)
 
 
+def test_factorization_reports_quadrature_warnings():
+    # the datum's level sets miss xi, so its angular mean is a step
+    # function of the radius and quad hits its subdivision limit on the
+    # boundary integral from c2 r = 0.075; the report must say so
+    r = 0.05
+
+    def fn(y):
+        far = np.linalg.norm(y, axis=1) > 2.0 * r
+        return (far & (y[:, 1] > 0.05)) / (1.0 + 0.1 * np.abs(y[:, 0]))
+
+    g = BoundaryData(fn=fn, support_radius=2.0 * r, xi=XI)
+    rep = factorization_check(IsotropicStable(1.5, 2), HALF, XI, r, 0.5, 1.5,
+                              2.0 / 3.0, g, grid_size=1, n=2000,
+                              rng=RngStream(3), cap=20_000)
+    assert rep["powered"].all()
+    quad, = rep["warnings"]
+    assert quad.startswith("boundary integral: The maximum number of "
+                           "subdivisions (200)")
+
+
 def test_factorization_validates_fractions():
     model = IsotropicStable(1.0, 2)
     g = far_field_indicator(XI, 1.0)

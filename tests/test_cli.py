@@ -159,6 +159,61 @@ def test_invalid_model_is_config_error(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+UNIT_INTERVAL = {
+    "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
+    "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
+    "n": 2000, "seed": 11,
+}
+HALF_PLANE = {
+    "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
+    "domain": {"type": "half-space", "normal": [0.0, 1.0]},
+    "xi": [0.0, 0.0], "r_series": [0.5], "grid_size": 2, "n": 256,
+}
+
+
+@pytest.fixture
+def no_walks(monkeypatch):
+    """Fail the test if any exit sample is drawn."""
+    from bhplab import exitstats
+
+    def walk(*args, **kwargs):
+        raise AssertionError("an experiment walked before its config failed")
+
+    monkeypatch.setattr(exitstats, "gather_exits", walk)
+
+
+def _config_error(tmp_path, capsys, command, cfg):
+    rc = main([command, "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    return rc == EXIT_CONFIG and err.startswith("config error: ")
+
+
+def test_exit_stats_expect_naming_no_target_is_config_error(
+        tmp_path, capsys, no_walks):
+    far = {"name": "far", "kind": "norm-gt", "value": 2.0}
+    for expect in ({"target": "near", "value": 0.5}, {"value": 0.5}):
+        cfg = {**UNIT_INTERVAL, "targets": [far], "expect": [expect]}
+        assert _config_error(tmp_path, capsys, "exit-stats", cfg)
+
+
+def test_spec_without_value_is_config_error(tmp_path, capsys, no_walks):
+    far = {"name": "far", "kind": "norm-gt"}
+    assert _config_error(tmp_path, capsys, "exit-stats",
+                         {**UNIT_INTERVAL, "targets": [far]})
+    expect = {"target": "mean_exit_time", "sigmas": 3.0}
+    assert _config_error(tmp_path, capsys, "exit-stats",
+                         {**UNIT_INTERVAL, "expect": [expect]})
+
+
+def test_split_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
+                                                         no_walks):
+    for command in ("bhp-scan", "factorization"):
+        for axis in (2, -1):
+            cfg = {**HALF_PLANE, "split_axis": axis}
+            assert _config_error(tmp_path, capsys, command, cfg)
+
+
 def test_underpowered_factorization_exits_3(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
@@ -200,7 +255,7 @@ def test_summarize_without_reports_is_config_error(tmp_path):
 
 
 # ------------------------------------------------------------------ #
-# determinism and workers
+# determinism
 # ------------------------------------------------------------------ #
 
 def _strip_timestamp(text: str) -> str:
@@ -220,17 +275,23 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path):
     assert _strip_timestamp(a) == _strip_timestamp(b)
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "c.json", {
-        "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
-        "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
-        "n": 2000, "seed": 11, "workers": 1,
-    })
+def test_workers_key_is_ignored_and_flag_rejected(tmp_path, monkeypatch):
+    # results depend on (config, seed) alone: an old "workers" key is an
+    # unknown key like any other, and there is no flag or variable for it
+    plain = _write(tmp_path, "a.json", UNIT_INTERVAL)
+    keyed = _write(tmp_path, "b.json", {**UNIT_INTERVAL, "workers": 3})
     monkeypatch.setenv("BHPLAB_WORKERS", "3")
-    rc = main(["exit-stats", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    rep = _load_report(tmp_path, "exit-stats")
-    assert rep["config"]["workers"] == 3
+    assert main(["exit-stats", "--config", plain,
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["exit-stats", "--config", keyed,
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+    a = _load_report(tmp_path / "a", "exit-stats")
+    b = _load_report(tmp_path / "b", "exit-stats")
+    assert a["results"] == b["results"] and a["checks"] == b["checks"]
+    assert "workers" not in a["config"] and b["config"]["workers"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["exit-stats", "--config", plain, "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_seed_changes_results(tmp_path):

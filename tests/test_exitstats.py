@@ -67,7 +67,7 @@ def test_rel_stderr_of_zero_value_is_infinite():
 
 
 # ------------------------------------------------------------------ #
-# worker splitting and determinism
+# RNG parts and determinism
 # ------------------------------------------------------------------ #
 
 def test_split_n_partitions_exactly():
@@ -78,22 +78,41 @@ def test_split_n_partitions_exactly():
         split_n(10, 0)
 
 
-def test_estimates_independent_of_worker_count_up_to_noise():
+def test_estimates_independent_of_part_size_up_to_noise(monkeypatch):
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     A = lambda y: np.abs(y[:, 0]) > 2.0
-    e1 = harmonic_measure(model, D, [0.0], A, 20_000, RngStream(1), workers=1)
-    e4 = harmonic_measure(model, D, [0.0], A, 20_000, RngStream(1), workers=4)
-    joint = np.hypot(e1.stderr, e4.stderr)
-    assert abs(e1.value - e4.value) < 3.5 * joint
+    e1 = harmonic_measure(model, D, [0.0], A, 20_000, RngStream(1))
+    monkeypatch.setattr(exitstats, "PART_PATHS", 1000)
+    e20 = harmonic_measure(model, D, [0.0], A, 20_000, RngStream(1))
+    joint = np.hypot(e1.stderr, e20.stderr)
+    assert abs(e1.value - e20.value) < 3.5 * joint
 
 
-def test_estimates_reproducible_bitwise():
+def test_estimates_reproducible_bitwise(monkeypatch):
+    monkeypatch.setattr(exitstats, "PART_PATHS", 2000)   # three parts
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
-    a = mean_exit_time(model, D, [0.0], 5000, RngStream(4, 2), workers=3)
-    b = mean_exit_time(model, D, [0.0], 5000, RngStream(4, 2), workers=3)
+    a = mean_exit_time(model, D, [0.0], 5000, RngStream(4, 2))
+    b = mean_exit_time(model, D, [0.0], 5000, RngStream(4, 2))
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_fixed_n_walks_stay_within_the_lockstep_budget(monkeypatch):
+    # n is split into parts of at most PART_PATHS paths, so no walk holds
+    # more than LOCKSTEP_PATHS walkers however large n is
+    walks = []
+
+    def counting_sample_exits(model, D, x, n, rng, **kwargs):
+        walks.append(int(np.sum(n)))
+        return sample_exits(model, D, x, n, rng, **kwargs)
+
+    monkeypatch.setattr(exitstats, "sample_exits", counting_sample_exits)
+    n = 3 * 2 ** 14 + 5
+    est = mean_exit_time(IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.0], n,
+                         RngStream(9))
+    assert est.n == sum(walks) == n
+    assert max(walks) <= exitstats.LOCKSTEP_PATHS
 
 
 # ------------------------------------------------------------------ #
@@ -290,18 +309,21 @@ def test_escalate_fixed_n_with_stalls_is_one_round(monkeypatch):
     assert 0.0 <= right.value <= 1.0
 
 
-def test_gather_exits_equals_separate_part_walks():
+def test_gather_exits_equals_separate_part_walks(monkeypatch):
     # part i of point j walks on rngs[j].substream(i), exactly as a
     # sample_exits call of its own; stalled paths are dropped per point
+    monkeypatch.setattr(exitstats, "PART_PATHS", 100)
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     points, ns = [[0.5], [-0.2], [0.0]], [301, 20, 150]
-    rngs = [RngStream(8).substream(j) for j in range(len(points))]
+    # a seed at which each point stalls a path or two in 20 steps
+    rngs = [RngStream(13).substream(j) for j in range(len(points))]
     batch, counts, warnings = gather_exits(model, D, points, ns, rngs,
-                                           workers=2, max_steps=20)
+                                           max_steps=20)
     parts = [sample_exits(model, D, x, size, rng.substream(i), max_steps=20)
              for x, n, rng in zip(points, ns, rngs)
-             for i, size in enumerate(split_n(n, 2))]
+             for i, size in enumerate(split_n(n, -(-n // 100)))]
+    assert len(parts) == 4 + 1 + 2
     full = BatchExit.concat(parts)
     ref = full.take(~full.stalled)
     for f in ("y", "w", "steps"):
@@ -313,17 +335,18 @@ def test_gather_exits_equals_separate_part_walks():
     assert all(len(w) == 1 for w in warnings)   # every point stalled a path
 
 
-def _escalate_points(points, rngs, workers=2):
+def _escalate_points(points, rngs):
     model = IsotropicStable(1.0, 1)
     return escalate(model, Ball([0.0], 1.0), points,
                     [lambda b: b.w, lambda b: b.y[:, 0] > 0.0], rngs,
-                    n0=64, cap=4096, target=0.04, workers=workers)
+                    n0=64, cap=4096, target=0.04)
 
 
-def test_escalate_many_points_equals_one_point_calls():
+def test_escalate_many_points_equals_one_point_calls(monkeypatch):
     # the nearer a start is to -1, the rarer a right exit and the more
     # rounds it takes: points stop at different rounds, yet each equals
-    # its own one-point call
+    # its own one-point call; later rounds walk in several parts
+    monkeypatch.setattr(exitstats, "PART_PATHS", 100)
     points = [[0.6], [0.0], [-0.6], [-0.9]]
     rngs = [RngStream(5).substream(j) for j in range(len(points))]
     got = _escalate_points(points, rngs)
@@ -333,6 +356,7 @@ def test_escalate_many_points_equals_one_point_calls():
 
 
 def test_escalate_ignores_the_lockstep_budget(monkeypatch):
+    monkeypatch.setattr(exitstats, "PART_PATHS", 100)
     points = [[0.6], [0.0], [-0.6], [-0.9]]
     rngs = [RngStream(6).substream(j) for j in range(len(points))]
     ref = _escalate_points(points, rngs)
