@@ -28,6 +28,10 @@ from .sampler import IsotropicStable, ProcessModel, walk_exit_batch_indexed
 
 PAIR_GATE_REL_STDERR = 0.05   # per-estimate precision gate for ratio pairs
 DELTA_FLOOR_FACTOR = 1.0 / 64.0
+# eval_harmonic stops a walker once its clearance to D is at most
+# SHELL_EPS * r; h vanishes off D near xi and decays like delta^{alpha/2},
+# so a stop biases h by at most of order SHELL_EPS^{alpha/2} of its scale
+SHELL_EPS = 1e-6
 
 
 # ===================================================================== #
@@ -100,19 +104,41 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
     """h_g(x) = E_x[g(X at the exit of D & B(xi, 2r))] for each g in `data`.
 
     Returns, for each start x in `points` (one per stream in `rngs`),
-    the list of estimates for the data in order.  Every datum is
+    the `PointEstimates` for the data in order.  Every datum is
     validated, then averaged at each point over the *same* exit samples
     of D & B(xi, 2r), escalated by `escalate` from n0 paths until every
     relative standard error beats the target or `cap` paths are drawn
     (estimates then marked underpowered).  All points walk the same set,
     so `escalate` walks them in lockstep.  A start outside the truncated
     set raises DomainError.
+
+    The walk on balls (IsotropicStable) stops a walker whose clearance
+    to D falls to SHELL_EPS * r, with SHELL_EPS = 1e-6, and scores g
+    where it stops, which is 0 since it lies in B(xi, 2r); the sphere of
+    B(xi, 2r) has no shell.  h decays like delta^{alpha/2} at D's
+    boundary near xi, so the stops bias h by at most of order
+    SHELL_EPS^{alpha/2} of its scale.  Each point's `shell_stops` counts
+    its stopped paths.  Lattice chains walk without a shell.
     """
     for g in data:
         g.validate(r)
-    U = D.truncate(xi, 2.0 * r)
+    U = D.truncate(xi, 2.0 * r, shell=_shell_eps(model) * r)
     return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
                     rngs, n0, cap, target, rho, method="mc-mean-harmonic")
+
+
+def _shell_eps(model: ProcessModel) -> float:
+    """The relative shell width eval_harmonic walks with: SHELL_EPS for
+    the walk on balls, 0 for models whose exits ignore shells."""
+    return SHELL_EPS if isinstance(model, IsotropicStable) else 0.0
+
+
+def _shell_fields(model: ProcessModel, h: list) -> dict:
+    """Report fields for eval_harmonic's result h: the paths stopped in
+    its shell, the relative width eps and the decay bound eps^{alpha/2}."""
+    eps = _shell_eps(model)
+    return {"shell_stops": sum(p.shell_stops for p in h), "shell_eps": eps,
+            "shell_decay": eps ** (model.alpha / 2.0) if eps else 0.0}
 
 
 # ===================================================================== #
@@ -152,7 +178,13 @@ def interior_grid(D: Domain, xi, radius: float, size: int,
 
 @dataclass
 class BhpReport:
-    """Ratio-scan result at one radius."""
+    """Ratio-scan result at one radius.
+
+    h1 and h2 come from walks stopped in a shell of width shell_eps * r
+    at D's boundary (`eval_harmonic`); shell_decay = shell_eps^{alpha/2}
+    bounds the relative bias of each h, and shell_stops counts the
+    stopped paths among the n_total paths behind h1 (and h2).
+    """
 
     xi: np.ndarray
     r: float
@@ -165,6 +197,9 @@ class BhpReport:
     c_hat: float
     excluded_pairs: int
     n_total: int = 0
+    shell_stops: int = 0
+    shell_eps: float = 0.0
+    shell_decay: float = 0.0
     warnings: list = field(default_factory=list)   # distinct, first seen
 
 
@@ -201,9 +236,10 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         if not np.all(D.contains(grid)):
             raise DomainError("a supplied grid point lies outside the domain")
-    h1, h2 = map(list, zip(*eval_harmonic(
-        model, D, xi, r, (g1, g2), grid,
-        [rng.substream(1 + i) for i in range(len(grid))], n, cap, target, rho)))
+    h = eval_harmonic(model, D, xi, r, (g1, g2), grid,
+                      [rng.substream(1 + i) for i in range(len(grid))], n,
+                      cap, target, rho)
+    h1, h2 = map(list, zip(*h))
     n_total = sum(e.n for e in h1)
 
     v1 = np.array([e.value for e in h1])
@@ -224,7 +260,7 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
     return BhpReport(xi=xi, r=r, kappa=kappa, grid=grid, h1=h1, h2=h2,
                      ratio=ratio, powered=powered, c_hat=c_hat,
                      excluded_pairs=excluded, n_total=n_total,
-                     warnings=warnings)
+                     warnings=warnings, **_shell_fields(model, h))
 
 
 def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
@@ -268,8 +304,9 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
 
     The integral runs over |y - xi| >= c2 r; since g vanishes on
     B(xi, 2r) it equals the boundary integral of the data itself.
-    Reports rho per powered grid point, the max/min band, and the distinct
-    quadrature and estimate warnings in first-seen order.
+    Reports rho per powered grid point, the max/min band, the shell
+    fields of h's walk (as in `BhpReport`), and the distinct quadrature
+    and estimate warnings in first-seen order.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not (0 < c1 and 0 < c3 and c1 + c3 < c2 < 2.0):
@@ -283,9 +320,10 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     grid = interior_grid(D, xi, c3 * r, grid_size,
                          DELTA_FLOOR_FACTOR * c3 * r, rng.substream(0))
     subs = [rng.substream(1 + i) for i in range(len(grid))]
-    h_est = [h for h, in eval_harmonic(model, D, xi, r, (g,), grid,
-                                       [sub.substream(0) for sub in subs], n,
-                                       cap, target, rho)]
+    harmonic = eval_harmonic(model, D, xi, r, (g,), grid,
+                             [sub.substream(0) for sub in subs], n, cap,
+                             target, rho)
+    h_est = [h for h, in harmonic]
     e_est, rho_vals, powered = [], [], []
     for x, sub, h in zip(grid, subs, h_est):
         # each point walks its own ball, so these walks run one by one
@@ -311,6 +349,7 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
             "band_max": float(np.nanmax(band)),
             "band_min": float(np.nanmin(band)),
             "band_ratio": float(np.nanmax(band) / np.nanmin(band)),
+            **_shell_fields(model, harmonic),
             "warnings": list(dict.fromkeys(notes))}
 
 

@@ -109,8 +109,8 @@ def _axis(axis, d: int, what: str) -> int:
     return axis
 
 
-def _predicate(spec: dict):
-    """Vectorized exit-point predicate from a JSON target spec."""
+def _predicate(spec: dict, d: int):
+    """Vectorized exit-point predicate from a JSON target spec in R^d."""
     kind = spec.get("kind", "complement")
     if kind == "complement":
         return lambda y: np.ones(len(np.atleast_2d(y)), dtype=bool)
@@ -118,7 +118,7 @@ def _predicate(spec: dict):
         c = np.asarray(spec.get("center", [0.0]), dtype=float)
         stat = lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1)
     elif kind in ("coordinate-gt", "coordinate-lt"):
-        axis = int(spec.get("axis", 0))
+        axis = _axis(spec.get("axis", 0), d, "target axis")
         stat = lambda y: np.atleast_2d(y)[:, axis]
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
@@ -184,7 +184,7 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
     n = int(cfg.get("n", 100_000))
     rho = float(cfg.get("rho", 0.5))
     tspecs = cfg.get("targets", [])
-    predicates = [_predicate(t) for t in tspecs]
+    predicates = [_predicate(t, D.dim) for t in tspecs]
     names = [t.get("name", f"target{i}") for i, t in enumerate(tspecs)]
     expect = cfg.get("expect", [])
     refs = [_value(exp, "expect entry") for exp in expect]

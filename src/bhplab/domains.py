@@ -5,12 +5,14 @@ Every domain is an immutable value object exposing
 * ``clearance(x)`` -- the signed clearance, vectorized over points: the
   distance to the complement for inside points (zero or negative
   outside).  This is the one geometry oracle; the walk on balls consumes
-  nothing else.
+  nothing else, except that a shelled truncation also tells it which
+  walkers lie in its shell (``Truncation.shelled_clearance``).
 * ``contains(x)``  -- open-set membership, ``clearance(x) > SURFACE_TOL``,
 * ``dist_lb(x)``   -- ``clearance(x)`` on inside points, a computable
   lower bound 0 < delta(x) <= d(x, D^c); it raises outside,
 * ``boundary_anchors`` -- a finite list of boundary points,
-* ``truncate(xi, r)``  -- the intersection D & B(xi, r).
+* ``truncate(xi, r)``  -- the intersection D & B(xi, r), optionally with
+  a stopping shell at D's own boundary for the walk on balls.
 
 Membership is resolved conservatively for openness: any point within
 1e-12 of a descriptor surface is classified as *outside*.  Clearances
@@ -111,14 +113,17 @@ class Domain:
                               f"{pt.tolist()}")
         return c
 
-    def truncate(self, xi, r: float) -> "Domain":
-        """D intersected with the open ball B(xi, r)."""
-        xi = np.asarray(xi, dtype=float)
+    def truncate(self, xi, r: float, shell: float = 0.0) -> "Truncation":
+        """D intersected with the open ball B(xi, r).
+
+        A positive `shell` puts a stopping shell of that width at D's own
+        boundary (see `Truncation`); the sphere gets none.
+        """
         if not r > 0:
             raise DomainError("truncate needs r > 0")
-        trunc = Intersection([self, Ball(xi, r)])
-        trunc.boundary_anchors = [xi.copy()]
-        return trunc
+        if not shell >= 0:
+            raise DomainError("truncate needs shell >= 0")
+        return Truncation(self, np.asarray(xi, dtype=float), r, shell)
 
 
 # ===================================================================== #
@@ -346,6 +351,32 @@ class Intersection(Domain):
         for d in self.components[1:]:
             c = np.minimum(c, d._clearance(pts))
         return c
+
+
+class Truncation(Intersection):
+    """D & B(xi, r), as built by `Domain.truncate`.
+
+    Its clearance is that of any intersection.  It also keeps its two
+    components apart for the walk on balls: `shell` is the width of a
+    stopping shell at D's own boundary, and a walk over this set stops a
+    walker where it stands once its clearance to D falls to `shell` or
+    below (`sampler.walk_exit_batch_indexed`).  The truncating sphere
+    carries no shell.  With `shell` = 0 the set walks as any intersection.
+    """
+
+    def __init__(self, D: Domain, xi: np.ndarray, r: float,
+                 shell: float = 0.0):
+        super().__init__([D, Ball(xi, r)])
+        self.boundary_anchors = [xi.copy()]
+        self.shell = float(shell)
+
+    def shelled_clearance(self, pts):
+        """(clearance, in_shell) of (m, d) points: the clearance of the
+        set, and whether the clearance to D is at most `shell`."""
+        pts, _ = _as_points(pts, self.dim)
+        own = self.components[0]._clearance(pts)
+        return np.minimum(own, self.components[1]._clearance(pts)), \
+            own <= self.shell
 
 
 class Union(Domain):

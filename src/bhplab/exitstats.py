@@ -95,6 +95,16 @@ class Estimate:
                    ci95=(mean - tq * se, mean + tq * se), method=method)
 
 
+class PointEstimates(list):
+    """One start point's estimates from `escalate`, in functional order.
+
+    `shell_stops` counts the point's estimated paths that stopped in a
+    stopping shell (`domains.Truncation`); it is tallied, never targeted,
+    so it does not steer escalation.
+    """
+
+    shell_stops: int = 0
+
 
 # ===================================================================== #
 # RNG parts and lockstep chunks
@@ -257,7 +267,9 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     per-path values (e.g. `lambda b: g(b.y)` or `lambda b: b.w`), so a
     point's estimates are built from the same paths.  Boolean values
     give a binomial estimate of the merged count, any others a mean
-    estimate of the merged moments.
+    estimate of the merged moments.  Each point's list is a
+    `PointEstimates`, which also counts the paths that stopped in D's
+    stopping shell, if D has one.
 
     Round k of point j draws from `rngs[j].substream(k)`: n0 paths first,
     then as many as already drawn (bounded by the cap), so the sample
@@ -283,6 +295,7 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     binary = [False] * nf
     warnings = [[] for _ in range(m)]
     total = [0] * m
+    shell_stops = [0] * m
     results = [None] * m
     running = list(range(m))
     drawn = k = 0
@@ -305,6 +318,7 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
                     sums[j][i] += v.sum()
                     sumsq[j][i] += (v * v).sum()
                 total[j] += cnt
+                shell_stops[j] += int(part.shelled.sum())
         k += 1
         drawn += n
         for j in running:
@@ -317,7 +331,8 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
                 for e in estimates:
                     e.underpowered = not precise
                     e.warnings.extend(warnings[j])
-                results[j] = estimates
+                results[j] = PointEstimates(estimates)
+                results[j].shell_stops = shell_stops[j]
         running = [j for j in running if results[j] is None]
         n = min(drawn, cap - drawn)
     return results

@@ -12,6 +12,18 @@ walk can carry many groups of paths, each with its own random stream, in
 lockstep: they share every clearance call and position update, while
 each group draws exactly what a walk of its own would.
 
+Without a shell a walker that nears the boundary continuously ends only
+when its clearance drops below SURFACE_TOL = 1e-12, which on the slit
+plane at alpha = 1.5 takes half the paths a hundred or more shrinking
+balls.  A truncation D & B(xi, R) may carry a stopping shell of width
+eps * r at D's own boundary (`domains.Truncation`): a walker whose
+clearance to D falls to that width stops where it is, the epsilon-shell
+of walk on spheres (Muller 1956).  Harmonic functions whose data vanish
+near that boundary decay like delta^{alpha/2} there, so the bias a stop
+adds to such a function is at most of order eps^{alpha/2} times its
+scale; `bhp.eval_harmonic` walks with eps = `bhp.SHELL_EPS` = 1e-6, and
+every other caller walks without a shell.
+
 Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
 gamma-subordinated stable) cover variable coefficients and non-power
 scale functions; their bias knobs (pitch, cutoff, time step) are exposed,
@@ -26,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import SURFACE_TOL, Domain, _row_norm
+from .domains import SURFACE_TOL, Domain, Truncation, _row_norm
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
 from .kernel import (JumpKernelSpec, isotropic_stable_kernel, sphere_area,
                      tail_mass)
@@ -282,6 +294,11 @@ class BatchExit:
     w: np.ndarray          # (n,) accumulated expected-time weights
     steps: np.ndarray      # (n,) ball-exit counts
     stalled: np.ndarray    # (n,) bool: hit the step budget before exiting
+    shelled: np.ndarray = None   # (n,) bool: stopped in a stopping shell
+
+    def __post_init__(self):
+        if self.shelled is None:
+            self.shelled = np.zeros(len(self.w), dtype=bool)
 
     @property
     def n(self) -> int:
@@ -290,7 +307,7 @@ class BatchExit:
     def take(self, key) -> "BatchExit":
         """The paths selected by an index array, slice or mask."""
         return BatchExit(y=self.y[key], w=self.w[key], steps=self.steps[key],
-                         stalled=self.stalled[key])
+                         stalled=self.stalled[key], shelled=self.shelled[key])
 
     @classmethod
     def concat(cls, parts) -> "BatchExit":
@@ -298,7 +315,8 @@ class BatchExit:
         return cls(y=np.concatenate([p.y for p in parts]),
                    w=np.concatenate([p.w for p in parts]),
                    steps=np.concatenate([p.steps for p in parts]),
-                   stalled=np.concatenate([p.stalled for p in parts]))
+                   stalled=np.concatenate([p.stalled for p in parts]),
+                   shelled=np.concatenate([p.shelled for p in parts]))
 
 
 def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
@@ -313,6 +331,13 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     each jump: a walker with clearance c > SURFACE_TOL is inside and next
     exits the ball B(x, rho * c) exactly, accumulating the closed-form
     expected ball-exit time; any other walker has exited.
+
+    `clearance` may instead return a pair (c, in_shell), whose boolean
+    `in_shell` marks the walkers inside a stopping shell (see
+    `domains.Truncation`).  An inside walker so marked stops where it
+    stands, with `shelled` set, and its position is reported as its exit:
+    the epsilon-shell rule of walk on spheres (Muller, Ann. Math. Stat.
+    27, 1956).  A start in the shell stops after 0 steps.
 
     The starts may form consecutive groups, each with its own stream:
     `rng` is then a sequence of RngStreams and `sizes` their group sizes
@@ -334,7 +359,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
         raise DomainError("walk exit: one stream per group, and group sizes "
                           "summing to the number of starts")
     idx = np.arange(n)
-    c = np.asarray(clearance(x, idx), dtype=float)
+    c, in_shell = _clearance_and_shell(clearance(x, idx))
     if not np.all(c > SURFACE_TOL):
         raise DomainError("walk exit: a start point lies outside the domain")
     gens = [r.generator() for r in rngs]
@@ -344,33 +369,47 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     w = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
+    shelled = np.zeros(n, dtype=bool)
     # the active walkers, compacted: positions x, weights wa, path idx;
     # all of them have taken the same number of steps
     wa = np.zeros(n)
     ce = mean_exit_constant(d, alpha)
-    for step in range(1, max_steps + 1):
-        if len(idx) == 0:
-            break
-        radii = rho * c
-        wa += ce * radii ** alpha
-        x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
-        c = np.asarray(clearance(x, idx), dtype=float)
+    for step in range(max_steps + 1):
         inside = c > SURFACE_TOL
+        if in_shell is not None:
+            inside &= ~in_shell
         if not inside.all():
             out = ~inside
             done = idx[out]
             y[done] = x[out]
             w[done] = wa[out]
             steps[done] = step
+            if in_shell is not None:
+                # a walker that ends with positive clearance stopped in
+                # the shell; any other jumped out
+                shelled[done] = c[out] > SURFACE_TOL
             x, wa, idx, c, group = (x[inside], wa[inside], idx[inside],
                                     c[inside], group[inside])
             counts = np.bincount(group, minlength=len(sizes)).tolist()
+        if len(idx) == 0 or step == max_steps:
+            break
+        radii = rho * c
+        wa += ce * radii ** alpha
+        x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
+        c, in_shell = _clearance_and_shell(clearance(x, idx))
     if len(idx):
         stalled[idx] = True
         y[idx] = x
         w[idx] = wa
         steps[idx] = max_steps
-    return BatchExit(y=y, w=w, steps=steps, stalled=stalled)
+    return BatchExit(y=y, w=w, steps=steps, stalled=stalled, shelled=shelled)
+
+
+def _clearance_and_shell(out) -> tuple:
+    """(c, in_shell) from a walk's clearance callback; in_shell is None
+    when the callback returns the clearance alone."""
+    c, in_shell = out if isinstance(out, tuple) else (out, None)
+    return np.asarray(c, dtype=float), in_shell
 
 
 # ===================================================================== #
@@ -644,10 +683,12 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
                  max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
     """n exit samples of D from x under the given model.
 
-    Exact for IsotropicStable (walk on balls over `D.clearance`);
-    approximation-grade for the lattice chain.  Other variants carry no
-    exit-law sampler.  A start outside D, or of the wrong dimension,
-    raises DomainError.
+    Exact for IsotropicStable (walk on balls over `D.clearance`), except
+    on a truncation with a stopping shell (`Domain.truncate(..., shell)`),
+    whose walkers stop in the shell; approximation-grade for the lattice
+    chain, which ignores shells.  Other variants carry no exit-law
+    sampler.  A start outside D, or of the wrong dimension, raises
+    DomainError.
 
     `n` and `rng` may also be equal-length sequences, with `x` then one
     start point per group: group j draws n[j] paths from x[j] on rng[j],
@@ -659,8 +700,11 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
         x, n, rng = [x], [n], [rng]
     points = np.asarray(x, dtype=float).reshape(len(rng), -1)
     if isinstance(model, IsotropicStable):
-        return walk_exit_batch_indexed(model.alpha, model.dim,
-                                       lambda pts, idx: D.clearance(pts),
+        if isinstance(D, Truncation) and D.shell > 0:
+            clearance = lambda pts, idx: D.shelled_clearance(pts)
+        else:
+            clearance = lambda pts, idx: D.clearance(pts)
+        return walk_exit_batch_indexed(model.alpha, model.dim, clearance,
                                        np.repeat(points, n, axis=0), rho,
                                        rng, max_steps, sizes=n)
     if isinstance(model, StableLikeChain):

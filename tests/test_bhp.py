@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from bhplab.bhp import (BhpReport, BoundaryData, bhp_scan, bhp_scan_series,
-                        box_diagnostics, chain_decay, eval_harmonic,
-                        factorization_check, far_field_indicator,
-                        interior_grid)
+from bhplab.bhp import (SHELL_EPS, BhpReport, BoundaryData, bhp_scan,
+                        bhp_scan_series, box_diagnostics, chain_decay,
+                        eval_harmonic, factorization_check,
+                        far_field_indicator, interior_grid)
 from bhplab.domains import Ball, HalfSpace, SlitPlane
 from bhplab.errors import ConfigError, DomainError
 from bhplab import exitstats
 from bhplab.cli import encode
-from bhplab.exitstats import harmonic_measure
+from bhplab.exitstats import escalate, harmonic_measure
 from bhplab.rng import RngStream
 from bhplab.sampler import IsotropicStable, StableLikeChain, sample_exits
 from bhplab.kernel import tempered_stable_kernel
@@ -57,8 +57,9 @@ def test_eval_harmonic_matches_harmonic_measure():
     x = [0.0, 0.25]
     (est,), = eval_harmonic(model, HALF, XI, r, (g,), [x], [RngStream(3)],
                             20_000, 20_000)
-    # with indicator data, h(x) is the harmonic measure of the far field
-    U = HALF.truncate(XI, 2.0 * r)
+    # with indicator data, h(x) is the harmonic measure of the far field,
+    # over the same walk: the truncation with its stopping shell at D
+    U = HALF.truncate(XI, 2.0 * r, shell=SHELL_EPS * r)
     hm = harmonic_measure(model, U, x,
                           lambda y: np.linalg.norm(y - XI, axis=1) > 2.0 * r,
                           20_000, RngStream(3))
@@ -362,6 +363,27 @@ def test_bhp_scan_keeps_stall_warnings(monkeypatch):
         assert e1.warnings == ["stall rate 0.2% (stub)"] * rounds
         assert encode(rep)["h1"][0]["warnings"]
     assert rep.warnings == ["stall rate 0.2% (stub)"]
+
+
+def test_bhp_report_counts_shell_stops_without_targeting_them():
+    model = IsotropicStable(1.5, 2)
+    r, n, cap = 0.5, 2000, 64_000
+    g1, g2 = _pair(r)
+    rep = bhp_scan(model, HALF, XI, r, 1.0, g1, g2, grid_size=3, n=n,
+                   rng=RngStream(47), cap=cap)
+    assert rep.shell_eps == SHELL_EPS
+    assert rep.shell_decay == pytest.approx(SHELL_EPS ** 0.75)
+    assert 0 < rep.shell_stops < 0.05 * rep.n_total
+    # a shell-stop fraction near 1% is far from the 2% precision target,
+    # yet points stop escalating before the cap
+    assert min(e.n for e in rep.h1) < cap
+    # the count is that of the shelled paths behind the estimates: the
+    # same rounds, up to the paths each point drew
+    U = HALF.truncate(XI, 2.0 * r, shell=SHELL_EPS * r)
+    rngs = [RngStream(47).substream(1 + i) for i in range(len(rep.grid))]
+    shelled = [escalate(model, U, [x], [lambda b: b.shelled], [s], n,
+                        e.n)[0][0] for x, s, e in zip(rep.grid, rngs, rep.h1)]
+    assert rep.shell_stops == sum(round(e.value * e.n) for e in shelled)
 
 
 def test_bhp_report_serialization():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from bhplab import bhp, exitstats
 from bhplab.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
                         EXIT_UNDERPOWERED, main)
 
@@ -214,6 +216,14 @@ def test_split_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
             assert _config_error(tmp_path, capsys, command, cfg)
 
 
+def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
+                                                          no_walks):
+    for kind in ("coordinate-gt", "coordinate-lt"):
+        target = {"name": "right", "kind": kind, "axis": 1, "value": 0.5}
+        assert _config_error(tmp_path, capsys, "exit-stats",
+                             {**UNIT_INTERVAL, "targets": [target]})
+
+
 def test_underpowered_factorization_exits_3(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
@@ -273,6 +283,61 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path):
     a = (tmp_path / "r1" / "exit-stats.json").read_text()
     b = (tmp_path / "r2" / "exit-stats.json").read_text()
     assert _strip_timestamp(a) == _strip_timestamp(b)
+
+
+def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name):
+    """sha256 of every exit batch that owner.name returns in one run."""
+    h = hashlib.sha256()
+    walk = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        batch = walk(*args, **kwargs)
+        for a in (batch.y, batch.w, batch.steps, batch.stalled):
+            h.update(np.ascontiguousarray(a).tobytes())
+        return batch
+
+    monkeypatch.setattr(owner, name, recording)
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    return h.hexdigest()
+
+
+# recorded from the walk before bhp-scan's stopping shell existed, on
+# numpy 2.4 (its Generator.beta and standard_normal streams); only
+# eval_harmonic walks with a shell, so these runs must still draw exactly
+# those exits
+UNSHELLED_EXIT_DIGESTS = {
+    "exit-stats":
+        "a3f617deb1a06d42966f62f51e4d0f355bb8cd3a17fe5aacc3d0a49bd05220e5",
+    "box-method":
+        "4c4a26ead0ce2f1374467add5566141a6f1a607532cefe07e19027b702cd57b4",
+    "chain-decay":
+        "99c8d48d6682cf1da8c08cc9a1f316043d9bf79832113f678633891ba3e6bbd9",
+}
+
+
+def test_unshelled_experiments_walk_as_before(tmp_path, monkeypatch):
+    comb = {
+        "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
+        "domain": {"type": "box-minus-comb"}, "x": [0.5, 0.9], "n": 3000,
+        "targets": [{"name": "top", "kind": "coordinate-gt", "axis": 1,
+                     "value": 1.0}],
+        "seed": 3,
+    }
+    slit = {
+        "model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 2},
+        "domain": {"type": "slit-plane"}, "xi": [0.0, 0.0], "r": 0.5,
+        "j_max": 2, "grid_size": 4, "n": 1000, "m_max": 3, "seed": 4,
+    }
+    got = {
+        "exit-stats": _exit_digest(tmp_path, monkeypatch, "exit-stats", comb,
+                                   exitstats, "sample_exits"),
+        "box-method": _exit_digest(tmp_path, monkeypatch, "box-method", slit,
+                                   exitstats, "sample_exits"),
+        "chain-decay": _exit_digest(tmp_path, monkeypatch, "chain-decay",
+                                    slit, bhp, "walk_exit_batch_indexed"),
+    }
+    assert got == UNSHELLED_EXIT_DIGESTS
 
 
 def test_workers_key_is_ignored_and_flag_rejected(tmp_path, monkeypatch):

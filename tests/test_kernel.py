@@ -92,10 +92,12 @@ def test_ball_mass_2d_matches_quadrature(rng):
     J = isotropic_stable_kernel(2, 1.0)
     got = ball_mass(J, [0.0, 0.0], [5.0, 0.0], 1.0, n_mc=400_000, rng=rng)
 
-    def f(y2, y1):
-        return ((y1 - 5.0) ** 2 + y2 * y2 <= 1.0) * (y1 * y1 + y2 * y2) ** -1.5
+    # |y|^-3 over the unit disc about (5, 0), in polar coordinates about
+    # its center: a smooth integrand, so the quadrature converges
+    def f(theta, s):
+        return s * (25.0 + 10.0 * s * np.cos(theta) + s * s) ** -1.5
 
-    exact, _ = integrate.dblquad(f, 3.9, 6.1, -1.1, 1.1, epsabs=1e-10)
+    exact, _ = integrate.dblquad(f, 0.0, 1.0, 0.0, 2.0 * np.pi, epsabs=1e-10)
     assert got == pytest.approx(exact, rel=0.02)
 
 

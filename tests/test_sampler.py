@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bhplab.bhp import SHELL_EPS
 from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane
 from bhplab.errors import CapabilityError, ConfigError, DomainError
 from bhplab.exitstats import escalate
@@ -19,7 +20,8 @@ from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             survival_prob_ball, walk_exit_batch_indexed)
 from bhplab.scale import ScaleFunction
 
-from conftest import ball_exit_prob_interval, ball_exit_tail_prob
+from conftest import (ball_exit_prob_interval, ball_exit_tail_prob,
+                      halfspace_far_prob)
 
 
 # ------------------------------------------------------------------ #
@@ -209,6 +211,61 @@ def test_walk_validates_inputs():
     with pytest.raises(DomainError):
         walk_exit_batch_indexed(1.0, 1, lambda pts, idx: D.clearance(pts),
                                 [[2.0]], 0.5, RngStream(0))
+
+
+# ------------------------------------------------------------------ #
+# stopping shell
+# ------------------------------------------------------------------ #
+
+def test_shelled_half_space_walk_matches_exit_law_quadrature():
+    # a shell of width SHELL_EPS at the boundary of {y1 > 0}, seen from
+    # x1 = 1, with the truncating sphere far out; a stopped walker scores
+    # where it stands, next to the boundary point it was creeping to
+    alpha, x, R, n = 1.5, [1.0, 0.0], 2.0, 20_000
+    U = HalfSpace([1.0, 0.0]).truncate([0.0, 0.0], 1e6, shell=SHELL_EPS)
+    batch = sample_exits(IsotropicStable(alpha, 2), U, x, n, RngStream(1))
+    assert 0 < batch.shelled.sum() < 0.05 * n
+    assert np.all(U.clearance(batch.y[batch.shelled]) <= SHELL_EPS)
+    p = float((np.linalg.norm(batch.y, axis=1) > R).mean())
+    exact = halfspace_far_prob(x, R, alpha)
+    assert abs(p - exact) < 4.0 * np.sqrt(exact * (1.0 - exact) / n)
+
+
+def test_shell_stops_walkers_at_d_only():
+    # B((5, 0), 1) lies 4 away from the boundary of D = {y1 > 0}: a walk
+    # from within the shell width of its sphere stops no walker and
+    # equals the unshelled walk; a start within the width of D's own
+    # boundary stops where it stands, after 0 steps
+    model = IsotropicStable(1.5, 2)
+    D = HalfSpace([1.0, 0.0])
+    shell = 1e-3
+    start = [5.0, 1.0 - 0.5 * shell]
+    got = sample_exits(model, D.truncate([5.0, 0.0], 1.0, shell=shell),
+                       start, 2000, RngStream(8))
+    ref = sample_exits(model, D.truncate([5.0, 0.0], 1.0), start, 2000,
+                       RngStream(8))
+    assert not got.shelled.any()
+    for f in ("y", "w", "steps", "stalled"):
+        assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+    near = sample_exits(model, D.truncate([0.0, 0.0], 1.0, shell=shell),
+                        [0.5 * shell, 0.0], 10, RngStream(8))
+    assert near.shelled.all() and not near.steps.any()
+    assert np.all(near.y == [0.5 * shell, 0.0]) and not near.w.any()
+
+
+def test_shelled_lockstep_groups_equal_separate_walks(rng):
+    points = [[-0.3, 0.2], [0.1, 0.05], [0.2, -0.01]]
+    sizes = [700, 40, 1500]
+    streams = [rng.substream(j) for j in range(len(points))]
+    U = SlitPlane().truncate([0.0, 0.0], 0.8, shell=1e-4)
+    model = IsotropicStable(1.5, 2)
+    got = sample_exits(model, U, points, sizes, streams)
+    refs = [sample_exits(model, U, p, n, s)
+            for p, n, s in zip(points, sizes, streams)]
+    assert 0 < got.shelled.sum() < got.n
+    for f in ("y", "w", "steps", "stalled", "shelled"):
+        assert np.array_equal(getattr(got, f),
+                              np.concatenate([getattr(r, f) for r in refs])), f
 
 
 # ------------------------------------------------------------------ #
