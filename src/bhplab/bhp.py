@@ -24,7 +24,8 @@ from .exitstats import ESCALATION_CAP, TARGET_REL_STDERR, escalate
 from .exitstats import gather_exits  # noqa: F401
 from .kernel import boundary_integral
 from .rng import RngStream
-from .sampler import IsotropicStable, ProcessModel, walk_exit_batch_indexed
+from .sampler import (BALL_FACTOR, IsotropicStable, ProcessModel,
+                      walk_exit_batch_indexed)
 
 PAIR_GATE_REL_STDERR = 0.05   # per-estimate precision gate for ratio pairs
 DELTA_FLOOR_FACTOR = 1.0 / 64.0
@@ -61,18 +62,17 @@ class BoundaryData:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(y, dtype=float))),
                           dtype=float)
 
-    def validate(self, r: float, rng: RngStream | None = None,
-                 probes: int = 10_000) -> None:
-        """Probe-test that g vanishes on B(xi, 2r) and is nonnegative."""
+    def validate(self, r: float) -> None:
+        """Probe-test at 10^4 points that g is 0 on B(xi, 2r) and >= 0."""
         if self.support_radius < 2.0 * r * (1 - 1e-12):
             raise ConfigError(
                 f"boundary data support starts at {self.support_radius:g} "
                 f"but must vanish on B(xi, {2 * r:g})")
-        g = (rng or RngStream(0)).generator()
+        g = RngStream(0).generator()
         d = self.xi.shape[0]
-        u = g.standard_normal((probes, d))
+        u = g.standard_normal((10_000, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        pts = self.xi + (2.0 * r) * g.random(probes)[:, None] ** (1.0 / d) * u
+        pts = self.xi + (2.0 * r) * g.random(10_000)[:, None] ** (1.0 / d) * u
         vals = self(pts)
         if np.any(vals != 0.0):
             raise ConfigError("boundary data does not vanish on B(xi, 2r)")
@@ -99,18 +99,17 @@ def far_field_indicator(xi, r_min: float, predicate=None) -> BoundaryData:
 # ===================================================================== #
 
 def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
-                  points, rngs, n0: int, cap: int = ESCALATION_CAP,
-                  target: float = TARGET_REL_STDERR, rho: float = 0.5) -> list:
+                  points, rngs, n0: int, cap: int = ESCALATION_CAP) -> list:
     """h_g(x) = E_x[g(X at the exit of D & B(xi, 2r))] for each g in `data`.
 
     Returns, for each start x in `points` (one per stream in `rngs`),
     the `PointEstimates` for the data in order.  Every datum is
     validated, then averaged at each point over the *same* exit samples
     of D & B(xi, 2r), escalated by `escalate` from n0 paths until every
-    relative standard error beats the target or `cap` paths are drawn
-    (estimates then marked underpowered).  All points walk the same set,
-    so `escalate` walks them in lockstep.  A start outside the truncated
-    set raises DomainError.
+    relative standard error beats TARGET_REL_STDERR or `cap` paths are
+    drawn (estimates then marked underpowered).  All points walk the
+    same set, so `escalate` walks them in lockstep.  A start outside the
+    truncated set raises DomainError.
 
     The walk on balls (IsotropicStable) stops a walker whose clearance
     to D falls to SHELL_EPS * r, with SHELL_EPS = 1e-6, and scores g
@@ -124,7 +123,8 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
         g.validate(r)
     U = D.truncate(xi, 2.0 * r, shell=_shell_eps(model) * r)
     return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
-                    rngs, n0, cap, target, rho, method="mc-mean-harmonic")
+                    rngs, n0, cap, TARGET_REL_STDERR,
+                    method="mc-mean-harmonic")
 
 
 def _shell_eps(model: ProcessModel) -> float:
@@ -212,15 +212,13 @@ def _verified_radius(model: ProcessModel) -> float:
 
 def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
              g1: BoundaryData, g2: BoundaryData, grid_size: int, n: int,
-             rng: RngStream, rho: float = 0.5, cap: int = ESCALATION_CAP,
-             target: float = TARGET_REL_STDERR,
-             gate: float = PAIR_GATE_REL_STDERR,
+             rng: RngStream, cap: int = ESCALATION_CAP,
              grid: np.ndarray | None = None) -> BhpReport:
     """Scan h1(x) h2(y) / (h1(y) h2(x)) over a grid in D & B(xi, kappa r).
 
     c_hat is the maximum ratio over pairs whose four estimates all pass
-    the precision gate; excluded pairs are counted, and an all-excluded
-    scan raises an underpowered error.
+    the precision gate PAIR_GATE_REL_STDERR; excluded pairs are counted,
+    and an all-excluded scan raises an underpowered error.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not 0 < kappa < 2:
@@ -238,13 +236,14 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
             raise DomainError("a supplied grid point lies outside the domain")
     h = eval_harmonic(model, D, xi, r, (g1, g2), grid,
                       [rng.substream(1 + i) for i in range(len(grid))], n,
-                      cap, target, rho)
+                      cap)
     h1, h2 = map(list, zip(*h))
     n_total = sum(e.n for e in h1)
 
     v1 = np.array([e.value for e in h1])
     v2 = np.array([e.value for e in h2])
-    powered = np.array([e1.rel_stderr < gate and e2.rel_stderr < gate
+    powered = np.array([e1.rel_stderr < PAIR_GATE_REL_STDERR
+                        and e2.rel_stderr < PAIR_GATE_REL_STDERR
                         for e1, e2 in zip(h1, h2)])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (v1[:, None] * v2[None, :]) / (v1[None, :] * v2[:, None])
@@ -297,9 +296,7 @@ def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
 def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
                         c1: float, c2: float, c3: float, g: BoundaryData,
                         grid_size: int, n: int, rng: RngStream,
-                        rho: float = 0.5, cap: int = ESCALATION_CAP,
-                        target: float = TARGET_REL_STDERR,
-                        gate: float = PAIR_GATE_REL_STDERR) -> dict:
+                        cap: int = ESCALATION_CAP) -> dict:
     """rho(x) = h(x) / (E_x[tau of D & B(x, c1 r)] * int g dJ(xi, .)).
 
     The integral runs over |y - xi| >= c2 r; since g vanishes on
@@ -321,18 +318,18 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
                          DELTA_FLOOR_FACTOR * c3 * r, rng.substream(0))
     subs = [rng.substream(1 + i) for i in range(len(grid))]
     harmonic = eval_harmonic(model, D, xi, r, (g,), grid,
-                             [sub.substream(0) for sub in subs], n, cap,
-                             target, rho)
+                             [sub.substream(0) for sub in subs], n, cap)
     h_est = [h for h, in harmonic]
     e_est, rho_vals, powered = [], [], []
     for x, sub, h in zip(grid, subs, h_est):
         # each point walks its own ball, so these walks run one by one
         ball = Intersection([D, Ball(x, c1 * r)])
         (met,), = escalate(model, ball, [x], [lambda b: b.w],
-                           [sub.substream(1)], n, cap, target, rho,
+                           [sub.substream(1)], n, cap, TARGET_REL_STDERR,
                            method="mc-mean-exit-time")
         e_est.append(met)
-        ok = h.rel_stderr < gate and met.rel_stderr < gate
+        ok = (h.rel_stderr < PAIR_GATE_REL_STDERR
+              and met.rel_stderr < PAIR_GATE_REL_STDERR)
         powered.append(ok)
         rho_vals.append(h.value / (met.value * integral)
                         if met.value > 0 else np.nan)
@@ -376,26 +373,25 @@ def _layer_radius(r: float, j: int) -> float:
 
 
 def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
-                    grid_size: int, n: int, rng: RngStream,
-                    rho: float = 0.5, phi=None) -> BoxDiagnostics:
+                    grid_size: int, n: int, rng: RngStream) -> BoxDiagnostics:
     """Classify grid points into dyadic layers and compute layer infima.
 
     Each point x in B_D(xi, 3r/4) gets q(x) = P_x(exit of D & B(xi,r)
-    stays in D) + E_x[tau of D & B(xi,r)] / phi(r); layer j collects the
-    points within the shrinking radius whose q falls in
-    [2^{-(j+1)}, 2^{-j}); cumulative layers V_j grow with j, and
-    lambda_j = inf over V_j of E / (phi(r) P), with +inf on empty layers.
+    stays in D) + E_x[tau of D & B(xi,r)] / phi(r), with phi the model's
+    scale function; layer j collects the points within the shrinking
+    radius whose q falls in [2^{-(j+1)}, 2^{-j}); cumulative layers V_j
+    grow with j, and lambda_j = inf over V_j of E / (phi(r) P), with +inf
+    on empty layers.
     P and E at a point are estimated from the same n exits.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    phi = phi if phi is not None else model.kernel.scale
-    phi_r = float(phi(r))
+    phi_r = float(model.kernel.scale(r))
     grid = interior_grid(D, xi, 0.75 * r, grid_size,
                          DELTA_FLOOR_FACTOR * 0.75 * r, rng.substream(0))
     trunc = D.truncate(xi, r)
     p_est, e_est = map(list, zip(*escalate(
         model, trunc, grid, [lambda b: D.contains(b.y), lambda b: b.w],
-        [rng.substream(1 + i) for i in range(len(grid))], n, n, rho=rho,
+        [rng.substream(1 + i) for i in range(len(grid))], n, n,
         method="mc-box-common-exits")))
     p = np.array([e.value for e in p_est])
     e = np.array([e.value for e in e_est])
@@ -430,7 +426,7 @@ def _gamma_radius(s: np.ndarray, r: float) -> np.ndarray:
 
 
 def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
-                rng: RngStream, m_max: int = 8, rho: float = 0.5) -> dict:
+                rng: RngStream, m_max: int = 8) -> dict:
     """Survival table of the iterated-ball chain built at (xi, r).
 
     Starting from Y_0 = x, each step exits D & B(Y_k, gamma(|Y_k - xi|))
@@ -473,7 +469,8 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
             return np.minimum(D.clearance(pts), to_ball)
 
         batch = walk_exit_batch_indexed(model.alpha, model.dim, clearance,
-                                        centers, rho, rng.substream(step))
+                                        centers, BALL_FACTOR,
+                                        rng.substream(step))
         new_y = batch.y
         in_d = np.asarray(D.contains(new_y), dtype=bool) & ~batch.stalled
         near_xi = np.linalg.norm(new_y - xi, axis=1) < 1.5 * r

@@ -31,7 +31,7 @@ from .errors import (BhpLabError, CapabilityError, ConfigError,
                      DivergenceError, DomainError, EstimationError,
                      SamplerStallError, UnderpoweredError)
 from .rng import RngStream
-from .sampler import survival_prob_ball
+from .sampler import BALL_FACTOR, survival_prob_ball
 
 SCHEMA = "bhplab/1"
 
@@ -109,13 +109,30 @@ def _axis(axis, d: int, what: str) -> int:
     return axis
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    n = int(cfg.get(key, default))
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1, got {n}")
+    return n
+
+
+def _series(cfg: dict, key: str, default: list) -> list:
+    values = [float(v) for v in cfg.get(key, default)]
+    if not values:
+        raise ConfigError(f"{key} must not be empty")
+    return values
+
+
 def _predicate(spec: dict, d: int):
     """Vectorized exit-point predicate from a JSON target spec in R^d."""
     kind = spec.get("kind", "complement")
     if kind == "complement":
         return lambda y: np.ones(len(np.atleast_2d(y)), dtype=bool)
     if kind in ("norm-gt", "norm-le"):
-        c = np.asarray(spec.get("center", [0.0]), dtype=float)
+        c = np.asarray(spec.get("center", [0.0] * d), dtype=float)
+        if c.shape != (d,):
+            raise ConfigError(f"target center {c.tolist()} needs {d} "
+                              f"coordinates")
         stat = lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1)
     elif kind in ("coordinate-gt", "coordinate-lt"):
         axis = _axis(spec.get("axis", 0), d, "target axis")
@@ -181,8 +198,8 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     D = build_domain(cfg["domain"])
     x = np.asarray(cfg.get("x", [0.0] * D.dim), dtype=float)
-    n = int(cfg.get("n", 100_000))
-    rho = float(cfg.get("rho", 0.5))
+    n = _count(cfg, "n", 100_000)
+    rho = float(cfg.get("rho", BALL_FACTOR))
     tspecs = cfg.get("targets", [])
     predicates = [_predicate(t, D.dim) for t in tspecs]
     names = [t.get("name", f"target{i}") for i, t in enumerate(tspecs)]
@@ -213,10 +230,9 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
 def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg["model"])
     phi = model.kernel.scale
-    r_list = [float(r) for r in cfg.get("r_list", [0.25, 1.0, 4.0])]
-    t_factors = [float(t) for t in cfg.get("t_factors",
-                                           [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])]
-    n = int(cfg.get("n", 20_000))
+    r_list = _series(cfg, "r_list", [0.25, 1.0, 4.0])
+    t_factors = _series(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+    n = _count(cfg, "n", 20_000)
     n_steps = int(cfg.get("n_steps", 64))
     fallback = bool(cfg.get("sde_fallback", False))
     x0 = np.zeros(model.dim)
@@ -276,9 +292,9 @@ def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     kappa = float(cfg.get("kappa", 1.0))
-    r_series = [float(r) for r in cfg.get("r_series", [0.4, 0.2, 0.1, 0.05])]
+    r_series = _series(cfg, "r_series", [0.4, 0.2, 0.1, 0.05])
     grid_size = int(cfg.get("grid_size", 12))
-    n = int(cfg.get("n", 4096))
+    n = _count(cfg, "n", 4096)
     cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
     axis = _axis(cfg.get("split_axis", D.dim - 1), D.dim, "split_axis")
     series = bhp.bhp_scan_series(
@@ -316,10 +332,10 @@ def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     c2 = float(cfg.get("c2", 1.5))
     c3 = float(cfg.get("c3", 2.0 / 3.0))
     grid_size = int(cfg.get("grid_size", 8))
-    n = int(cfg.get("n", 4096))
+    n = _count(cfg, "n", 4096)
     cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
     axis = _axis(cfg.get("split_axis", 0), D.dim, "split_axis")
-    radii = [float(r) for r in cfg.get("r_series", [cfg.get("r", 0.5)])]
+    radii = _series(cfg, "r_series", [cfg.get("r", 0.5)])
     reports = []
     for k, r in enumerate(radii):
         g = bhp.far_field_indicator(xi, 2.0 * r,
@@ -346,7 +362,7 @@ def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
     r = float(cfg.get("r", 1.0))
     diag = bhp.box_diagnostics(model, D, xi, r, int(cfg.get("j_max", 6)),
                                int(cfg.get("grid_size", 24)),
-                               int(cfg.get("n", 8192)), rng)
+                               _count(cfg, "n", 8192), rng)
     lam = [lay["lambda_j"] for lay in diag.layers]
     finite = [v for v in lam if np.isfinite(v)]
     checks = []
@@ -361,7 +377,7 @@ def run_chain_decay(cfg: dict, rng: RngStream, out: str) -> str:
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     r = float(cfg.get("r", 0.5))
     x = np.asarray(cfg.get("x", (xi + r / 2).tolist()), dtype=float)
-    table = bhp.chain_decay(model, D, xi, r, x, int(cfg.get("n", 20_000)),
+    table = bhp.chain_decay(model, D, xi, r, x, _count(cfg, "n", 20_000),
                             rng, m_max=int(cfg.get("m_max", 8)))
     checks = []
     if table["fit"] is not None:

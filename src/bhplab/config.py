@@ -95,7 +95,7 @@ def build_model(spec: dict):
                     s * np.eye(d), (len(x), d, d))))(scale, dim)
                 bounds = (scale, scale)
             return SdeStable(alpha=spec["alpha"], dim=spec["dim"],
-                             dt=spec.get("dt", 1e-2), sigma=sigma,
+                             sigma=sigma,
                              sigma_bounds=spec.get("sigma_bounds", bounds))
         if t == "geometric-stable":
             return GeometricStable(alpha=spec["alpha"], dim=spec["dim"])

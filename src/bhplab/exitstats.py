@@ -22,8 +22,8 @@ from scipy import stats
 from .domains import Ball, Domain
 from .errors import DomainError, EstimationError
 from .rng import RngStream
-from .sampler import (DEFAULT_MAX_STEPS, BatchExit, ProcessModel,
-                      sample_exits)
+from .sampler import (BALL_FACTOR, DEFAULT_MAX_STEPS, BatchExit,
+                      ProcessModel, sample_exits)
 
 STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
@@ -133,7 +133,8 @@ def _lockstep_chunks(sizes: list):
 
 
 def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
-                 rho: float = 0.5, max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
+                 rho: float = BALL_FACTOR,
+                 max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
     """Exit batches of several points, with the stall policy applied per point.
 
     Point j draws ns[j] paths split into ceil(ns[j] / PART_PATHS)
@@ -179,7 +180,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
 # ===================================================================== #
 
 def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
-                     rng: RngStream, rho: float = 0.5) -> Estimate:
+                     rng: RngStream, rho: float = BALL_FACTOR) -> Estimate:
     """P_x(X_{tau_D} in A): fraction of n exit samples landing in A.
 
     A is a vectorized predicate over exit points (a subset of the
@@ -192,7 +193,7 @@ def harmonic_measure(model: ProcessModel, D: Domain, x, A, n: int,
 
 
 def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
-                   rng: RngStream, rho: float = 0.5) -> Estimate:
+                   rng: RngStream, rho: float = BALL_FACTOR) -> Estimate:
     """E_x[tau_D] via the accumulated closed-form time weights of n paths."""
     (est,), = escalate(model, D, [x], [lambda b: b.w], [rng], n, n,
                        rho=rho, method="mc-mean-exit-time")
@@ -200,15 +201,14 @@ def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
 
 
 def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
-                          n: int, rng: RngStream,
-                          rho: float = 0.5) -> Estimate:
+                          n: int, rng: RngStream) -> Estimate:
     """P_x(tau_D > tau_{B_D(xi, r)}): the process leaves B(xi,r) before D.
 
     Estimated as the fraction of n exit samples from D & B(xi,r) whose
     exit point still lies in D.
     """
     (est,), = escalate(model, D.truncate(xi, r), [x],
-                       [lambda b: D.contains(b.y)], [rng], n, n, rho=rho,
+                       [lambda b: D.contains(b.y)], [rng], n, n,
                        method="mc-binomial-exit-before-subdomain")
     return est
 
@@ -232,7 +232,7 @@ def set_distance(U: Domain, W: Domain) -> float:
 
 def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
                    rng: RngStream, phi, r_bar: float = np.inf,
-                   rho: float = 0.5) -> dict:
+                   rho: float = BALL_FACTOR) -> dict:
     """Compare P_x(X_{tau_U} in W) against E_x[tau_U] / phi(d(U,W) ^ r_bar).
 
     Returns {"lhs": Estimate, "rhs": float, "implied_constant": float,
@@ -257,7 +257,7 @@ def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
 
 def escalate(model: ProcessModel, D: Domain, points, functionals,
              rngs, n0: int, cap: int = ESCALATION_CAP,
-             target: float = TARGET_REL_STDERR, rho: float = 0.5,
+             target: float = TARGET_REL_STDERR, rho: float = BALL_FACTOR,
              method: str = "mc-mean") -> list:
     """Estimates of several batch functionals over common exits, per point.
 

@@ -33,6 +33,9 @@ from .scale import ScaleFunction
 QUAD_REL_TOL = 1e-6          # declared relative quadrature error for tail masses
 _SEG_DECADES_CAP = 60        # give up (divergence) after this many radial decades
 _BOUNDARY_NODES = 256        # angular nodes for boundary integrals
+JT_MAX_RATIO = 100.0         # (Jt) holds while C5_hat / C4_hat <= this
+RD_C1 = 2.0                  # reverse doubling tests phi(RD_C1 r) / phi(r)
+THETA_CAP = 16.0             # largest (Jc.1) exponent theta tried
 
 
 def sphere_area(d: int) -> float:
@@ -311,13 +314,13 @@ def ball_mass(J: JumpKernelSpec, x, center, s: float,
 # ===================================================================== #
 
 def check_jt(J: JumpKernelSpec, phi: ScaleFunction, r_grid,
-             n_x: int = 5, rng: RngStream | None = None,
-             max_ratio: float = 100.0, x_scale: float = 1.0) -> ConditionReport:
+             rng: RngStream | None = None) -> ConditionReport:
     """Two-sided tail estimate: C4/phi(r) <= J(x, B(x,r)^c) <= C5/phi(r).
 
-    Computes m(r) = tail_mass(x, r) * phi(r) over the grid and sampled
-    base points; C4_hat = min, C5_hat = max.  Holds numerically iff
-    C4_hat > 0 and C5_hat / C4_hat <= max_ratio.
+    Computes m(r) = tail_mass(x, r) * phi(r) over the grid and the base
+    points (the origin for a constant kappa, else 5 uniform points of
+    [-1, 1]^d); C4_hat = min, C5_hat = max.  Holds numerically iff
+    C4_hat > 0 and C5_hat / C4_hat <= JT_MAX_RATIO.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.max() / r_grid.min() < 1e3 * (1 - 1e-9):
@@ -326,7 +329,7 @@ def check_jt(J: JumpKernelSpec, phi: ScaleFunction, r_grid,
         xs = [np.zeros(J.dim)]
     else:
         g = (rng or RngStream(0)).generator()
-        xs = list(x_scale * g.uniform(-1.0, 1.0, size=(n_x, J.dim)))
+        xs = list(g.uniform(-1.0, 1.0, size=(5, J.dim)))
 
     m = np.empty((len(xs), len(r_grid)))
     for i, x in enumerate(xs):
@@ -336,28 +339,27 @@ def check_jt(J: JumpKernelSpec, phi: ScaleFunction, r_grid,
     c5 = float(m.max())
     i_min = np.unravel_index(np.argmin(m), m.shape)
     ratio = c5 / c4 if c4 > 0 else math.inf
-    verdict = HOLDS if (c4 > 0 and ratio <= max_ratio) else VIOLATED
+    verdict = HOLDS if (c4 > 0 and ratio <= JT_MAX_RATIO) else VIOLATED
     witness = None
     if verdict == VIOLATED:
         witness = {"x": np.asarray(xs[i_min[0]]), "r": float(r_grid[i_min[1]]),
-                   "m": c4, "c5": c5, "max_ratio": max_ratio}
+                   "m": c4, "c5": c5, "max_ratio": JT_MAX_RATIO}
     return ConditionReport(
         condition="(Jt)", verdict=verdict,
-        constants={"C4": c4, "C5": c5, "ratio": ratio, "max_ratio": max_ratio},
+        constants={"C4": c4, "C5": c5, "ratio": ratio,
+                   "max_ratio": JT_MAX_RATIO},
         test_points={"r_grid": r_grid, "x_samples": np.asarray(xs)},
         witness=witness)
 
 
 @dataclass(frozen=True)
 class TripleSamplingConfig:
-    """How to draw (x, y, z) triples for the density-comparability check."""
+    """How to draw (x, y, z) triples for the density-comparability check:
+    x uniform in [-1, 1]^d, y in B(x, min(r_bar, 2)), z at a log-uniform
+    distance in [1e-3, 1e3] from x."""
 
     n_triples: int = 10_000
     r_bar: float = np.inf          # only pairs with |x - y| < r_bar are tested
-    box_halfwidth: float = 1.0     # x uniform in [-L, L]^d
-    z_dist_lo: float = 1e-3
-    z_dist_hi: float = 1e3
-    theta_cap: float = 16.0
     rng: RngStream = RngStream(0)
 
 
@@ -365,31 +367,29 @@ def _sample_triples(J: JumpKernelSpec, cfg: TripleSamplingConfig):
     g = cfg.rng.generator()
     d = J.dim
     n = cfg.n_triples
-    x = g.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, size=(n, d))
+    x = g.uniform(-1.0, 1.0, size=(n, d))
     u = g.standard_normal((n, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r_pair = min(cfg.r_bar, 2.0 * cfg.box_halfwidth)
+    r_pair = min(cfg.r_bar, 2.0)
     y = x + g.random(n)[:, None] * r_pair * u
     v = g.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    s = np.exp(g.uniform(math.log(cfg.z_dist_lo), math.log(cfg.z_dist_hi), n))
+    s = np.exp(g.uniform(math.log(1e-3), math.log(1e3), n))
     z = x + s[:, None] * v
     return x, y, z
 
 
-def check_jc1(J: JumpKernelSpec, cfg: TripleSamplingConfig | None = None,
-              triples=None) -> ConditionReport:
+def check_jc1(J: JumpKernelSpec,
+              cfg: TripleSamplingConfig | None = None) -> ConditionReport:
     """Density comparability: j(x,z) <= C1 (1 + |y-z|/|x-z|)^theta j(y,z).
 
-    Fits the smallest exponent theta_hat (on a grid) for which the
-    envelope constant stays within 2^theta times the coefficient spread
-    kappa_hi/kappa_lo, then reports C1_hat at that exponent.
+    Fits the smallest exponent theta_hat (on a grid up to THETA_CAP) for
+    which the envelope constant stays within 2^theta times the
+    coefficient spread kappa_hi/kappa_lo, then reports C1_hat at that
+    exponent.
     """
     cfg = cfg or TripleSamplingConfig()
-    if triples is None:
-        x, y, z = _sample_triples(J, cfg)
-    else:
-        x, y, z = (np.asarray(a, dtype=float) for a in triples)
+    x, y, z = _sample_triples(J, cfg)
     jx = J.density(x, z - x)
     jy = J.density(y, z - y)
     t = 1.0 + np.linalg.norm(y - z, axis=1) / np.linalg.norm(x - z, axis=1)
@@ -398,7 +398,7 @@ def check_jc1(J: JumpKernelSpec, cfg: TripleSamplingConfig | None = None,
     lt = np.log(t[ok])
 
     kappa_ratio = J.kappa_hi / J.kappa_lo
-    thetas = np.arange(0.0, cfg.theta_cap + 1e-9, 0.01)
+    thetas = np.arange(0.0, THETA_CAP + 1e-9, 0.01)
     # log C1(theta) = max_i (lr_i - theta * lt_i)
     log_c1 = np.max(lr[None, :] - thetas[:, None] * lt[None, :], axis=1)
     budget = thetas * math.log(2.0) + math.log(kappa_ratio) + 1e-9
@@ -406,7 +406,7 @@ def check_jc1(J: JumpKernelSpec, cfg: TripleSamplingConfig | None = None,
     if len(feasible) == 0:
         return ConditionReport(
             condition="(Jc.1)", verdict=INCONCLUSIVE,
-            constants={"theta_cap": cfg.theta_cap,
+            constants={"theta_cap": THETA_CAP,
                        "log_c1_at_cap": float(log_c1[-1])},
             test_points={"n": int(ok.sum())},
             notes="no exponent below the cap gives a bounded envelope")
@@ -425,7 +425,7 @@ def check_jc1(J: JumpKernelSpec, cfg: TripleSamplingConfig | None = None,
 
 
 def check_jc2(J: JumpKernelSpec, configs, c3: float,
-              n_mc: int = 100_000, rng: RngStream | None = None) -> ConditionReport:
+              rng: RngStream | None = None) -> ConditionReport:
     """Ball-vs-tail domination: J(x, B(y,s)) <= C2 J(x, B(x,r)^c), C2 < 1.
 
     Each config is (r, s, x, y) and must satisfy |x - y| > s + c3 * r.
@@ -439,8 +439,7 @@ def check_jc2(J: JumpKernelSpec, configs, c3: float,
         if not sep > s + c3 * r:
             raise DomainError(
                 f"config {i}: need |x-y| > s + C3*r ({sep:g} <= {s + c3 * r:g})")
-        lhs = ball_mass(J, x, y, s, n_mc=n_mc,
-                        rng=(rng.substream(i) if rng else None))
+        lhs = ball_mass(J, x, y, s, rng=(rng.substream(i) if rng else None))
         rhs = tail_mass(J, x, r).value
         ratio = lhs / rhs
         rows.append({"r": r, "s": s, "x": x, "y": y,
@@ -456,14 +455,14 @@ def check_jc2(J: JumpKernelSpec, configs, c3: float,
         witness=worst if verdict == VIOLATED else None)
 
 
-def check_phi(phi: ScaleFunction, r_grid, check_reverse: bool = True,
-              rd_c1: float = 2.0, rd_eps: float = 0.05) -> ConditionReport:
+def check_phi(phi: ScaleFunction, r_grid,
+              check_reverse: bool = True) -> ConditionReport:
     """Fit doubling constants of phi and optionally test reverse doubling.
 
     beta_hat is the log-log least-squares slope; c_hat is the smallest
     prefactor making phi(R)/phi(r) <= c_hat (R/r)^beta_hat on all grid
     pairs.  Reverse doubling is flagged violated when
-    inf_r phi(rd_c1 * r)/phi(r) falls below 1 + rd_eps on the grid.
+    inf_r phi(RD_C1 * r)/phi(r) falls below 1.05 on the grid.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     if r_grid.max() / r_grid.min() < 1e4 * (1 - 1e-9):
@@ -493,17 +492,17 @@ def check_phi(phi: ScaleFunction, r_grid, check_reverse: bool = True,
     condition = "phi-doubling"
     if check_reverse:
         condition = "phi-doubling+reverse"
-        mask = r_grid * rd_c1 <= phi.r_max
-        rratio = np.asarray(phi(rd_c1 * r_grid[mask]), dtype=float) / vals[mask]
+        mask = r_grid * RD_C1 <= phi.r_max
+        rratio = np.asarray(phi(RD_C1 * r_grid[mask]), dtype=float) / vals[mask]
         rd_inf = float(rratio.min())
-        constants.update({"rd_c1": rd_c1, "rd_c2": rd_inf})
-        if rd_inf < 1.0 + rd_eps:
+        constants.update({"rd_c1": RD_C1, "rd_c2": rd_inf})
+        if rd_inf < 1.05:
             verdict = VIOLATED
             k = int(np.argmin(rratio))
             witness = {"r": float(r_grid[mask][k]),
                        "phi_r": float(vals[mask][k]),
-                       "phi_c1r": float(phi(rd_c1 * r_grid[mask][k])),
-                       "ratio": rd_inf, "threshold": 1.0 + rd_eps}
+                       "phi_c1r": float(phi(RD_C1 * r_grid[mask][k])),
+                       "ratio": rd_inf, "threshold": 1.05}
     return ConditionReport(condition=condition, verdict=verdict,
                            constants=constants,
                            test_points={"r_grid": r_grid},

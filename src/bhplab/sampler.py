@@ -26,7 +26,8 @@ every other caller walks without a shell.
 
 Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
 gamma-subordinated stable) cover variable coefficients and non-power
-scale functions; their bias knobs (pitch, cutoff, time step) are exposed,
+scale functions; their bias knobs (the chain's pitch and cutoff, and
+ep-check's `n_steps`, which sets the Euler step t / n_steps) are exposed,
 not certified.
 """
 
@@ -45,6 +46,9 @@ from .kernel import (JumpKernelSpec, isotropic_stable_kernel, sphere_area,
 from .rng import RngStream
 
 DEFAULT_MAX_STEPS = 10 ** 6
+# the default ball factor rho of the walk on balls: a walker at clearance
+# c next exits B(x, rho * c)
+BALL_FACTOR = 0.5
 
 
 # ===================================================================== #
@@ -112,14 +116,15 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
     return radii[:, None] * _directions(d, np.concatenate(v))
 
 
-def ball_exit_isotropic(alpha: float, d: int, x_rel, rng: RngStream,
-                        max_tries: int = 10 ** 6) -> np.ndarray:
+def ball_exit_isotropic(alpha: float, d: int, x_rel,
+                        rng: RngStream) -> np.ndarray:
     """One exact exit point of the unit ball started from x_rel (|x_rel| < 1).
 
     Centered starts sample the radial law directly; off-center starts use
     rejection against the centered proposal with acceptance probability
     ((1 - |x|) |y| / |y - x|)^d, which is bounded by 1 because
-    |y - x| >= |y|(1 - |x|) whenever |y| >= 1.
+    |y - x| >= |y|(1 - |x|) whenever |y| >= 1.  After 10^6 rejected
+    proposals it raises SamplerStallError.
     """
     if not 0 < alpha < 2:
         raise DomainError("alpha must lie in (0, 2)")
@@ -134,7 +139,7 @@ def ball_exit_isotropic(alpha: float, d: int, x_rel, rng: RngStream,
         return ball_exit_centered(alpha, d, 1, g)[0]
     tried = 0
     batch = 64
-    while tried < max_tries:
+    while tried < 10 ** 6:
         y = ball_exit_centered(alpha, d, batch, g)
         accept = ((1.0 - s) * np.linalg.norm(y, axis=1)
                   / np.linalg.norm(y - x, axis=1)) ** d
@@ -144,7 +149,7 @@ def ball_exit_isotropic(alpha: float, d: int, x_rel, rng: RngStream,
             return y[hits[0]]
         tried += batch
     raise SamplerStallError(
-        f"off-center ball-exit rejection exceeded {max_tries} proposals "
+        "off-center ball-exit rejection exceeded 10^6 proposals "
         f"at |x| = {s:.6f}", n_stalled=1, n_total=1)
 
 
@@ -234,14 +239,13 @@ class SdeStable(ProcessModel):
     batched: it maps an (m, d) array of points to the (m, d, d) stack of
     coefficient matrices, one per point; None means the identity.  Every
     matrix it returns must have its singular values inside
-    `sigma_bounds`.  `dt` is only the default step of `sde_step`:
-    `survival_prob_ball`, and with it ep-check, always steps at
-    t / n_steps, so a config's `dt` does not set ep-check's step.
+    `sigma_bounds`.  The model carries no time step: `sde_step` takes
+    its step, and `survival_prob_ball` (with it ep-check) steps at
+    t / n_steps.
     """
 
     alpha: float
     dim: int
-    dt: float = 1e-2
     sigma: object = None               # callable (m,d) -> (m,d,d), or None
     sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
     exactness = "weak-order-approximation"
@@ -249,8 +253,6 @@ class SdeStable(ProcessModel):
     def __post_init__(self):
         if not 0 < self.alpha < 2:
             raise ConfigError("alpha must lie in (0, 2)")
-        if not self.dt > 0:
-            raise ConfigError("time step must be positive")
         lo, hi = self.sigma_bounds
         if not 0 < lo <= hi:
             raise ConfigError("ellipticity bounds must satisfy 0 < lo <= hi")
@@ -619,20 +621,13 @@ def _sigma_dz(model: SdeStable, x: np.ndarray,
     return np.matmul(sig, dz[:, :, None])[:, :, 0]
 
 
-def sde_step(model: SdeStable, x, dt: float | None = None,
-             rng: RngStream | None = None,
-             g: np.random.Generator | None = None) -> np.ndarray:
-    """One Euler step x' = x + sigma(x) dZ with an exact stable increment.
-
-    The increment is drawn from `g`, or from a fresh generator of `rng`;
-    one of them is required.
-    """
+def sde_step(model: SdeStable, x, dt: float,
+             g: np.random.Generator) -> np.ndarray:
+    """One Euler step x' = x + sigma(x) dZ over time dt, with an exact
+    stable increment drawn from `g`."""
+    if not dt > 0:
+        raise ConfigError("time step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    dt = model.dt if dt is None else dt
-    if g is None:
-        if rng is None:
-            raise DomainError("sde_step needs an rng stream or a generator")
-        g = rng.generator()
     dz = stable_increment(model.alpha, model.dim, dt, 1, g)
     return x + _sigma_dz(model, x[None, :], dz)[0]
 
@@ -679,7 +674,7 @@ def geometric_stable_increment(alpha: float, d: int, dt: float, n: int,
 # ===================================================================== #
 
 def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
-                 rho: float = 0.5,
+                 rho: float = BALL_FACTOR,
                  max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
     """n exit samples of D from x under the given model.
 

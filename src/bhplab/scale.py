@@ -1,10 +1,9 @@
 """Scale functions: the increasing space-time scaling of a jump kernel.
 
 All scale functions here are normalized so that phi(0) = 0 and phi(1) = 1.
-A scale function carries (optionally) declared doubling constants
+`kernel.check_phi` fits and certifies their doubling constants
 phi(R)/phi(r) <= c (R/r)^beta and reverse-doubling constants
-phi(c1 r) >= c2 phi(r); `kernel.check_phi` fits and certifies both
-numerically on a grid.
+phi(c1 r) >= c2 phi(r) numerically on a grid.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ class ScaleFunction:
 
     form: str
     params: dict = field(default_factory=dict)
-    doubling_upper: tuple | None = None   # (c, beta)
-    reverse_doubling: tuple | None = None  # (c1, c2)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -67,16 +64,13 @@ class ScaleFunction:
     def power(alpha: float) -> "ScaleFunction":
         if not alpha > 0:
             raise DomainError("power scale needs alpha > 0")
-        return ScaleFunction("power", {"alpha": alpha},
-                             doubling_upper=(1.0, alpha),
-                             reverse_doubling=(2.0, 2.0 ** alpha))
+        return ScaleFunction("power", {"alpha": alpha})
 
     @staticmethod
     def geometric_stable(alpha: float) -> "ScaleFunction":
         if not 0 < alpha <= 2:
             raise DomainError("geometric stable scale needs alpha in (0, 2]")
-        return ScaleFunction("geostable", {"alpha": alpha},
-                             doubling_upper=(2.0, alpha), reverse_doubling=None)
+        return ScaleFunction("geostable", {"alpha": alpha})
 
     @staticmethod
     def tempered_power(alpha: float, lam: float, beta_t: float) -> "ScaleFunction":
@@ -84,9 +78,7 @@ class ScaleFunction:
         if not (alpha > 0 and lam > 0 and 0 < beta_t <= 1):
             raise DomainError("tempered power needs alpha>0, lam>0, beta_t in (0,1]")
         return ScaleFunction("tempered-power",
-                             {"alpha": alpha, "lam": lam, "beta_t": beta_t},
-                             doubling_upper=(1.0, alpha),
-                             reverse_doubling=(2.0, 2.0 ** alpha))
+                             {"alpha": alpha, "lam": lam, "beta_t": beta_t})
 
     @staticmethod
     def tabulated(r, phi) -> "ScaleFunction":

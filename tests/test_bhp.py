@@ -40,10 +40,15 @@ def test_boundary_data_validation():
 
 
 def test_boundary_data_rejects_support_violation():
-    bad = BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=1.0,
-                       xi=XI)
-    with pytest.raises(ConfigError):
-        bad.validate(0.5)   # does not vanish near xi
+    near = BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=1.0,
+                        xi=XI)
+    far = far_field_indicator(XI, 1.0)      # 0 on B(xi, 2r) at r = 0.5
+    negative = BoundaryData(fn=lambda y: -far.fn(y), support_radius=1.0,
+                            xi=XI)
+    for bad, message in ((near, "does not vanish"),
+                         (negative, "must be nonnegative")):
+        with pytest.raises(ConfigError, match=message):
+            bad.validate(0.5)
 
 
 # ------------------------------------------------------------------ #

@@ -171,6 +171,11 @@ HALF_PLANE = {
     "domain": {"type": "half-space", "normal": [0.0, 1.0]},
     "xi": [0.0, 0.0], "r_series": [0.5], "grid_size": 2, "n": 256,
 }
+SDE_LINE = {
+    "model": {"type": "sde-stable", "alpha": 1.0, "dim": 1},
+    "r_list": [1.0], "t_factors": [0.01], "n": 100, "n_steps": 4,
+    "scaling_check": False,
+}
 
 
 @pytest.fixture
@@ -222,6 +227,32 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
         target = {"name": "right", "kind": kind, "axis": 1, "value": 0.5}
         assert _config_error(tmp_path, capsys, "exit-stats",
                              {**UNIT_INTERVAL, "targets": [target]})
+    disk = {**UNIT_INTERVAL,
+            "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
+            "domain": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}
+    for center in ([0.0, 0.0, 0.0], [0.0]):
+        target = {"name": "far", "kind": "norm-gt", "center": center,
+                  "value": 2.0}
+        assert _config_error(tmp_path, capsys, "exit-stats",
+                             {**disk, "targets": [target]})
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("bhp-scan", {**HALF_PLANE, "r_series": []}),
+    ("factorization", {**HALF_PLANE, "r_series": []}),
+    ("ep-check", {**SDE_LINE, "r_list": []}),
+    ("ep-check", {**SDE_LINE, "t_factors": []}),
+    ("exit-stats", {**UNIT_INTERVAL, "n": 0}),
+    ("ep-check", {**SDE_LINE, "n": 0}),
+    ("bhp-scan", {**HALF_PLANE, "n": 0}),
+    ("factorization", {**HALF_PLANE, "n": 0}),
+    ("box-method", {**HALF_PLANE, "n": 0}),
+    ("chain-decay", {**HALF_PLANE, "n": 0}),
+])
+def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
+                                                  command, cfg):
+    assert _config_error(tmp_path, capsys, command, cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_underpowered_factorization_exits_3(tmp_path):

@@ -465,36 +465,34 @@ def _rotating_sigma(x):
 
 
 def test_sde_step_identity_and_scaled_sigma():
-    model = SdeStable(1.0, 2, dt=0.1)
-    x1 = sde_step(model, [0.0, 0.0], g=RngStream(9).generator())
-    scaled = SdeStable(1.0, 2, dt=0.1, sigma=_constant_sigma(2.0, 2),
+    model = SdeStable(1.0, 2)
+    x1 = sde_step(model, [0.0, 0.0], 0.1, RngStream(9).generator())
+    scaled = SdeStable(1.0, 2, sigma=_constant_sigma(2.0, 2),
                        sigma_bounds=(2.0, 2.0))
-    x2 = sde_step(scaled, [0.0, 0.0], g=RngStream(9).generator())
+    x2 = sde_step(scaled, [0.0, 0.0], 0.1, RngStream(9).generator())
     assert np.allclose(x2, 2.0 * x1, rtol=1e-12)
 
 
 def test_sde_step_enforces_ellipticity():
-    model = SdeStable(1.0, 2, dt=0.1, sigma=_constant_sigma(3.0, 2),
+    model = SdeStable(1.0, 2, sigma=_constant_sigma(3.0, 2),
                       sigma_bounds=(1.0, 1.0))
     with pytest.raises(ConfigError):
-        sde_step(model, [0.0, 0.0], g=RngStream(1).generator())
+        sde_step(model, [0.0, 0.0], 0.1, RngStream(1).generator())
 
 
-def test_sde_step_needs_a_random_source():
-    model = SdeStable(1.0, 2, dt=0.1)
-    with pytest.raises(DomainError):
-        sde_step(model, [0.0, 0.0])
-    a = sde_step(model, [0.0, 0.0], rng=RngStream(4))
-    b = sde_step(model, [0.0, 0.0], g=RngStream(4).generator())
-    assert np.array_equal(a, b)
+def test_sde_step_needs_a_positive_step():
+    model = SdeStable(1.0, 2)
+    for dt in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            sde_step(model, [0.0, 0.0], dt, RngStream(4).generator())
 
 
 def test_survival_scaled_sigma_equivalent_to_scaled_ball(rng):
     # with sigma = 2 I, exiting B(0, 2r) is the same event as the
     # identity-coefficient scheme exiting B(0, r)
     n = 20_000
-    base = SdeStable(1.0, 1, dt=0.05)
-    doubled = SdeStable(1.0, 1, dt=0.05, sigma=_constant_sigma(2.0, 1),
+    base = SdeStable(1.0, 1)
+    doubled = SdeStable(1.0, 1, sigma=_constant_sigma(2.0, 1),
                         sigma_bounds=(2.0, 2.0))
     p1 = survival_prob_ball(base, [0.0], 1.0, 1.0, n, rng.substream(0),
                             n_steps=20)
@@ -551,7 +549,7 @@ def test_survival_exact_model_needs_explicit_fallback(rng):
 
 
 def test_survival_vanishes_for_tiny_horizons(rng):
-    model = SdeStable(1.0, 1, dt=1e-6)
+    model = SdeStable(1.0, 1)
     est = survival_prob_ball(model, [0.0], 1.0, 1e-5, 2000, rng, n_steps=10)
     assert est.value < 0.01
 
@@ -624,8 +622,6 @@ def test_model_validation():
         IsotropicStable(2.0, 1)
     with pytest.raises(ConfigError):
         IsotropicStable(1.0, 0)
-    with pytest.raises(ConfigError):
-        SdeStable(1.0, 1, dt=-1.0)
     with pytest.raises(ConfigError):
         SdeStable(1.0, 1, sigma_bounds=(2.0, 1.0))
     with pytest.raises(ConfigError):
