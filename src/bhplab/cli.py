@@ -233,7 +233,7 @@ def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     r_list = _series(cfg, "r_list", [0.25, 1.0, 4.0])
     t_factors = _series(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     n = _count(cfg, "n", 20_000)
-    n_steps = int(cfg.get("n_steps", 64))
+    n_steps = _count(cfg, "n_steps", 64)
     fallback = bool(cfg.get("sde_fallback", False))
     x0 = np.zeros(model.dim)
     rows = []
@@ -360,7 +360,7 @@ def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
     D = build_domain(cfg["domain"])
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     r = float(cfg.get("r", 1.0))
-    diag = bhp.box_diagnostics(model, D, xi, r, int(cfg.get("j_max", 6)),
+    diag = bhp.box_diagnostics(model, D, xi, r, _count(cfg, "j_max", 6),
                                int(cfg.get("grid_size", 24)),
                                _count(cfg, "n", 8192), rng)
     lam = [lay["lambda_j"] for lay in diag.layers]
@@ -378,7 +378,7 @@ def run_chain_decay(cfg: dict, rng: RngStream, out: str) -> str:
     r = float(cfg.get("r", 0.5))
     x = np.asarray(cfg.get("x", (xi + r / 2).tolist()), dtype=float)
     table = bhp.chain_decay(model, D, xi, r, x, _count(cfg, "n", 20_000),
-                            rng, m_max=int(cfg.get("m_max", 8)))
+                            rng, m_max=_count(cfg, "m_max", 8))
     checks = []
     if table["fit"] is not None:
         checks.append(check("chain-decay-rate", table["fit"]["rate_upper95"],

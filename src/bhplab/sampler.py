@@ -47,8 +47,9 @@ from .rng import RngStream
 
 DEFAULT_MAX_STEPS = 10 ** 6
 # the default ball factor rho of the walk on balls: a walker at clearance
-# c next exits B(x, rho * c)
-BALL_FACTOR = 0.5
+# c next exits B(x, rho * c); rho = 1 is the largest ball inside D, which
+# gives exact exits in the fewest steps
+BALL_FACTOR = 1.0
 
 
 # ===================================================================== #

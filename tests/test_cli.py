@@ -8,6 +8,7 @@ import pytest
 from bhplab import bhp, exitstats
 from bhplab.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
                         EXIT_UNDERPOWERED, main)
+from bhplab.sampler import mean_exit_constant
 
 
 def _write(tmp_path, name, cfg):
@@ -248,6 +249,10 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("factorization", {**HALF_PLANE, "n": 0}),
     ("box-method", {**HALF_PLANE, "n": 0}),
     ("chain-decay", {**HALF_PLANE, "n": 0}),
+    ("ep-check", {**SDE_LINE, "n_steps": 0}),
+    ("ep-check", {**SDE_LINE, "n_steps": -2}),
+    ("box-method", {**HALF_PLANE, "j_max": 0}),
+    ("chain-decay", {**HALF_PLANE, "m_max": 0}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
@@ -333,17 +338,17 @@ def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name):
     return h.hexdigest()
 
 
-# recorded from the walk before bhp-scan's stopping shell existed, on
-# numpy 2.4 (its Generator.beta and standard_normal streams); only
-# eval_harmonic walks with a shell, so these runs must still draw exactly
-# those exits
+# recorded from the walk at the default ball factor rho = 1, on numpy 2.4
+# (its Generator.beta and standard_normal streams); only eval_harmonic
+# walks with a stopping shell, so these runs must draw exactly these
+# exits
 UNSHELLED_EXIT_DIGESTS = {
     "exit-stats":
-        "a3f617deb1a06d42966f62f51e4d0f355bb8cd3a17fe5aacc3d0a49bd05220e5",
+        "df7fb79f49c9bce3ddcad39b323744806938d10f10faffb59b44754ff40dd9c1",
     "box-method":
-        "4c4a26ead0ce2f1374467add5566141a6f1a607532cefe07e19027b702cd57b4",
+        "2c7ed6956e39e013536af02e9a51d08b76511cbab93c2efdc9929e58988a2f9d",
     "chain-decay":
-        "99c8d48d6682cf1da8c08cc9a1f316043d9bf79832113f678633891ba3e6bbd9",
+        "d67fed2500e9b72799f81b2bd6f2ba58392faf394a812d8365c26d0e9f8362dd",
 }
 
 
@@ -394,7 +399,9 @@ def test_seed_changes_results(tmp_path):
     base = {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
         "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
-        "n": 2000,
+        # at rho = 1 a walk from the center is one exact exit, and its
+        # mean exit time is the same for every seed
+        "n": 2000, "rho": 0.5,
     }
     cfg = _write(tmp_path, "c.json", base)
     main(["exit-stats", "--config", cfg, "--out", str(tmp_path / "s1"),
@@ -405,3 +412,15 @@ def test_seed_changes_results(tmp_path):
     r2 = _load_report(tmp_path / "s2", "exit-stats")
     assert r1["results"]["mean_exit_time"]["value"] \
         != r2["results"]["mean_exit_time"]["value"]
+
+
+def test_default_walk_exits_the_largest_ball(tmp_path):
+    # with no rho key a walk from the center of the unit ball exits the
+    # whole ball in one step, so every path weighs exactly E tau
+    cfg = _write(tmp_path, "c.json", UNIT_INTERVAL)
+    assert main(["exit-stats", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    met = _load_report(tmp_path, "exit-stats")["results"]["mean_exit_time"]
+    assert met["value"] == pytest.approx(mean_exit_constant(1, 1.0),
+                                         rel=1e-12)
+    assert met["stderr"] < 1e-8

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace,
-                            Intersection, SegmentComplement, SlitPlane, Union,
-                            _row_norm, box_minus_comb, from_descriptor)
+                            Intersection, SegmentComplement, SlitPlane,
+                            Truncation, Union, _row_norm, box_minus_comb,
+                            from_descriptor)
 from bhplab.errors import ConfigError, DomainError
 
 
@@ -113,6 +114,9 @@ DOMAINS = [
     box_minus_comb(3, 0.3),
     Union([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)]),
     Intersection([Ball([0.0, 0.0], 2.0), HalfSpace([0.0, 1.0], -1.0)]),
+    SegmentComplement((([-1.0, 0.0], [1.0, 0.0]), ([0.0, 0.5], [0.5, 1.5]))),
+    # as eval_harmonic truncates at r = 1: B(xi, 2r), a shell of 1e-6 r
+    SlitPlane().truncate([0.0, 0.0], 2.0, shell=1e-6),
 ]
 
 
@@ -122,6 +126,9 @@ def test_dist_lb_is_a_valid_lower_bound(D):
     pts = rng.uniform(-3, 3, size=(3000, 2))
     # the one oracle: membership and the bound both derive from clearance
     c = D.clearance(pts)
+    if isinstance(D, Truncation):
+        # the walk steps by the shelled clearance
+        assert np.array_equal(D.shelled_clearance(pts)[0], c)
     inside = D.contains(pts)
     assert np.array_equal(inside, c > SURFACE_TOL)
     assert D.contains(pts[0]) == (D.clearance(pts[0]) > SURFACE_TOL)

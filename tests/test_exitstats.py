@@ -316,11 +316,13 @@ def test_gather_exits_equals_separate_part_walks(monkeypatch):
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     points, ns = [[0.5], [-0.2], [0.0]], [301, 20, 150]
-    # a seed at which each point stalls a path or two in 20 steps
+    # a seed at which each point stalls a path or two in 20 steps of
+    # half-clearance balls
     rngs = [RngStream(13).substream(j) for j in range(len(points))]
     batch, counts, warnings = gather_exits(model, D, points, ns, rngs,
-                                           max_steps=20)
-    parts = [sample_exits(model, D, x, size, rng.substream(i), max_steps=20)
+                                           rho=0.5, max_steps=20)
+    parts = [sample_exits(model, D, x, size, rng.substream(i), rho=0.5,
+                          max_steps=20)
              for x, n, rng in zip(points, ns, rngs)
              for i, size in enumerate(split_n(n, -(-n // 100)))]
     assert len(parts) == 4 + 1 + 2

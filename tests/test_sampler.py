@@ -151,7 +151,8 @@ def test_walk_evaluates_clearance_once_per_step(rng):
     assert not batch.stalled.any()
     assert sum(seen) == n + int(batch.steps.sum())
     assert len(seen) == 1 + int(batch.steps.max())
-    ref = sample_exits(IsotropicStable(1.5, 2), D, [0.0, 0.0], n, rng)
+    ref = sample_exits(IsotropicStable(1.5, 2), D, [0.0, 0.0], n, rng,
+                       rho=0.5)
     assert np.array_equal(batch.y, ref.y) and np.array_equal(batch.w, ref.w)
 
 
