@@ -8,7 +8,8 @@ one-round calls.  A round of n paths splits into ceil(n / PART_PATHS)
 near-even parts, each on its own RNG substream, so results depend only
 on the seed and the config.  Many start points escalate in one call:
 each round walks the parts of the points still running in lockstep, at
-most LOCKSTEP_PATHS paths at a time, and each point's estimates equal
+most PART_PATHS paths at a time, summing each walk's exits as it returns
+(so memory does not grow with n), and each point's estimates equal
 those of a call of its own.
 """
 
@@ -22,15 +23,14 @@ from scipy import stats
 from .domains import Ball, Domain
 from .errors import DomainError, EstimationError
 from .rng import RngStream
-from .sampler import (BALL_FACTOR, DEFAULT_MAX_STEPS, BatchExit,
-                      ProcessModel, sample_exits)
+from .sampler import (BALL_FACTOR, DEFAULT_MAX_STEPS, ProcessModel,
+                      sample_exits)
 
 STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
 ESCALATION_CAP = 10_000_000
 TARGET_REL_STDERR = 0.02
-PART_PATHS = 2 ** 14          # paths per RNG part; fixes which draws are made
-LOCKSTEP_PATHS = 2 ** 14      # paths per gather and walk; bounds their memory
+PART_PATHS = 2 ** 14   # paths per RNG part (fixes the draws) and per walk
 
 
 # ===================================================================== #
@@ -107,8 +107,28 @@ class PointEstimates(list):
 
 
 # ===================================================================== #
-# RNG parts and lockstep chunks
+# RNG parts, lockstep walks and their tallies
 # ===================================================================== #
+
+@dataclass
+class Tally:
+    """Sums of functionals over non-stalled exits, one row per point."""
+
+    counts: list           # (points,) kept paths
+    sums: np.ndarray       # (points, functionals) sums over the kept paths
+    sumsq: np.ndarray      # (points, functionals) sums of squares
+    binary: list           # (functionals,) whether each one is boolean
+
+    @classmethod
+    def zeros(cls, points: int, functionals: int) -> "Tally":
+        return cls([0] * points, np.zeros((points, functionals)),
+                   np.zeros((points, functionals)), [False] * functionals)
+
+    @property
+    def n(self) -> int:
+        """The kept paths of all points."""
+        return sum(self.counts)
+
 
 def split_n(n: int, parts: int) -> list:
     """Deterministic near-even split of n into `parts` sizes."""
@@ -120,11 +140,11 @@ def split_n(n: int, parts: int) -> list:
 
 
 def _lockstep_chunks(sizes: list):
-    """Consecutive slices of `sizes` summing to at most LOCKSTEP_PATHS;
-    a larger size gets a slice of its own."""
+    """Consecutive slices of `sizes`, each at most PART_PATHS, that sum
+    to at most PART_PATHS."""
     start = total = 0
     for i, s in enumerate(sizes):
-        if i > start and total + s > LOCKSTEP_PATHS:
+        if total + s > PART_PATHS:
             yield slice(start, i)
             start, total = i, 0
         total += s
@@ -133,36 +153,45 @@ def _lockstep_chunks(sizes: list):
 
 
 def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
-                 rho: float = BALL_FACTOR,
+                 functionals, rho: float = BALL_FACTOR,
                  max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
-    """Exit batches of several points, with the stall policy applied per point.
+    """Per-point sums of `functionals` over exits, stall policy applied.
 
     Point j draws ns[j] paths split into ceil(ns[j] / PART_PATHS)
     near-even parts; part i draws from rngs[j].substream(i).  The parts
-    of all points walk in lockstep, as the groups of `sample_exits` calls
-    of at most LOCKSTEP_PATHS paths each (a larger part walks alone).
-    Each part draws exactly what a call of its own would, so nothing
-    depends on how they are grouped.
+    of all points walk in lockstep, as `sample_exits` calls of at most
+    PART_PATHS paths each.  Each part draws exactly what a call of its
+    own would, so nothing depends on how they are grouped.  As a walk
+    returns, each of its parts adds every functional's values on its
+    non-stalled exits to its point's row, so at most one walk is held.
 
-    Returns (batch, counts, warnings): the non-stalled paths of all
-    points in point order, how many of them belong to each point, and
+    Returns (tally, warnings): the `Tally` of the points in order, and
     each point's warning list.  Raises EstimationError at the first point
     with more than 5% of its paths stalled.
     """
-    parts = [(x, size, rng.substream(i))
-             for x, n, rng in zip(points, ns, rngs)
+    parts = [(j, x, size, rng.substream(i))
+             for j, (x, n, rng) in enumerate(zip(points, ns, rngs))
              for i, size in enumerate(split_n(n, -(-n // PART_PATHS)))]
-    batches = []
-    for chunk in _lockstep_chunks([size for _, size, _ in parts]):
-        xs, sizes, streams = zip(*parts[chunk])
-        batches.append(sample_exits(model, D, xs, sizes, streams, rho=rho,
-                                    max_steps=max_steps))
-    batch = BatchExit.concat(batches)
-    counts, warnings = [], []
-    start = 0
-    for n in ns:
-        n_stall = int(batch.stalled[start:start + n].sum())
-        start += n
+    tally = Tally.zeros(len(ns), len(functionals))
+    for chunk in _lockstep_chunks([size for _, _, size, _ in parts]):
+        owners, xs, sizes, streams = zip(*parts[chunk])
+        batch = sample_exits(model, D, xs, sizes, streams, rho=rho,
+                             max_steps=max_steps)
+        start = 0
+        for j, size in zip(owners, sizes):
+            kept = batch.take(start + np.flatnonzero(
+                ~batch.stalled[start:start + size]))
+            start += size
+            tally.counts[j] += kept.n
+            for i, f in enumerate(functionals):
+                v = np.asarray(f(kept))
+                tally.binary[i] = v.dtype == bool
+                v = v.astype(float)
+                tally.sums[j, i] += v.sum()
+                tally.sumsq[j, i] += (v * v).sum()
+    warnings = []
+    for n, kept in zip(ns, tally.counts):
+        n_stall = n - kept
         frac = n_stall / n
         if frac > STALL_FAIL_FRACTION:
             raise EstimationError(
@@ -171,8 +200,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
         warnings.append(
             [f"stall rate {frac:.3%} ({n_stall}/{n}); estimates use the "
              f"non-stalled paths only"] if frac > STALL_WARN_FRACTION else [])
-        counts.append(n - n_stall)
-    return batch.take(~batch.stalled), counts, warnings
+    return tally, warnings
 
 
 # ===================================================================== #
@@ -266,73 +294,64 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     (points[j], rngs[j]) returns.  Each functional maps an exit batch to
     per-path values (e.g. `lambda b: g(b.y)` or `lambda b: b.w`), so a
     point's estimates are built from the same paths.  Boolean values
-    give a binomial estimate of the merged count, any others a mean
-    estimate of the merged moments.  Each point's list is a
+    give a binomial estimate of the summed count, any others a mean
+    estimate of the summed moments.  Each point's list is a
     `PointEstimates`, which also counts the paths that stopped in D's
-    stopping shell, if D has one.
+    stopping shell, if D has one: `b.shelled` is summed as one more
+    functional, but never targeted.
 
     Round k of point j draws from `rngs[j].substream(k)`: n0 paths first,
     then as many as already drawn (bounded by the cap), so the sample
-    count doubles per round.  A point stops once every relative standard
-    error is below `target`, or once `cap` paths have been drawn, in which
-    case its estimates are marked underpowered; `cap = n0` is a fixed-n
-    estimate.  Stalled paths count as drawn but not in the estimates, and
-    every round's stall warnings are attached to each of the point's
-    estimates.
+    count doubles per round.  A cap below n0 raises DomainError before
+    any walk.  A point stops once every relative standard error is below
+    `target`, or once `cap` paths have been drawn, in which case its
+    estimates are marked underpowered; `cap = n0` is a fixed-n estimate.
+    Stalled paths count as drawn but not in the estimates, and every
+    round's stall warnings are attached to each of the point's estimates.
 
-    A round gathers the exits of the points still running in
-    consecutive chunks of at most LOCKSTEP_PATHS paths (a larger point
-    gets a gather of its own), and `gather_exits` walks each chunk in
-    lockstep; draws depend on PART_PATHS, not on LOCKSTEP_PATHS or on
-    which points walk together.  If several points break the stall
-    limit, the first in (round, point) order raises.
+    Each round is one `gather_exits` call for the points still running;
+    draws depend on PART_PATHS, not on which points walk together.  If
+    several points break the stall limit, the first in (round, point)
+    order raises.
     """
+    if cap < n0:
+        raise DomainError(f"path cap {cap} is below the first round's "
+                          f"{n0} paths; increase cap or lower n")
     rngs = list(rngs)
     points = np.asarray(points, dtype=float).reshape(len(rngs), -1)
     m, nf = len(rngs), len(functionals)
-    sums = [[0.0] * nf for _ in range(m)]
-    sumsq = [[0.0] * nf for _ in range(m)]
-    binary = [False] * nf
+    functionals = [*functionals, lambda b: b.shelled]
+    total = Tally.zeros(m, nf + 1)
     warnings = [[] for _ in range(m)]
-    total = [0] * m
-    shell_stops = [0] * m
     results = [None] * m
     running = list(range(m))
     drawn = k = 0
     n = n0
     while running:
-        for c in _lockstep_chunks([n] * len(running)):
-            chunk = running[c]
-            batch, counts, warns = gather_exits(
-                model, D, points[chunk], [n] * len(chunk),
-                [rngs[j].substream(k) for j in chunk], rho)
-            start = 0
-            for j, cnt, warn in zip(chunk, counts, warns):
-                part = batch.take(slice(start, start + cnt))
-                start += cnt
-                warnings[j].extend(warn)
-                for i, f in enumerate(functionals):
-                    v = np.asarray(f(part))
-                    binary[i] = v.dtype == bool
-                    v = v.astype(float)
-                    sums[j][i] += v.sum()
-                    sumsq[j][i] += (v * v).sum()
-                total[j] += cnt
-                shell_stops[j] += int(part.shelled.sum())
+        tally, warns = gather_exits(
+            model, D, points[running], [n] * len(running),
+            [rngs[j].substream(k) for j in running], functionals, rho)
+        total.sums[running] += tally.sums
+        total.sumsq[running] += tally.sumsq
+        for j, cnt, warn in zip(running, tally.counts, warns):
+            total.counts[j] += cnt
+            warnings[j].extend(warn)
         k += 1
         drawn += n
         for j in running:
             estimates = [
-                Estimate.binomial(int(s), total[j], method=method) if b
-                else Estimate.from_moments(s, q, total[j], method=method)
-                for s, q, b in zip(sums[j], sumsq[j], binary)]
+                Estimate.binomial(int(s), total.counts[j], method=method)
+                if b else Estimate.from_moments(s, q, total.counts[j],
+                                                method=method)
+                for s, q, b in zip(total.sums[j, :nf], total.sumsq[j, :nf],
+                                   tally.binary)]
             precise = max(e.rel_stderr for e in estimates) < target
             if precise or drawn >= cap:
                 for e in estimates:
                     e.underpowered = not precise
                     e.warnings.extend(warnings[j])
                 results[j] = PointEstimates(estimates)
-                results[j].shell_stops = shell_stops[j]
+                results[j].shell_stops = int(total.sums[j, nf])
         running = [j for j in running if results[j] is None]
         n = min(drawn, cap - drawn)
     return results

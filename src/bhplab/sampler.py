@@ -297,11 +297,7 @@ class BatchExit:
     w: np.ndarray          # (n,) accumulated expected-time weights
     steps: np.ndarray      # (n,) ball-exit counts
     stalled: np.ndarray    # (n,) bool: hit the step budget before exiting
-    shelled: np.ndarray = None   # (n,) bool: stopped in a stopping shell
-
-    def __post_init__(self):
-        if self.shelled is None:
-            self.shelled = np.zeros(len(self.w), dtype=bool)
+    shelled: np.ndarray    # (n,) bool: stopped in a stopping shell
 
     @property
     def n(self) -> int:
@@ -558,7 +554,8 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
     if len(active):
         stalled[active] = True
         y[active] = x[active]
-    return BatchExit(y=y, w=w, steps=steps, stalled=stalled)
+    return BatchExit(y=y, w=w, steps=steps, stalled=stalled,
+                     shelled=np.zeros(n, dtype=bool))
 
 
 # ===================================================================== #

@@ -353,9 +353,8 @@ def test_bhp_scan_keeps_stall_warnings(monkeypatch):
     gather = exitstats.gather_exits
 
     def stalling_gather(*args, **kwargs):
-        batch, counts, warnings = gather(*args, **kwargs)
-        return batch, counts, [w + ["stall rate 0.2% (stub)"]
-                               for w in warnings]
+        tally, warnings = gather(*args, **kwargs)
+        return tally, [w + ["stall rate 0.2% (stub)"] for w in warnings]
 
     monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
     model = IsotropicStable(1.0, 2)

@@ -181,13 +181,15 @@ SDE_LINE = {
 
 @pytest.fixture
 def no_walks(monkeypatch):
-    """Fail the test if any exit sample is drawn."""
-    from bhplab import exitstats
+    """Fail the test if any exit or survival sample is drawn."""
+    from bhplab import bhp, cli, exitstats
 
     def walk(*args, **kwargs):
         raise AssertionError("an experiment walked before its config failed")
 
     monkeypatch.setattr(exitstats, "gather_exits", walk)
+    monkeypatch.setattr(bhp, "walk_exit_batch_indexed", walk)
+    monkeypatch.setattr(cli, "survival_prob_ball", walk)
 
 
 def _config_error(tmp_path, capsys, command, cfg):
@@ -253,6 +255,8 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("ep-check", {**SDE_LINE, "n_steps": -2}),
     ("box-method", {**HALF_PLANE, "j_max": 0}),
     ("chain-decay", {**HALF_PLANE, "m_max": 0}),
+    ("bhp-scan", {**HALF_PLANE, "cap": 0}),
+    ("factorization", {**HALF_PLANE, "cap": 100}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,7 @@ from bhplab.exitstats import (Estimate, escalate, exit_before_subdomain,
                               gather_exits, harmonic_measure, lemma24_bounds,
                               mean_exit_time, set_distance, split_n)
 from bhplab.rng import RngStream
-from bhplab.sampler import BatchExit, IsotropicStable, sample_exits
+from bhplab.sampler import IsotropicStable, sample_exits
 from bhplab.scale import ScaleFunction
 
 
@@ -99,8 +103,8 @@ def test_estimates_reproducible_bitwise(monkeypatch):
 
 
 def test_fixed_n_walks_stay_within_the_lockstep_budget(monkeypatch):
-    # n is split into parts of at most PART_PATHS paths, so no walk holds
-    # more than LOCKSTEP_PATHS walkers however large n is
+    # n is split into parts of at most PART_PATHS paths, and no walk holds
+    # more than PART_PATHS walkers however large n is
     walks = []
 
     def counting_sample_exits(model, D, x, n, rng, **kwargs):
@@ -112,7 +116,23 @@ def test_fixed_n_walks_stay_within_the_lockstep_budget(monkeypatch):
     est = mean_exit_time(IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.0], n,
                          RngStream(9))
     assert est.n == sum(walks) == n
-    assert max(walks) <= exitstats.LOCKSTEP_PATHS
+    assert max(walks) <= exitstats.PART_PATHS
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB "
+                    "on Linux only")
+def test_mean_exit_time_memory_is_flat_in_n():
+    # each walk's exits are summed as it returns, so a 64x larger round
+    # holds no more paths at once; each n runs in a fresh interpreter
+    run = ("import resource, sys; from bhplab import *; mean_exit_time("
+           "IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.3], "
+           "int(sys.argv[1]), RngStream(1)); "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    kb = [int(subprocess.run([sys.executable, "-c", run, str(n)], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300).stdout) for n in (2 ** 14, 2 ** 20)]
+    assert kb[1] - kb[0] < 16 * 1024
 
 
 # ------------------------------------------------------------------ #
@@ -238,16 +258,16 @@ def test_gather_exits_stall_policy_fails_hard():
     D = Ball([0.0], 1.0)
     with pytest.raises(EstimationError):
         # one step almost never exits with a tiny ball factor
-        gather_exits(model, D, [[0.0]], [200], [RngStream(1)], rho=0.001,
-                     max_steps=1)
+        gather_exits(model, D, [[0.0]], [200], [RngStream(1)],
+                     [lambda b: b.w], rho=0.001, max_steps=1)
 
 
 def test_gather_exits_clean_batch_has_no_stalls():
     model = IsotropicStable(1.0, 1)
-    batch, counts, warnings = gather_exits(model, Ball([0.0], 1.0), [[0.0]],
-                                           [500], [RngStream(2)])
-    assert not batch.stalled.any()
-    assert batch.n == 500 and counts == [500] and warnings == [[]]
+    tally, warnings = gather_exits(model, Ball([0.0], 1.0), [[0.0]], [500],
+                                   [RngStream(2)], [lambda b: b.stalled])
+    assert tally.sums.tolist() == [[0.0]] and tally.binary == [True]
+    assert tally.n == 500 and tally.counts == [500] and warnings == [[]]
 
 
 def test_escalate_reaches_target():
@@ -278,23 +298,18 @@ def test_escalate_marks_underpowered_at_cap():
 
 
 def test_escalate_fixed_n_with_stalls_is_one_round(monkeypatch):
-    # a stub drops k paths of every batch larger than k as if they had
-    # stalled: a fixed-n call (cap = n0 = n) draws once and keeps n - k
+    # a stub walks only n - k of every n > k paths, as if k had stalled:
+    # a fixed-n call (cap = n0 = n) draws once and keeps n - k
     gather = exitstats.gather_exits
     calls = []
 
     def stalling_gather(model, D, points, ns, *args, **kwargs):
         calls.append(list(ns))
-        batch, counts, warnings = gather(model, D, points, ns, *args,
-                                         **kwargs)
         n, = ns
         if n <= k:
-            return batch, counts, warnings
-        keep = slice(0, n - k)
-        return (BatchExit(y=batch.y[keep], w=batch.w[keep],
-                          steps=batch.steps[keep],
-                          stalled=batch.stalled[keep]),
-                [n - k], [warnings[0] + [f"stall rate {k / n:.3%} (stub)"]])
+            return gather(model, D, points, ns, *args, **kwargs)
+        tally, warnings = gather(model, D, points, [n - k], *args, **kwargs)
+        return tally, [warnings[0] + [f"stall rate {k / n:.3%} (stub)"]]
 
     monkeypatch.setattr(exitstats, "gather_exits", stalling_gather)
     n, k = 400, 3
@@ -311,29 +326,32 @@ def test_escalate_fixed_n_with_stalls_is_one_round(monkeypatch):
 
 def test_gather_exits_equals_separate_part_walks(monkeypatch):
     # part i of point j walks on rngs[j].substream(i), exactly as a
-    # sample_exits call of its own; stalled paths are dropped per point
+    # sample_exits call of its own; each part's non-stalled exits are
+    # summed into its point's row in part order
     monkeypatch.setattr(exitstats, "PART_PATHS", 100)
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     points, ns = [[0.5], [-0.2], [0.0]], [301, 20, 150]
+    fs = [lambda b: b.w, lambda b: b.y[:, 0] > 0.0, lambda b: b.steps]
     # a seed at which each point stalls a path or two in 20 steps of
     # half-clearance balls
     rngs = [RngStream(13).substream(j) for j in range(len(points))]
-    batch, counts, warnings = gather_exits(model, D, points, ns, rngs,
-                                           rho=0.5, max_steps=20)
-    parts = [sample_exits(model, D, x, size, rng.substream(i), rho=0.5,
-                          max_steps=20)
-             for x, n, rng in zip(points, ns, rngs)
-             for i, size in enumerate(split_n(n, -(-n // 100)))]
-    assert len(parts) == 4 + 1 + 2
-    full = BatchExit.concat(parts)
-    ref = full.take(~full.stalled)
-    for f in ("y", "w", "steps"):
-        assert np.array_equal(getattr(batch, f), getattr(ref, f)), f
-    ends = np.cumsum(ns)
-    assert counts == [int((~full.stalled[e - n:e]).sum())
-                      for n, e in zip(ns, ends)]
-    assert sum(counts) < sum(ns)
+    tally, warnings = gather_exits(model, D, points, ns, rngs, fs, rho=0.5,
+                                   max_steps=20)
+    sums, sumsq, counts = np.zeros((3, 3)), np.zeros((3, 3)), [0, 0, 0]
+    for j, (x, n, rng) in enumerate(zip(points, ns, rngs)):
+        for i, size in enumerate(split_n(n, -(-n // 100))):
+            part = sample_exits(model, D, x, size, rng.substream(i), rho=0.5,
+                                max_steps=20)
+            kept = part.take(~part.stalled)
+            counts[j] += kept.n
+            v = np.array([f(kept) for f in fs], dtype=float)
+            sums[j] += v.sum(axis=1)
+            sumsq[j] += (v * v).sum(axis=1)
+    assert np.array_equal(tally.sums, sums)
+    assert np.array_equal(tally.sumsq, sumsq)
+    assert tally.counts == counts and tally.n == sum(counts) < sum(ns)
+    assert tally.binary == [False, True, False]
     assert all(len(w) == 1 for w in warnings)   # every point stalled a path
 
 
@@ -355,16 +373,6 @@ def test_escalate_many_points_equals_one_point_calls(monkeypatch):
     assert len({ests[0].n for ests in got}) >= 3
     for p, r, ests in zip(points, rngs, got):
         assert ests == _escalate_points([p], [r])[0]
-
-
-def test_escalate_ignores_the_lockstep_budget(monkeypatch):
-    monkeypatch.setattr(exitstats, "PART_PATHS", 100)
-    points = [[0.6], [0.0], [-0.6], [-0.9]]
-    rngs = [RngStream(6).substream(j) for j in range(len(points))]
-    ref = _escalate_points(points, rngs)
-    for budget in (1, 100, 10 ** 9):
-        monkeypatch.setattr(exitstats, "LOCKSTEP_PATHS", budget)
-        assert _escalate_points(points, rngs) == ref
 
 
 def test_fixed_n_estimators_flag_imprecise_estimates():
