@@ -14,8 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import IntegrationWarning
+from scipy.special import stdtrit
 
 from .domains import SURFACE_TOL, Ball, Domain, Intersection
 from .errors import ConfigError, DomainError, UnderpoweredError
@@ -309,6 +308,8 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     if not (0 < c1 and 0 < c3 and c1 + c3 < c2 < 2.0):
         raise ConfigError("factorization fractions need c1 + c3 < c2 < 2")
     with warnings.catch_warnings(record=True) as caught:
+        # local import: slow to load
+        from scipy.integrate import IntegrationWarning
         warnings.simplefilter("always", IntegrationWarning)
         integral = boundary_integral(model.kernel, xi, g.fn, r_min=c2 * r)
     if not integral > 0:
@@ -486,9 +487,10 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
     pos_mask = np.asarray(survival) > 0
     fit = None
     if pos_mask.sum() >= 3:
+        from scipy import stats  # local import: slow to load
         reg = stats.linregress(m[pos_mask], np.log(np.asarray(survival)[pos_mask]))
         df = int(pos_mask.sum()) - 2
-        tq = float(stats.t.ppf(0.975, df)) if df > 0 else math.inf
+        tq = float(stdtrit(df, 0.975)) if df > 0 else math.inf
         fit = {"log_slope": float(reg.slope),
                "slope_stderr": float(reg.stderr),
                "slope_ci95": (float(reg.slope - tq * reg.stderr),

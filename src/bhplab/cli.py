@@ -109,15 +109,29 @@ def _axis(axis, d: int, what: str) -> int:
     return axis
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    n = int(cfg.get(key, default))
-    if n < 1:
-        raise ConfigError(f"{key} must be at least 1, got {n}")
+def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
+    v = cfg.get(key, default)
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (isinstance(v, float) and n != v):
+        raise ConfigError(f"{key} must be a whole number, got {v!r}")
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}, got {n}")
     return n
 
 
+def _reals(values, key: str) -> list:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers, "
+                          f"got {values!r}") from None
+
+
 def _series(cfg: dict, key: str, default: list) -> list:
-    values = [float(v) for v in cfg.get(key, default)]
+    values = _reals(cfg.get(key, default), key)
     if not values:
         raise ConfigError(f"{key} must not be empty")
     return values
@@ -293,9 +307,9 @@ def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     kappa = float(cfg.get("kappa", 1.0))
     r_series = _series(cfg, "r_series", [0.4, 0.2, 0.1, 0.05])
-    grid_size = int(cfg.get("grid_size", 12))
+    grid_size = _count(cfg, "grid_size", 12)
     n = _count(cfg, "n", 4096)
-    cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
+    cap = _count(cfg, "cap", exitstats.ESCALATION_CAP)
     axis = _axis(cfg.get("split_axis", D.dim - 1), D.dim, "split_axis")
     series = bhp.bhp_scan_series(
         model, D, xi, r_series, kappa,
@@ -331,9 +345,9 @@ def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     c1 = float(cfg.get("c1", 0.5))
     c2 = float(cfg.get("c2", 1.5))
     c3 = float(cfg.get("c3", 2.0 / 3.0))
-    grid_size = int(cfg.get("grid_size", 8))
+    grid_size = _count(cfg, "grid_size", 8)
     n = _count(cfg, "n", 4096)
-    cap = int(cfg.get("cap", exitstats.ESCALATION_CAP))
+    cap = _count(cfg, "cap", exitstats.ESCALATION_CAP)
     axis = _axis(cfg.get("split_axis", 0), D.dim, "split_axis")
     radii = _series(cfg, "r_series", [cfg.get("r", 0.5)])
     reports = []
@@ -361,7 +375,7 @@ def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
     xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
     r = float(cfg.get("r", 1.0))
     diag = bhp.box_diagnostics(model, D, xi, r, _count(cfg, "j_max", 6),
-                               int(cfg.get("grid_size", 24)),
+                               _count(cfg, "grid_size", 24),
                                _count(cfg, "n", 8192), rng)
     lam = [lay["lambda_j"] for lay in diag.layers]
     finite = [v for v in lam if np.isfinite(v)]
@@ -465,10 +479,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         overrides = {"seed": args.seed, "out": args.out, "n": args.n}
         if args.r_series:
-            overrides["r_series"] = [float(v)
-                                     for v in args.r_series.split(",")]
+            overrides["r_series"] = _reals(args.r_series.split(","),
+                                           "--r-series")
         cfg = resolve(cfg, overrides)
-        cfg["seed"] = int(cfg.get("seed", 0))
+        cfg["seed"] = _count(cfg, "seed", 0, least=0)
         path = RUNNERS[args.command](cfg, RngStream(cfg["seed"]),
                                      cfg.get("out") or ".")
     except (ConfigError, DomainError, CapabilityError) as exc:

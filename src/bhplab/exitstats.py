@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .domains import Ball, Domain
 from .errors import DomainError, EstimationError
@@ -90,7 +90,7 @@ class Estimate:
                        method=method)
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         se = float(np.sqrt(var / n))
-        tq = float(stats.t.ppf(0.975, n - 1))
+        tq = float(stdtrit(n - 1, 0.975))
         return cls(value=mean, stderr=se, n=n,
                    ci95=(mean - tq * se, mean + tq * se), method=method)
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .rng import RngStream
@@ -232,6 +231,8 @@ def _outward_integral(J: JumpKernelSpec, ang, r: float,
     integral converges, so it is no evidence.  Raises DivergenceError at
     the scale table's edge or after _SEG_DECADES_CAP decades.
     """
+    from scipy import integrate  # local import: slow to load
+
     d = J.dim
     omega = sphere_area(d)
 
@@ -293,6 +294,8 @@ def ball_mass(J: JumpKernelSpec, x, center, s: float,
         raise DomainError("ball_mass requires x outside B(center, s)")
     d = J.dim
     if d == 1:
+        from scipy import integrate  # local import: slow to load
+
         lo, hi = center[0] - s, center[0] + s
 
         def f(t):

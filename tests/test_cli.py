@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,7 +196,7 @@ def no_walks(monkeypatch):
 
 
 def _config_error(tmp_path, capsys, command, cfg):
-    rc = main([command, "--config", _write(tmp_path, "c.json", cfg),
+    rc = main([*command.split(), "--config", _write(tmp_path, "c.json", cfg),
                "--out", str(tmp_path)])
     err = capsys.readouterr().err
     return rc == EXIT_CONFIG and err.startswith("config error: ")
@@ -257,6 +260,19 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("chain-decay", {**HALF_PLANE, "m_max": 0}),
     ("bhp-scan", {**HALF_PLANE, "cap": 0}),
     ("factorization", {**HALF_PLANE, "cap": 100}),
+    ("exit-stats", {**UNIT_INTERVAL, "n": "abc"}),
+    ("exit-stats", {**UNIT_INTERVAL, "n": 2.7}),
+    ("exit-stats", {**UNIT_INTERVAL, "seed": "x"}),
+    ("exit-stats", {**UNIT_INTERVAL, "seed": 1.5}),
+    ("exit-stats", {**UNIT_INTERVAL, "seed": -1}),
+    ("ep-check", {**SDE_LINE, "r_list": [1.0, "abc"]}),
+    ("ep-check", {**SDE_LINE, "t_factors": 0.01}),
+    ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, "abc"]}),
+    ("bhp-scan --r-series 0.4,abc", HALF_PLANE),
+    ("bhp-scan", {**HALF_PLANE, "cap": "abc"}),
+    ("factorization", {**HALF_PLANE, "cap": 4096.5}),
+    ("bhp-scan", {**HALF_PLANE, "grid_size": "abc"}),
+    ("box-method", {**HALF_PLANE, "grid_size": 2.5}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
@@ -428,3 +444,29 @@ def test_default_walk_exits_the_largest_ball(tmp_path):
     assert met["value"] == pytest.approx(mean_exit_constant(1, 1.0),
                                          rel=1e-12)
     assert met["stderr"] < 1e-8
+
+
+# ------------------------------------------------------------------ #
+# cold start
+# ------------------------------------------------------------------ #
+
+def test_experiments_load_neither_scipy_stats_nor_integrate(tmp_path):
+    # scipy.stats and scipy.integrate take longer to import than a small
+    # experiment takes to run, so only the code that calls them imports
+    # them; pytest has loaded scipy.integrate already, hence the fresh
+    # interpreter
+    run = ("import json, sys; import bhplab.cli as cli\n"
+           "for command, cfg in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+           "    assert cli.main([command, '--config', cfg,\n"
+           "                     '--out', sys.argv[1]]) == cli.EXIT_OK\n"
+           "print(json.dumps(sorted({'scipy.stats', 'scipy.integrate'}\n"
+           "                        & set(sys.modules))))")
+    argv = [str(tmp_path)]
+    for command, cfg in (("exit-stats", UNIT_INTERVAL),
+                         ("bhp-scan", HALF_PLANE), ("ep-check", SDE_LINE)):
+        argv += [command, _write(tmp_path, f"{command}.cfg.json", cfg)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", run, *argv], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    assert json.loads(out.splitlines()[-1]) == []

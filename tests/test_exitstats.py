@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from conftest import ball_exit_prob_interval
 
@@ -52,6 +53,16 @@ def test_from_samples_matches_t_interval():
     lo, hi = e.ci95
     assert lo < 2.5 < hi
     assert e.n == 4
+
+
+def test_t_quantile_equals_scipy_stats_bitwise():
+    # from_moments and chain_decay take the t quantile from
+    # special.stdtrit so that importing bhplab does not load scipy.stats;
+    # reports stay byte-identical only while the two agree exactly
+    log_grid = np.unique(np.geomspace(5000, 3e7, 1000).astype(int))
+    for df in [*range(1, 5001), *log_grid.tolist()]:
+        assert float(special.stdtrit(df, 0.975)) == \
+            float(stats.t.ppf(0.975, df)), df
 
 
 def test_single_sample_estimate_degenerates():
