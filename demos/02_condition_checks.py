@@ -17,7 +17,7 @@ J = isotropic_stable_kernel(1, 1.0)
 rep = check_jt(J, J.scale, np.logspace(-2, 1, 13), rng=rng.substream(0))
 print(f"power kernel tail check:    {rep.verdict}  "
       f"C4={rep.constants['C4']:.6f}  C5={rep.constants['C5']:.6f}")
-print(f"tail_mass(r=1) * 1 =        {tail_mass(J, [0.0], 1.0).value:.6f}"
+print(f"tail_mass(r=1) * 1 =        {tail_mass(J, [0.0], 1.0):.6f}"
       "  (exact 2)")
 
 T = tempered_stable_kernel(1, 1.0, lam=1.0, beta_t=1.0)

@@ -3,8 +3,10 @@
 Each subcommand loads a JSON config, runs one experiment kind, and
 writes a JSON report (plus optional CSV) into the output directory.
 Reports are deterministic for a fixed (config, seed) pair: the
-timestamp is the only nondeterministic field.  Config keys a command
-does not read are ignored.
+timestamp is the only nondeterministic field.  Every key a command reads
+is read through `config` before its first walk, so a malformed value
+exits 1 as a configuration error; config keys a command does not read
+are still ignored.
 
 Exit codes: 0 completed (a "violated" verdict is data, not failure),
 1 configuration error, 2 runtime/stall error, 3 underpowered,
@@ -25,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bhp, exitstats, kernel as kernelmod
-from .config import (build_domain, build_kernel, build_model, load_config,
-                     resolve)
+from .config import (build_domain, build_kernel, build_model, count, flag,
+                     load_config, objects, pairs, real, reals)
 from .errors import (BhpLabError, CapabilityError, ConfigError,
                      DivergenceError, DomainError, EstimationError,
                      SamplerStallError, UnderpoweredError)
@@ -95,46 +97,15 @@ def write_report(out_dir: str, kind: str, config: dict, results,
     return str(path)
 
 
-def _value(spec: dict, what: str) -> float:
-    try:
-        return float(spec["value"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"{what} {spec!r} needs a numeric 'value'") from None
-
-
-def _axis(axis, d: int, what: str) -> int:
-    axis = int(axis)
-    if not 0 <= axis < d:
-        raise ConfigError(f"{what} {axis} lies outside [0, {d})")
+def _axis(spec: dict, key: str, default: int, d: int) -> int:
+    axis = count(spec, key, default, least=0)
+    if axis >= d:
+        raise ConfigError(f"{key} {axis} lies outside [0, {d})")
     return axis
 
 
-def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
-    v = cfg.get(key, default)
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or (isinstance(v, float) and n != v):
-        raise ConfigError(f"{key} must be a whole number, got {v!r}")
-    if n < least:
-        raise ConfigError(f"{key} must be at least {least}, got {n}")
-    return n
-
-
-def _reals(values, key: str) -> list:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of numbers, "
-                          f"got {values!r}") from None
-
-
-def _series(cfg: dict, key: str, default: list) -> list:
-    values = _reals(cfg.get(key, default), key)
-    if not values:
-        raise ConfigError(f"{key} must not be empty")
-    return values
+def _point(cfg: dict, key: str, default: list, d: int) -> np.ndarray:
+    return np.array(reals(cfg, key, default, d))
 
 
 def _predicate(spec: dict, d: int):
@@ -143,17 +114,14 @@ def _predicate(spec: dict, d: int):
     if kind == "complement":
         return lambda y: np.ones(len(np.atleast_2d(y)), dtype=bool)
     if kind in ("norm-gt", "norm-le"):
-        c = np.asarray(spec.get("center", [0.0] * d), dtype=float)
-        if c.shape != (d,):
-            raise ConfigError(f"target center {c.tolist()} needs {d} "
-                              f"coordinates")
+        c = _point(spec, "center", [0.0] * d, d)
         stat = lambda y: np.linalg.norm(np.atleast_2d(y) - c, axis=1)
     elif kind in ("coordinate-gt", "coordinate-lt"):
-        axis = _axis(spec.get("axis", 0), d, "target axis")
+        axis = _axis(spec, "axis", 0, d)
         stat = lambda y: np.atleast_2d(y)[:, axis]
     else:
         raise ConfigError(f"unknown target kind {kind!r}")
-    v = _value(spec, "target")
+    v = real(spec, "value")
     if kind.endswith("-gt"):
         return lambda y: stat(y) > v
     if kind == "norm-le":
@@ -166,38 +134,37 @@ def _predicate(spec: dict, d: int):
 # ===================================================================== #
 
 def run_check_kernel(cfg: dict, rng: RngStream, out: str) -> str:
-    J = build_kernel(cfg["kernel"])
-    jt_grid = np.asarray(cfg.get("jt_grid", np.logspace(-2, 1, 13).tolist()))
-    phi_grid = np.asarray(cfg.get("phi_grid",
-                                  np.logspace(-3, 2, 26).tolist()))
+    J = build_kernel(cfg.get("kernel"))
+    jt_grid = reals(cfg, "jt_grid", np.logspace(-2, 1, 13).tolist())
+    phi_grid = reals(cfg, "phi_grid", np.logspace(-3, 2, 26).tolist())
+    check_reverse = flag(cfg, "check_reverse_doubling", True)
+    expect = cfg.get("expect", {})
+    tol = real(expect, "tol", 1e-6)
+    refs = {key: real(expect, key) for key in ("c4", "c5") if key in expect}
+
     results = {}
     try:
-        results["jt"] = kernelmod.check_jt(J, J.scale, jt_grid, rng=rng)
+        results["jt"] = kernelmod.check_jt(J, J.scale, np.array(jt_grid),
+                                           rng=rng)
     except DivergenceError as exc:
         results["jt"] = kernelmod.ConditionReport(
             condition="(Jt)", verdict=kernelmod.VIOLATED,
             notes=f"tail integral diverged: {exc}")
-    results["phi"] = kernelmod.check_phi(
-        J.scale, phi_grid,
-        check_reverse=cfg.get("check_reverse_doubling", True))
+    results["phi"] = kernelmod.check_phi(J.scale, np.array(phi_grid),
+                                         check_reverse=check_reverse)
     tails = {}
     for r in jt_grid:
         try:
-            tails[f"{float(r):g}"] = kernelmod.tail_mass(J, np.zeros(J.dim),
-                                                         float(r)).value
+            tails[f"{r:g}"] = kernelmod.tail_mass(J, np.zeros(J.dim), r)
         except DivergenceError:
-            tails[f"{float(r):g}"] = None
+            tails[f"{r:g}"] = None
     results["tail_mass"] = tails
 
     checks = []
-    expect = cfg.get("expect", {})
     jt = results["jt"]
-    tol = expect.get("tol", 1e-6)
-    for key in ("c4", "c5"):
-        if key in expect:
-            got = jt.constants.get(key.upper(), float("nan"))
-            checks.append(check(f"jt-{key}", got - expect[key], tol,
-                                "abs<="))
+    for key, ref in refs.items():
+        got = jt.constants.get(key.upper(), float("nan"))
+        checks.append(check(f"jt-{key}", got - ref, tol, "abs<="))
     if "jt_verdict" in expect:
         checks.append(check("jt-verdict", jt.verdict, expect["jt_verdict"],
                             "=="))
@@ -209,20 +176,21 @@ def run_check_kernel(cfg: dict, rng: RngStream, out: str) -> str:
 
 
 def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
-    D = build_domain(cfg["domain"])
-    x = np.asarray(cfg.get("x", [0.0] * D.dim), dtype=float)
-    n = _count(cfg, "n", 100_000)
-    rho = float(cfg.get("rho", BALL_FACTOR))
-    tspecs = cfg.get("targets", [])
+    model = build_model(cfg.get("model"))
+    D = build_domain(cfg.get("domain"))
+    x = _point(cfg, "x", [0.0] * D.dim, D.dim)
+    n = count(cfg, "n", 100_000)
+    rho = real(cfg, "rho", BALL_FACTOR)
+    tspecs = objects(cfg, "targets", [])
     predicates = [_predicate(t, D.dim) for t in tspecs]
     names = [t.get("name", f"target{i}") for i, t in enumerate(tspecs)]
-    expect = cfg.get("expect", [])
-    refs = [_value(exp, "expect entry") for exp in expect]
+    expect = objects(cfg, "expect", [])
     for exp in expect:
         if exp.get("target") not in ["mean_exit_time", *names]:
             raise ConfigError(f"expect entry {exp!r} names none of the "
                               f"targets {['mean_exit_time', *names]}")
+    bounds = [(real(exp, "value"), real(exp, "sigmas", 3.0),
+               real(exp, "tol", 0.0)) for exp in expect]
 
     met = exitstats.mean_exit_time(model, D, x, n, rng.substream(0), rho=rho)
     targets = {name: exitstats.harmonic_measure(model, D, x, pred, n,
@@ -232,31 +200,34 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
 
     checks = []
     ests = {**targets, "mean_exit_time": met}
-    for exp, ref in zip(expect, refs):
+    for exp, (ref, sig, tol) in zip(expect, bounds):
         est = ests[exp["target"]]
-        sig = float(exp.get("sigmas", 3.0))
-        tol = sig * est.stderr + float(exp.get("tol", 0.0))
         checks.append(check(f"exit-stats:{exp['target']}", est.value - ref,
-                            tol, "abs<="))
+                            sig * est.stderr + tol, "abs<="))
     return write_report(out, "exit-stats", cfg, results, checks)
 
 
 def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
+    model = build_model(cfg.get("model"))
     phi = model.kernel.scale
-    r_list = _series(cfg, "r_list", [0.25, 1.0, 4.0])
-    t_factors = _series(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
-    n = _count(cfg, "n", 20_000)
-    n_steps = _count(cfg, "n_steps", 64)
-    fallback = bool(cfg.get("sde_fallback", False))
-    x0 = np.zeros(model.dim)
+    r_list = reals(cfg, "r_list", [0.25, 1.0, 4.0])
+    t_factors = reals(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+    n = count(cfg, "n", 20_000)
+    n_steps = count(cfg, "n_steps", 64)
+    max_chat = real(cfg, "max_chat") if "max_chat" in cfg else None
+    scaling_pairs = None
+    if flag(cfg, "scaling_check", True):
+        # by scaling, P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1))
+        default_pair = [[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]
+        scaling_pairs = pairs(cfg, "scaling_pairs", [default_pair])
+    x0 = np.zeros(model.kernel.dim)
     rows = []
     k = 0
     for r in r_list:
         for f in t_factors:
             t = f * float(phi(r))
             est = survival_prob_ball(model, x0, r, t, n, rng.substream(k),
-                                     n_steps=n_steps, sde_fallback=fallback)
+                                     n_steps=n_steps)
             k += 1
             rows.append({"r": r, "t": t, "p": est.value,
                          "stderr": est.stderr, "n": est.n,
@@ -264,28 +235,25 @@ def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     c_max = max(row["c_hat"] for row in rows)
     results = {"table": rows, "c_max": c_max}
 
-    if cfg.get("scaling_check", True):
-        # by scaling, P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1))
-        default_pair = [[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]
-        pairs = []
-        for (r1, t1), (r2, t2) in cfg.get("scaling_pairs", [default_pair]):
+    if scaling_pairs is not None:
+        collapse = []
+        for (r1, t1), (r2, t2) in scaling_pairs:
             e1 = survival_prob_ball(model, x0, r1, t1, n, rng.substream(k),
-                                    n_steps=n_steps, sde_fallback=fallback)
+                                    n_steps=n_steps)
             e2 = survival_prob_ball(model, x0, r2, t2, n,
-                                    rng.substream(k + 1),
-                                    n_steps=n_steps, sde_fallback=fallback)
+                                    rng.substream(k + 1), n_steps=n_steps)
             k += 2
             joint = float(np.hypot(e1.stderr, e2.stderr))
-            pairs.append({"p1": e1.value, "p2": e2.value,
-                          "diff": e1.value - e2.value,
-                          "joint_stderr": joint,
-                          "within_3se": abs(e1.value - e2.value)
-                          <= 3 * joint + 1e-12})
-        results["scaling_pairs"] = pairs
+            collapse.append({"p1": e1.value, "p2": e2.value,
+                             "diff": e1.value - e2.value,
+                             "joint_stderr": joint,
+                             "within_3se": abs(e1.value - e2.value)
+                             <= 3 * joint + 1e-12})
+        results["scaling_pairs"] = collapse
 
     checks = []
-    if "max_chat" in cfg:
-        checks.append(check("ep-c-bound", c_max, float(cfg["max_chat"]), "<"))
+    if max_chat is not None:
+        checks.append(check("ep-c-bound", c_max, max_chat, "<"))
     for i, pair in enumerate(results.get("scaling_pairs", [])):
         checks.append(check(f"ep-scaling-{i}", pair["diff"],
                             3 * pair["joint_stderr"] + 1e-12, "abs<="))
@@ -302,15 +270,16 @@ def _half_plane_pair(xi, r: float, axis: int):
 
 
 def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
-    D = build_domain(cfg["domain"])
-    xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
-    kappa = float(cfg.get("kappa", 1.0))
-    r_series = _series(cfg, "r_series", [0.4, 0.2, 0.1, 0.05])
-    grid_size = _count(cfg, "grid_size", 12)
-    n = _count(cfg, "n", 4096)
-    cap = _count(cfg, "cap", exitstats.ESCALATION_CAP)
-    axis = _axis(cfg.get("split_axis", D.dim - 1), D.dim, "split_axis")
+    model = build_model(cfg.get("model"))
+    D = build_domain(cfg.get("domain"))
+    xi = _point(cfg, "xi", [0.0] * D.dim, D.dim)
+    kappa = real(cfg, "kappa", 1.0)
+    r_series = reals(cfg, "r_series", [0.4, 0.2, 0.1, 0.05])
+    grid_size = count(cfg, "grid_size", 12)
+    n = count(cfg, "n", 4096)
+    cap = count(cfg, "cap", exitstats.ESCALATION_CAP)
+    axis = _axis(cfg, "split_axis", D.dim - 1, D.dim)
+    max_spread = real(cfg, "max_spread", 2.0)
     series = bhp.bhp_scan_series(
         model, D, xi, r_series, kappa,
         lambda r: _half_plane_pair(xi, r, axis), grid_size, n, rng, cap=cap)
@@ -330,7 +299,7 @@ def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
                                  rep.ratio[i, j]])
 
     checks = [check("bhp-series-spread", series["series_spread"],
-                    float(cfg.get("max_spread", 2.0)), "<")]
+                    max_spread, "<")]
     results = {"r_series": series["r_series"],
                "c_hat_series": series["c_hat_series"],
                "series_spread": series["series_spread"],
@@ -339,17 +308,19 @@ def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
 
 
 def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
-    D = build_domain(cfg["domain"])
-    xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
-    c1 = float(cfg.get("c1", 0.5))
-    c2 = float(cfg.get("c2", 1.5))
-    c3 = float(cfg.get("c3", 2.0 / 3.0))
-    grid_size = _count(cfg, "grid_size", 8)
-    n = _count(cfg, "n", 4096)
-    cap = _count(cfg, "cap", exitstats.ESCALATION_CAP)
-    axis = _axis(cfg.get("split_axis", 0), D.dim, "split_axis")
-    radii = _series(cfg, "r_series", [cfg.get("r", 0.5)])
+    model = build_model(cfg.get("model"))
+    D = build_domain(cfg.get("domain"))
+    xi = _point(cfg, "xi", [0.0] * D.dim, D.dim)
+    c1 = real(cfg, "c1", 0.5)
+    c2 = real(cfg, "c2", 1.5)
+    c3 = real(cfg, "c3", 2.0 / 3.0)
+    grid_size = count(cfg, "grid_size", 8)
+    n = count(cfg, "n", 4096)
+    cap = count(cfg, "cap", exitstats.ESCALATION_CAP)
+    axis = _axis(cfg, "split_axis", 0, D.dim)
+    radii = reals(cfg, "r_series", [cfg.get("r", 0.5)])
+    max_band = real(cfg, "max_band", 10.0)
+    max_band_change = real(cfg, "max_band_change", 0.5)
     reports = []
     for k, r in enumerate(radii):
         g = bhp.far_field_indicator(xi, 2.0 * r,
@@ -360,23 +331,23 @@ def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     checks = []
     for rep, r in zip(reports, radii):
         checks.append(check(f"factorization-band-r{r:g}", rep["band_ratio"],
-                            float(cfg.get("max_band", 10.0)), "<"))
+                            max_band, "<"))
     if len(reports) >= 2:
         change = abs(reports[1]["band_ratio"] / reports[0]["band_ratio"] - 1)
         checks.append(check("factorization-band-stability", change,
-                            float(cfg.get("max_band_change", 0.5)), "<"))
+                            max_band_change, "<"))
     results = {"radii": radii, "reports": reports}
     return write_report(out, "factorization", cfg, results, checks)
 
 
 def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
-    D = build_domain(cfg["domain"])
-    xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
-    r = float(cfg.get("r", 1.0))
-    diag = bhp.box_diagnostics(model, D, xi, r, _count(cfg, "j_max", 6),
-                               _count(cfg, "grid_size", 24),
-                               _count(cfg, "n", 8192), rng)
+    model = build_model(cfg.get("model"))
+    D = build_domain(cfg.get("domain"))
+    xi = _point(cfg, "xi", [0.0] * D.dim, D.dim)
+    r = real(cfg, "r", 1.0)
+    diag = bhp.box_diagnostics(model, D, xi, r, count(cfg, "j_max", 6),
+                               count(cfg, "grid_size", 24),
+                               count(cfg, "n", 8192), rng)
     lam = [lay["lambda_j"] for lay in diag.layers]
     finite = [v for v in lam if np.isfinite(v)]
     checks = []
@@ -386,13 +357,13 @@ def run_box_method(cfg: dict, rng: RngStream, out: str) -> str:
 
 
 def run_chain_decay(cfg: dict, rng: RngStream, out: str) -> str:
-    model = build_model(cfg["model"])
-    D = build_domain(cfg["domain"])
-    xi = np.asarray(cfg.get("xi", [0.0] * D.dim), dtype=float)
-    r = float(cfg.get("r", 0.5))
-    x = np.asarray(cfg.get("x", (xi + r / 2).tolist()), dtype=float)
-    table = bhp.chain_decay(model, D, xi, r, x, _count(cfg, "n", 20_000),
-                            rng, m_max=_count(cfg, "m_max", 8))
+    model = build_model(cfg.get("model"))
+    D = build_domain(cfg.get("domain"))
+    xi = _point(cfg, "xi", [0.0] * D.dim, D.dim)
+    r = real(cfg, "r", 0.5)
+    x = _point(cfg, "x", (xi + r / 2).tolist(), D.dim)
+    table = bhp.chain_decay(model, D, xi, r, x, count(cfg, "n", 20_000),
+                            rng, m_max=count(cfg, "m_max", 8))
     checks = []
     if table["fit"] is not None:
         checks.append(check("chain-decay-rate", table["fit"]["rate_upper95"],
@@ -420,7 +391,6 @@ def summarize(paths) -> int:
         print("usage: bhp-lab summarize REPORT.json [REPORT.json ...]",
               file=sys.stderr)
         return EXIT_CONFIG
-    any_fail = False
     rows = []
     for p in paths:
         try:
@@ -429,11 +399,15 @@ def summarize(paths) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read report {p}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        for c in rep.get("checks", []):
-            rows.append((rep.get("kind", "?"), c["name"], c.get("value"),
-                         c.get("op"), c.get("threshold"), c["status"]))
-            if c["status"] == "fail":
-                any_fail = True
+        try:
+            rows += [(rep.get("kind", "?"), c["name"], c.get("value"),
+                      c.get("op"), c.get("threshold"), c["status"])
+                     for c in rep.get("checks", [])]
+        except (AttributeError, KeyError, TypeError):
+            print(f"error: cannot read report {p}: not a report whose checks "
+                  f"each carry a name and a status", file=sys.stderr)
+            return EXIT_CONFIG
+    any_fail = any(row[5] == "fail" for row in rows)
     header = ("kind", "check", "value", "op", "threshold", "status")
     widths = [max(len(str(r[i])) for r in rows + [header])
               for i in range(6)] if rows else [len(h) for h in header]
@@ -479,10 +453,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         overrides = {"seed": args.seed, "out": args.out, "n": args.n}
         if args.r_series:
-            overrides["r_series"] = _reals(args.r_series.split(","),
-                                           "--r-series")
-        cfg = resolve(cfg, overrides)
-        cfg["seed"] = _count(cfg, "seed", 0, least=0)
+            overrides["r_series"] = reals(
+                {"--r-series": args.r_series.split(",")}, "--r-series")
+        cfg.update((k, v) for k, v in overrides.items() if v is not None)
+        cfg["seed"] = count(cfg, "seed", 0, least=0)
+        if cfg["seed"] >= 2 ** 64:
+            raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")
         path = RUNNERS[args.command](cfg, RngStream(cfg["seed"]),
                                      cfg.get("out") or ".")
     except (ConfigError, DomainError, CapabilityError) as exc:

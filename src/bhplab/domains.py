@@ -15,7 +15,7 @@ Every domain is an immutable value object exposing
   a stopping shell at D's own boundary for the walk on balls.
 
 Membership is resolved conservatively for openness: any point within
-1e-12 of a descriptor surface is classified as *outside*.  Clearances
+1e-12 of the boundary is classified as *outside*.  Clearances
 are exact for the primitive shapes and conservative (a min or max over
 components) for composites -- the samplers only ever need a positive
 lower bound.
@@ -404,34 +404,3 @@ class Union(Domain):
             c = np.maximum(c, d._clearance(pts))
         return c
 
-
-# ===================================================================== #
-# catalog
-# ===================================================================== #
-
-def from_descriptor(desc: dict) -> Domain:
-    """Build a domain from a JSON-style descriptor {"type": ..., params}."""
-    if not isinstance(desc, dict) or "type" not in desc:
-        raise ConfigError("domain descriptor must be a dict with a 'type' key")
-    t = desc["type"].lower().replace("_", "-")
-    try:
-        if t == "ball":
-            return Ball(np.asarray(desc.get("center", [0.0])), desc.get("radius", 1.0))
-        if t in ("halfspace", "half-space"):
-            return HalfSpace(np.asarray(desc["normal"]), desc.get("offset", 0.0))
-        if t in ("slitplane", "slit-plane"):
-            return SlitPlane()
-        if t == "cone":
-            return Cone(np.asarray(desc["vertex"]), np.asarray(desc["axis"]),
-                        desc["half_angle"])
-        if t in ("boxminuscomb", "box-minus-comb", "comb"):
-            return box_minus_comb(desc.get("teeth", 4), desc.get("gap", 0.25))
-        if t in ("segmentcomplement", "segment-complement"):
-            return SegmentComplement(tuple((s[0], s[1]) for s in desc["segments"]))
-        if t == "intersection":
-            return Intersection([from_descriptor(d) for d in desc["components"]])
-        if t == "union":
-            return Union([from_descriptor(d) for d in desc["components"]])
-    except KeyError as exc:
-        raise ConfigError(f"domain descriptor missing field {exc}") from exc
-    raise ConfigError(f"unknown domain type {desc['type']!r}")

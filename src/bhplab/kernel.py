@@ -189,17 +189,6 @@ class ConditionReport:
 # tail mass
 # ===================================================================== #
 
-@dataclass(frozen=True)
-class TailMass:
-    """Value of J(x, B(x,r)^c) with the declared quadrature tolerance."""
-
-    value: float
-    rel_tol: float = QUAD_REL_TOL
-
-    def __float__(self):
-        return self.value
-
-
 def _angular_mean(J: JumpKernelSpec, x: np.ndarray, nodes, g=None):
     """s -> mean over the direction nodes u of g(x + s u) * kappa(x, s u).
 
@@ -268,8 +257,8 @@ def _outward_integral(J: JumpKernelSpec, ang, r: float,
         f"decades (accumulated {total:g})")
 
 
-def tail_mass(J: JumpKernelSpec, x, r: float) -> TailMass:
-    """J(x, B(x, r)^c) by the outward radial quadrature.
+def tail_mass(J: JumpKernelSpec, x, r: float) -> float:
+    """J(x, B(x, r)^c) by the outward radial quadrature, to QUAD_REL_TOL.
 
     Raises DivergenceError if the tail integral does not converge before
     the scale function's table ends or within the decade cap.
@@ -278,7 +267,7 @@ def tail_mass(J: JumpKernelSpec, x, r: float) -> TailMass:
         raise DomainError("tail_mass needs r > 0")
     x = np.asarray(x, dtype=float)
     ang = _angular_mean(J, x, angular_nodes(J.dim))
-    return TailMass(_outward_integral(J, ang, r))
+    return _outward_integral(J, ang, r)
 
 
 def ball_mass(J: JumpKernelSpec, x, center, s: float,
@@ -337,7 +326,7 @@ def check_jt(J: JumpKernelSpec, phi: ScaleFunction, r_grid,
     m = np.empty((len(xs), len(r_grid)))
     for i, x in enumerate(xs):
         for k, r in enumerate(r_grid):
-            m[i, k] = tail_mass(J, x, r).value * float(phi(r))
+            m[i, k] = tail_mass(J, x, r) * float(phi(r))
     c4 = float(m.min())
     c5 = float(m.max())
     i_min = np.unravel_index(np.argmin(m), m.shape)
@@ -443,7 +432,7 @@ def check_jc2(J: JumpKernelSpec, configs, c3: float,
             raise DomainError(
                 f"config {i}: need |x-y| > s + C3*r ({sep:g} <= {s + c3 * r:g})")
         lhs = ball_mass(J, x, y, s, rng=(rng.substream(i) if rng else None))
-        rhs = tail_mass(J, x, r).value
+        rhs = tail_mass(J, x, r)
         ratio = lhs / rhs
         rows.append({"r": r, "s": s, "x": x, "y": y,
                      "lhs": lhs, "rhs": rhs, "ratio": ratio})

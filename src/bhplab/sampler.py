@@ -446,7 +446,7 @@ def _build_chain_tables(model: StableLikeChain) -> _ChainTables:
     # aggregated far jump: exact tail mass beyond the cutoff
     unit = JumpKernelSpec(dim=ks.dim, scale=ks.scale, kappa=kappa,
                           kappa_lo=kappa, kappa_hi=kappa, temper=ks.temper)
-    far_rate = tail_mass(unit, np.zeros(ks.dim), model.r_cut).value
+    far_rate = tail_mass(unit, np.zeros(ks.dim), model.r_cut)
     total = float(rates.sum()) + far_rate
     if total <= 0:
         raise ConfigError("chain has zero total jump rate")
@@ -709,14 +709,13 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
 
 
 def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
-                       rng: RngStream, n_steps: int = 64,
-                       sde_fallback: bool = False):
+                       rng: RngStream, n_steps: int = 64):
     """Estimate of P_x(tau_{B(x,r)} < t) with binomial uncertainty.
 
     Time marginals exist for the chain, SDE, and subordinated models.
-    The exact-exit-law model carries no clock; with `sde_fallback` it is
-    simulated through the identity-coefficient Euler scheme (exact
-    increments, discrete monitoring at n_steps times).
+    The exact-exit-law model carries no clock; SdeStable(alpha, dim), the
+    identity-coefficient Euler scheme (exact increments, discrete
+    monitoring at n_steps times), runs the same process with one.
     """
     from .exitstats import Estimate  # local import: exitstats builds on sampler
 
@@ -724,13 +723,6 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
         raise DomainError("survival_prob_ball needs r > 0, t > 0, n >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = rng.generator()
-
-    if isinstance(model, IsotropicStable):
-        if not sde_fallback:
-            raise CapabilityError(
-                "the exact-exit-law model has no time marginal; enable the "
-                "identity-coefficient SDE fallback to estimate survival")
-        model = SdeStable(alpha=model.alpha, dim=model.dim)
 
     if isinstance(model, (SdeStable, GeometricStable)):
         exited = _paths_exit_indicator(model, x, r, t, n, n_steps, g)
@@ -745,7 +737,9 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
         exited = ~np.asarray(Ball(x, r).contains(batch.y))
     else:
         raise CapabilityError(
-            f"{type(model).__name__} provides no time marginal")
+            f"{type(model).__name__} provides no time marginal; the "
+            f"sde-stable model, SdeStable(alpha, dim), runs the isotropic "
+            f"stable process with one")
 
     return Estimate.binomial(int(exited.sum()), n,
                              method="mc-binomial-survival")

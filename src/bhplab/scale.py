@@ -36,9 +36,6 @@ class ScaleFunction:
             small = 1.0 / (1.0 - np.log(np.clip(r, 1e-300, 1.0)))
             out = np.where(r < 1.0, small, r ** alpha)
             return np.where(r == 0.0, 0.0, out)
-        if self.form == "tempered-power":
-            # the temper acts on the kernel, not on phi itself
-            return r ** self.params["alpha"]
         if self.form == "tabulated":
             return self._interp(r)
         raise DomainError(f"unknown scale function form {self.form!r}")
@@ -71,14 +68,6 @@ class ScaleFunction:
         if not 0 < alpha <= 2:
             raise DomainError("geometric stable scale needs alpha in (0, 2]")
         return ScaleFunction("geostable", {"alpha": alpha})
-
-    @staticmethod
-    def tempered_power(alpha: float, lam: float, beta_t: float) -> "ScaleFunction":
-        """Power scale bundled with (lam, beta_t) for the kernel temper factor."""
-        if not (alpha > 0 and lam > 0 and 0 < beta_t <= 1):
-            raise DomainError("tempered power needs alpha>0, lam>0, beta_t in (0,1]")
-        return ScaleFunction("tempered-power",
-                             {"alpha": alpha, "lam": lam, "beta_t": beta_t})
 
     @staticmethod
     def tabulated(r, phi) -> "ScaleFunction":

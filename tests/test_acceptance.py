@@ -79,7 +79,7 @@ def test_tail_mass_identity_four_decades():
     J = isotropic_stable_kernel(1, 1.0)
     for r in np.logspace(-2, 2, 17):
         tm = tail_mass(J, [0.0], float(r))
-        assert abs(tm.value * float(r) - 2.0) < 1e-5
+        assert abs(tm * float(r) - 2.0) < 1e-5
 
 
 # ------------------------------------------------------------------ #
@@ -88,7 +88,7 @@ def test_tail_mass_identity_four_decades():
 
 def test_exit_probability_bound_and_scaling_collapse():
     alpha = 1.0
-    model = IsotropicStable(alpha, 1)
+    model = SdeStable(alpha, 1)
     phi = ScaleFunction.power(alpha)
     n = 20_000
     c_hats = []
@@ -97,8 +97,7 @@ def test_exit_probability_bound_and_scaling_collapse():
         for f in (1e-3, 1e-2, 1e-1):
             t = f * float(phi(r))
             est = survival_prob_ball(model, [0.0], r, t, n,
-                                     RngStream(SEED, 100 + k), n_steps=64,
-                                     sde_fallback=True)
+                                     RngStream(SEED, 100 + k), n_steps=64)
             k += 1
             c_hats.append(est.value * float(phi(r)) / t)
     # bounded above by one constant across the whole (r, t) table
@@ -107,11 +106,9 @@ def test_exit_probability_bound_and_scaling_collapse():
 
     # scaling collapse: (r=2, t=2) and (r=1, t=1) see identical laws
     e1 = survival_prob_ball(model, [0.0], 1.0, 1.0, 30_000,
-                            RngStream(SEED, 150), n_steps=64,
-                            sde_fallback=True)
+                            RngStream(SEED, 150), n_steps=64)
     e2 = survival_prob_ball(model, [0.0], 2.0, 2.0, 30_000,
-                            RngStream(SEED, 151), n_steps=64,
-                            sde_fallback=True)
+                            RngStream(SEED, 151), n_steps=64)
     joint = float(np.hypot(e1.stderr, e2.stderr))
     assert abs(e1.value - e2.value) < 3.0 * joint
 

@@ -89,6 +89,19 @@ def test_ep_check_runs(tmp_path):
     assert len(rep["results"]["table"]) == 1
 
 
+def test_ep_check_runs_on_the_chain(tmp_path):
+    # the chain carries its dimension in its kernel only
+    cfg = _write(tmp_path, "c.json", {
+        "model": {"type": "stable-like-chain", "kernel": POWER_KERNEL,
+                  "h": 0.1, "r_cut": 2.0},
+        "r_list": [1.0], "t_factors": [0.1], "n": 300,
+        "scaling_check": False, "seed": 4,
+    })
+    assert main(["ep-check", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert 0.0 <= _load_report(tmp_path, "ep-check")["results"]["c_max"]
+
+
 def test_ep_check_default_scaling_pair_follows_alpha(tmp_path):
     # the default pair must rescale time by phi(2) / phi(1) = 2^alpha
     cfg = _write(tmp_path, "c.json", {
@@ -273,6 +286,34 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("factorization", {**HALF_PLANE, "cap": 4096.5}),
     ("bhp-scan", {**HALF_PLANE, "grid_size": "abc"}),
     ("box-method", {**HALF_PLANE, "grid_size": 2.5}),
+    # malformed values, read before any walk
+    ("bhp-scan", {**HALF_PLANE, "kappa": "abc"}),
+    ("bhp-scan", {**HALF_PLANE, "split_axis": "x"}),
+    ("exit-stats", {**UNIT_INTERVAL, "seed": 2 ** 64}),
+    ("exit-stats", {**UNIT_INTERVAL, "rho": "x"}),
+    ("exit-stats", {k: v for k, v in UNIT_INTERVAL.items() if k != "model"}),
+    ("box-method", {**HALF_PLANE, "r": "x"}),
+    ("factorization", {**HALF_PLANE, "c1": "x"}),
+    ("exit-stats", {**UNIT_INTERVAL,
+                    "model": {**UNIT_INTERVAL["model"], "alpha": "x"}}),
+    ("exit-stats", {**UNIT_INTERVAL, "targets": [
+        {"name": "right", "kind": "coordinate-gt", "axis": "x",
+         "value": 0.5}]}),
+    ("exit-stats", {**UNIT_INTERVAL, "expect": [
+        {"target": "mean_exit_time", "value": 1.0, "sigmas": "x"}]}),
+    ("bhp-scan", {**HALF_PLANE, "max_spread": "x"}),
+    ("ep-check", {**SDE_LINE, "max_chat": "x"}),
+    ("bhp-scan", {**HALF_PLANE, "xi": ["a", 0]}),
+    ("check-kernel", {"kernel": POWER_KERNEL, "jt_grid": ["a"]}),
+    ("exit-stats", {**UNIT_INTERVAL,
+                    "domain": {**UNIT_INTERVAL["domain"], "radius": "abc"}}),
+    ("exit-stats", {**UNIT_INTERVAL,
+                    "model": {**UNIT_INTERVAL["model"], "type": 5}}),
+    ("ep-check", {**SDE_LINE, "scaling_check": "false"}),
+    ("exit-stats", []),
+    ("exit-stats", {**UNIT_INTERVAL, "targets": 5}),
+    ("ep-check", {**SDE_LINE, "scaling_check": True,
+                  "scaling_pairs": [[1.0, 2.0]]}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
@@ -315,9 +356,16 @@ def test_summarize_pass_and_fail(tmp_path, capsys):
     assert "fail" in out
 
 
-def test_summarize_without_reports_is_config_error(tmp_path):
+def test_summarize_without_reports_is_config_error(tmp_path, capsys):
     assert main(["summarize"]) == EXIT_CONFIG
     assert main(["summarize", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    # a JSON list, and a check without its name or status, are no reports
+    for name, rep in (("list.json", []),
+                      ("nameless.json", {"checks": [{"status": "pass"}]}),
+                      ("statusless.json", {"checks": [{"name": "a"}]})):
+        capsys.readouterr()
+        assert main(["summarize", _write(tmp_path, name, rep)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot read report")
 
 
 # ------------------------------------------------------------------ #

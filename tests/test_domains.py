@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhplab.config import build_domain
 from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace,
                             Intersection, SegmentComplement, SlitPlane,
-                            Truncation, Union, _row_norm, box_minus_comb,
-                            from_descriptor)
+                            Truncation, Union, _row_norm, box_minus_comb)
 from bhplab.errors import ConfigError, DomainError
 
 
@@ -239,34 +239,36 @@ def test_comb_validation():
 
 
 # ------------------------------------------------------------------ #
-# descriptor catalog
+# the JSON catalog
 # ------------------------------------------------------------------ #
 
-def test_from_descriptor_roundtrip():
-    D = from_descriptor({"type": "ball", "center": [1.0, 0.0], "radius": 2.0})
+def test_build_domain_roundtrip():
+    D = build_domain({"type": "ball", "center": [1.0, 0.0], "radius": 2.0})
     assert isinstance(D, Ball)
     assert D.dist_lb([1.0, 0.0]) == pytest.approx(2.0)
 
-    D = from_descriptor({"type": "half-space", "normal": [0.0, 1.0]})
+    D = build_domain({"type": "half-space", "normal": [0.0, 1.0]})
     assert isinstance(D, HalfSpace)
 
-    D = from_descriptor({"type": "slit-plane"})
+    D = build_domain({"type": "slit-plane"})
     assert isinstance(D, SlitPlane)
 
-    D = from_descriptor({"type": "intersection", "components": [
+    D = build_domain({"type": "intersection", "components": [
         {"type": "ball", "center": [0.0], "radius": 1.0},
         {"type": "half-space", "normal": [1.0], "offset": 0.0},
     ]})
     assert D.contains([0.5]) and not D.contains([-0.5])
 
 
-def test_from_descriptor_errors():
+def test_build_domain_errors():
     with pytest.raises(ConfigError):
-        from_descriptor({"radius": 1.0})
+        build_domain({"radius": 1.0})
     with pytest.raises(ConfigError):
-        from_descriptor({"type": "moebius-strip"})
+        build_domain({"type": "moebius-strip"})
     with pytest.raises(ConfigError):
-        from_descriptor({"type": "cone", "vertex": [0.0, 0.0]})
+        build_domain({"type": "cone", "vertex": [0.0, 0.0]})
+    with pytest.raises(ConfigError):
+        build_domain({"type": "comb"})          # a retired alias
 
 
 def test_row_norm_is_bitwise_linalg_norm():

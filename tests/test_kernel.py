@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate
 
 from bhplab.errors import ConfigError, DivergenceError, DomainError
-from bhplab.kernel import (JumpKernelSpec, TripleSamplingConfig, ball_mass,
-                           boundary_integral, check_jc1, check_jc2,
+from bhplab.kernel import (QUAD_REL_TOL, JumpKernelSpec, TripleSamplingConfig,
+                           ball_mass, boundary_integral, check_jc1, check_jc2,
                            check_jt, check_phi, geometric_stable_kernel,
                            isotropic_stable_kernel, sphere_area, tail_mass,
                            tempered_stable_kernel)
@@ -21,8 +21,8 @@ def test_tail_mass_power_kernel_1d():
     J = isotropic_stable_kernel(1, 1.0)
     for r in np.logspace(-2, 2, 9):
         tm = tail_mass(J, [0.0], float(r))
-        assert tm.value * r == pytest.approx(2.0, abs=1e-5)
-        assert tm.rel_tol <= 1e-6
+        assert tm * r == pytest.approx(2.0, abs=1e-5)
+    assert QUAD_REL_TOL <= 1e-6
 
 
 def test_tail_mass_power_kernel_general():
@@ -31,7 +31,7 @@ def test_tail_mass_power_kernel_general():
         J = isotropic_stable_kernel(d, alpha)
         expect = sphere_area(d) / alpha
         tm = tail_mass(J, np.zeros(d), 1.0)
-        assert tm.value == pytest.approx(expect, rel=1e-6)
+        assert tm == pytest.approx(expect, rel=1e-6)
 
 
 def test_tail_mass_geometric_stable_matches_scale():
@@ -39,7 +39,7 @@ def test_tail_mass_geometric_stable_matches_scale():
     J = geometric_stable_kernel(1, 1.0)
     for r in (1e-8, 1e-3, 1.0, 1e3):
         tm = tail_mass(J, [0.0], r)
-        assert tm.value * float(J.scale(r)) == pytest.approx(2.0, rel=1e-5)
+        assert tm * float(J.scale(r)) == pytest.approx(2.0, rel=1e-5)
 
 
 def test_tail_mass_requires_positive_radius():
@@ -74,7 +74,7 @@ def test_tail_mass_direction_dependent_kappa():
     J = JumpKernelSpec(dim=2, scale=ScaleFunction.power(1.5), kappa=kappa,
                        kappa_lo=0.5, kappa_hi=1.5)
     tm = tail_mass(J, [0.3, -0.1], 1.0)
-    assert tm.value == pytest.approx(sphere_area(2) / 1.5, rel=1e-6)
+    assert tm == pytest.approx(sphere_area(2) / 1.5, rel=1e-6)
 
 
 # ------------------------------------------------------------------ #

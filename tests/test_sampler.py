@@ -541,11 +541,10 @@ def test_survival_rejects_unbatched_sigma(rng):
 
 
 def test_survival_exact_model_needs_explicit_fallback(rng):
-    model = IsotropicStable(1.0, 1)
-    with pytest.raises(CapabilityError):
-        survival_prob_ball(model, [0.0], 1.0, 1.0, 100, rng)
-    est = survival_prob_ball(model, [0.0], 1.0, 1.0, 2000, rng,
-                             sde_fallback=True)
+    # the fallback is the sde-stable model, which the error names
+    with pytest.raises(CapabilityError, match="sde-stable"):
+        survival_prob_ball(IsotropicStable(1.0, 1), [0.0], 1.0, 1.0, 100, rng)
+    est = survival_prob_ball(SdeStable(1.0, 1), [0.0], 1.0, 1.0, 2000, rng)
     assert 0.0 < est.value < 1.0
 
 

@@ -68,9 +68,3 @@ def test_tabulated_requires_monotone_table():
         ScaleFunction.tabulated([0.1, 1.0, 10.0], [1.0, 1.0, 2.0])
     with pytest.raises(DomainError):
         ScaleFunction.tabulated([2.0, 3.0], [1.0, 2.0])  # does not bracket 1
-
-
-def test_tempered_power_keeps_power_shape():
-    phi = ScaleFunction.tempered_power(0.8, lam=1.0, beta_t=1.0)
-    r = np.logspace(-3, 3, 20)
-    assert np.allclose(phi(r), r ** 0.8)
