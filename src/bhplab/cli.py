@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bhp, exitstats, kernel as kernelmod
 from .config import (build_domain, build_kernel, build_model, count, flag,
-                     load_config, objects, pairs, real, reals)
+                     load_config, objects, pairs, real, reals, text)
 from .errors import (BhpLabError, CapabilityError, ConfigError,
                      DivergenceError, DomainError, EstimationError,
                      SamplerStallError, UnderpoweredError)
@@ -183,7 +183,10 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
     rho = real(cfg, "rho", BALL_FACTOR)
     tspecs = objects(cfg, "targets", [])
     predicates = [_predicate(t, D.dim) for t in tspecs]
-    names = [t.get("name", f"target{i}") for i, t in enumerate(tspecs)]
+    names = [text(t, "name", f"target{i}") for i, t in enumerate(tspecs)]
+    if len({"mean_exit_time", *names}) != len(names) + 1:
+        raise ConfigError(f"target names must differ from each other and "
+                          f"from 'mean_exit_time', got {names}")
     expect = objects(cfg, "expect", [])
     for exp in expect:
         if exp.get("target") not in ["mean_exit_time", *names]:
@@ -318,7 +321,7 @@ def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     n = count(cfg, "n", 4096)
     cap = count(cfg, "cap", exitstats.ESCALATION_CAP)
     axis = _axis(cfg, "split_axis", 0, D.dim)
-    radii = reals(cfg, "r_series", [cfg.get("r", 0.5)])
+    radii = reals(cfg, "r_series", [real(cfg, "r", 0.5)])
     max_band = real(cfg, "max_band", 10.0)
     max_band_change = real(cfg, "max_band_change", 0.5)
     reports = []
@@ -460,7 +463,7 @@ def main(argv=None) -> int:
         if cfg["seed"] >= 2 ** 64:
             raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")
         path = RUNNERS[args.command](cfg, RngStream(cfg["seed"]),
-                                     cfg.get("out") or ".")
+                                     text(cfg, "out", "."))
     except (ConfigError, DomainError, CapabilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -72,6 +72,13 @@ def real(spec, key: str, default=_REQUIRED) -> float:
         raise ConfigError(f"{key} must be a number, got {v!r}") from None
 
 
+def text(spec, key: str, default=_REQUIRED) -> str:
+    v = _get(spec, key, default)
+    if not isinstance(v, str):
+        raise ConfigError(f"{key} must be a string, got {v!r}")
+    return v
+
+
 def _floats(values, key: str, size: int | None = None) -> list:
     out = None
     if isinstance(values, (list, tuple)):

@@ -10,7 +10,6 @@ Every domain is an immutable value object exposing
 * ``contains(x)``  -- open-set membership, ``clearance(x) > SURFACE_TOL``,
 * ``dist_lb(x)``   -- ``clearance(x)`` on inside points, a computable
   lower bound 0 < delta(x) <= d(x, D^c); it raises outside,
-* ``boundary_anchors`` -- a finite list of boundary points,
 * ``truncate(xi, r)``  -- the intersection D & B(xi, r), optionally with
   a stopping shell at D's own boundary for the walk on balls.
 
@@ -23,7 +22,7 @@ lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +86,6 @@ class Domain:
     """Base class: open subset of R^d."""
 
     dim: int
-    boundary_anchors: list
 
     # subclasses implement the raw signed clearance: distance to the
     # complement for inside points (may be negative/zero outside)
@@ -147,15 +145,6 @@ class Ball(Domain):
     def dim(self):
         return self.center.shape[0]
 
-    @property
-    def boundary_anchors(self):
-        anchors = []
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = self.radius
-            anchors.append(self.center + e)
-        return anchors
-
     def _clearance(self, pts):
         return self.radius - _row_norm(pts - self.center)
 
@@ -179,10 +168,6 @@ class HalfSpace(Domain):
     def dim(self):
         return self.normal.shape[0]
 
-    @property
-    def boundary_anchors(self):
-        return [self.offset * self.normal]
-
     def _clearance(self, pts):
         return _row_dot(pts, self.normal) - self.offset
 
@@ -196,11 +181,6 @@ class SlitPlane(Domain):
     def __post_init__(self):
         if self.dim != 2:
             raise ConfigError("the slit plane is two-dimensional")
-
-    @property
-    def boundary_anchors(self):
-        return [np.array([0.0, 0.0]), np.array([0.25, 0.0]),
-                np.array([1.0, 0.0])]
 
     def _clearance(self, pts):
         # distance to the slit: |x2| when x1 >= 0, else distance to the tip
@@ -234,18 +214,6 @@ class Cone(Domain):
     def dim(self):
         return self.vertex.shape[0]
 
-    @property
-    def boundary_anchors(self):
-        anchors = [self.vertex.copy()]
-        perp = np.zeros(self.dim)
-        k = int(np.argmin(np.abs(self.axis)))
-        perp[k] = 1.0
-        perp = perp - (perp @ self.axis) * self.axis
-        perp /= np.linalg.norm(perp)
-        anchors.append(self.vertex + np.cos(self.half_angle) * self.axis
-                       + np.sin(self.half_angle) * perp)
-        return anchors
-
     def _clearance(self, pts):
         rel = pts - self.vertex
         s = _row_norm(rel)
@@ -277,13 +245,6 @@ class SegmentComplement(Domain):
                 raise ConfigError("segments must join 2-d points")
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def boundary_anchors(self):
-        anchors = []
-        for a, b in self.segments:
-            anchors.extend([a.copy(), 0.5 * (a + b), b.copy()])
-        return anchors
-
     def _clearance(self, pts):
         d = np.full(pts.shape[0], np.inf)
         for a, b in self.segments:
@@ -313,11 +274,7 @@ def box_minus_comb(teeth: int = 4, gap: float = 0.25) -> Domain:
     for k in range(1, teeth + 1):
         xk = k / (teeth + 1)
         segs.append((np.array([xk, 0.0]), np.array([xk, 1.0 - gap])))
-    comb = Intersection([box, SegmentComplement(tuple(segs))])
-    comb.boundary_anchors = (
-        [np.array([0.0, 0.5]), np.array([0.5, 0.0])]
-        + [np.array([k / (teeth + 1), 1.0 - gap]) for k in range(1, teeth + 1)])
-    return comb
+    return Intersection([box, SegmentComplement(tuple(segs))])
 
 
 # ===================================================================== #
@@ -340,11 +297,6 @@ class Intersection(Domain):
             raise ConfigError("all components must share a dimension")
         self.components = domains
         self.dim = domains[0].dim
-        # an anchor of one component lies on the intersection's boundary
-        # iff every other component strictly contains it
-        self.boundary_anchors = [a for d in domains for a in d.boundary_anchors
-                                 if all(o is d or o.contains(a)
-                                        for o in domains)]
 
     def _clearance(self, pts):
         c = self.components[0]._clearance(pts)
@@ -367,7 +319,6 @@ class Truncation(Intersection):
     def __init__(self, D: Domain, xi: np.ndarray, r: float,
                  shell: float = 0.0):
         super().__init__([D, Ball(xi, r)])
-        self.boundary_anchors = [xi.copy()]
         self.shell = float(shell)
 
     def shelled_clearance(self, pts):
@@ -395,8 +346,6 @@ class Union(Domain):
             raise ConfigError("all components must share a dimension")
         self.components = domains
         self.dim = domains[0].dim
-        self.boundary_anchors = [a for d in domains for a in d.boundary_anchors
-                                 if all(not o.contains(a) for o in domains)]
 
     def _clearance(self, pts):
         c = self.components[0]._clearance(pts)

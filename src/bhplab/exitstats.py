@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
-from .domains import Ball, Domain
+from .domains import Domain
 from .errors import DomainError, EstimationError
 from .rng import RngStream
 from .sampler import (BALL_FACTOR, DEFAULT_MAX_STEPS, ProcessModel,
@@ -239,44 +239,6 @@ def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
                        [lambda b: D.contains(b.y)], [rng], n, n,
                        method="mc-binomial-exit-before-subdomain")
     return est
-
-
-def set_distance(U: Domain, W: Domain) -> float:
-    """Distance d(U, W), exact for ball pairs, conservative otherwise.
-
-    For non-ball pairs the bound is a probe minimum over anchor points,
-    which only weakens inequalities that divide by phi(d(U, W)).
-    """
-    if isinstance(U, Ball) and isinstance(W, Ball):
-        gap = float(np.linalg.norm(U.center - W.center)) - U.radius - W.radius
-        return max(0.0, gap)
-    pts = [np.asarray(a, dtype=float) for a in U.boundary_anchors]
-    qts = [np.asarray(a, dtype=float) for a in W.boundary_anchors]
-    if not pts or not qts:
-        raise DomainError("set_distance needs boundary anchors on both sets")
-    d = min(float(np.linalg.norm(p - q)) for p in pts for q in qts)
-    return d
-
-
-def lemma24_bounds(model: ProcessModel, U: Domain, W: Domain, x, n: int,
-                   rng: RngStream, phi, r_bar: float = np.inf,
-                   rho: float = BALL_FACTOR) -> dict:
-    """Compare P_x(X_{tau_U} in W) against E_x[tau_U] / phi(d(U,W) ^ r_bar).
-
-    Returns {"lhs": Estimate, "rhs": float, "implied_constant": float,
-    "dist": float}; the implied constant is lhs/rhs.
-    """
-    d_uw = set_distance(U, W)
-    if not d_uw > 0:
-        raise DomainError("lemma comparison needs d(U, W) > 0 "
-                          "(W must not touch the closure of U)")
-    lhs = harmonic_measure(model, U, x, W.contains, n, rng.substream(0),
-                           rho=rho)
-    met = mean_exit_time(model, U, x, n, rng.substream(1), rho=rho)
-    rhs = met.value / float(phi(min(d_uw, r_bar)))
-    implied = lhs.value / rhs if rhs > 0 else np.inf
-    return {"lhs": lhs, "mean_exit_time": met, "rhs": rhs,
-            "implied_constant": implied, "dist": d_uw}
 
 
 # ===================================================================== #

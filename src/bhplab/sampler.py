@@ -240,9 +240,8 @@ class SdeStable(ProcessModel):
     batched: it maps an (m, d) array of points to the (m, d, d) stack of
     coefficient matrices, one per point; None means the identity.  Every
     matrix it returns must have its singular values inside
-    `sigma_bounds`.  The model carries no time step: `sde_step` takes
-    its step, and `survival_prob_ball` (with it ep-check) steps at
-    t / n_steps.
+    `sigma_bounds`.  The model carries no time step: `survival_prob_ball`
+    (with it ep-check) steps at t / n_steps.
     """
 
     alpha: float
@@ -619,17 +618,6 @@ def _sigma_dz(model: SdeStable, x: np.ndarray,
     return np.matmul(sig, dz[:, :, None])[:, :, 0]
 
 
-def sde_step(model: SdeStable, x, dt: float,
-             g: np.random.Generator) -> np.ndarray:
-    """One Euler step x' = x + sigma(x) dZ over time dt, with an exact
-    stable increment drawn from `g`."""
-    if not dt > 0:
-        raise ConfigError("time step must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dz = stable_increment(model.alpha, model.dim, dt, 1, g)
-    return x + _sigma_dz(model, x[None, :], dz)[0]
-
-
 def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
                           t: float, n: int, n_steps: int,
                           g: np.random.Generator) -> np.ndarray:
@@ -719,8 +707,9 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
     """
     from .exitstats import Estimate  # local import: exitstats builds on sampler
 
-    if not (r > 0 and t > 0 and n >= 1):
-        raise DomainError("survival_prob_ball needs r > 0, t > 0, n >= 1")
+    if not (r > 0 and t > 0 and n >= 1 and n_steps >= 1):
+        raise DomainError("survival_prob_ball needs r > 0, t > 0, n >= 1, "
+                          "n_steps >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = rng.generator()
 

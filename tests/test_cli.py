@@ -209,8 +209,10 @@ def no_walks(monkeypatch):
 
 
 def _config_error(tmp_path, capsys, command, cfg):
+    # --out would override a config's own "out", so it is left off for one
+    out = [] if "out" in cfg else ["--out", str(tmp_path)]
     rc = main([*command.split(), "--config", _write(tmp_path, "c.json", cfg),
-               "--out", str(tmp_path)])
+               *out])
     err = capsys.readouterr().err
     return rc == EXIT_CONFIG and err.startswith("config error: ")
 
@@ -314,11 +316,29 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("exit-stats", {**UNIT_INTERVAL, "targets": 5}),
     ("ep-check", {**SDE_LINE, "scaling_check": True,
                   "scaling_pairs": [[1.0, 2.0]]}),
+    # target names and the output directory, read before any walk
+    ("exit-stats", {**UNIT_INTERVAL, "targets": [
+        {"name": ["a"], "kind": "norm-gt", "value": 2.0}]}),
+    ("exit-stats", {**UNIT_INTERVAL, "targets": [
+        {"name": "a", "kind": "norm-gt", "value": 2.0},
+        {"name": "a", "kind": "norm-gt", "value": 3.0}]}),
+    ("exit-stats", {**UNIT_INTERVAL, "targets": [
+        {"name": "mean_exit_time", "kind": "norm-gt", "value": 2.0}]}),
+    ("exit-stats", {**UNIT_INTERVAL, "out": 5}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
     assert _config_error(tmp_path, capsys, command, cfg)
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_factorization_bad_r_is_reported_under_r(tmp_path, capsys, no_walks):
+    cfg = {k: v for k, v in HALF_PLANE.items() if k != "r_series"}
+    rc = main(["factorization", "--config",
+               _write(tmp_path, "c.json", {**cfg, "r": "abc"}),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: r must be ")
 
 
 def test_underpowered_factorization_exits_3(tmp_path):

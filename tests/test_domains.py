@@ -186,13 +186,6 @@ def test_truncate_requires_positive_radius():
         Ball([0.0], 1.0).truncate([0.0], 0.0)
 
 
-def test_truncate_keeps_anchor_point():
-    T = SlitPlane().truncate([0.25, 0.0], 0.1)
-    anchors = T.boundary_anchors
-    assert len(anchors) == 1
-    assert np.allclose(anchors[0], [0.25, 0.0])
-
-
 def test_truncated_slit_tip_geometry():
     T = SlitPlane().truncate([0.25, 0.0], 0.1)
     assert T.contains([0.25, 1e-6])
@@ -201,20 +194,8 @@ def test_truncated_slit_tip_geometry():
 
 
 # ------------------------------------------------------------------ #
-# composites and anchors
+# composites
 # ------------------------------------------------------------------ #
-
-def test_intersection_anchor_filtering():
-    # the box keeps only anchors interior to the other components
-    comb = box_minus_comb(4, 0.25)
-    for a in comb.boundary_anchors:
-        # every anchor is a boundary point: not inside, but arbitrarily
-        # close to inside points
-        assert not comb.contains(a)
-        near = a + np.array([1e-6, 1e-6])
-        near2 = a - np.array([1e-6, -1e-6])
-        assert comb.contains(near) or comb.contains(near2)
-
 
 def test_union_clearance_is_max():
     U = Union([Ball([0.0], 1.0), Ball([1.5], 1.0)])

@@ -12,14 +12,13 @@ from conftest import ball_exit_prob_interval
 
 from bhplab import exitstats
 from bhplab.cli import encode
-from bhplab.domains import Ball, HalfSpace, Intersection
+from bhplab.domains import Ball, HalfSpace
 from bhplab.errors import DomainError, EstimationError
 from bhplab.exitstats import (Estimate, escalate, exit_before_subdomain,
-                              gather_exits, harmonic_measure, lemma24_bounds,
-                              mean_exit_time, set_distance, split_n)
+                              gather_exits, harmonic_measure, mean_exit_time,
+                              split_n)
 from bhplab.rng import RngStream
 from bhplab.sampler import IsotropicStable, sample_exits
-from bhplab.scale import ScaleFunction
 
 
 # ------------------------------------------------------------------ #
@@ -166,10 +165,16 @@ def test_harmonic_measure_partition_sums_to_one():
 def test_harmonic_measure_matches_quadrature():
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
-    est = harmonic_measure(model, D, [0.3], lambda y: y[:, 0] > 2.0,
-                           40_000, RngStream(12))
-    p = ball_exit_prob_interval(1.0, 0.3, 2.0, np.inf)
-    assert abs(est.value - p) < 3.5 * est.stderr
+    # (x, target (lo, hi), stream, ball factor); the second target is
+    # bounded: (2, 3) seen from the center of (-1, 1)
+    for x, (lo, hi), rng, rho in [
+            (0.3, (2.0, np.inf), RngStream(12), 1.0),
+            (0.0, (2.0, 3.0), RngStream(6).substream(0), 0.7)]:
+        est = harmonic_measure(model, D, [x],
+                               lambda y: (y[:, 0] > lo) & (y[:, 0] < hi),
+                               40_000, rng, rho=rho)
+        p = ball_exit_prob_interval(1.0, x, lo, hi)
+        assert abs(est.value - p) < 3.5 * est.stderr
 
 
 def test_mean_exit_time_scaling_in_radius():
@@ -201,63 +206,6 @@ def test_exit_before_subdomain_validates_start():
     D = Ball([0.0], 4.0)
     with pytest.raises(DomainError):
         exit_before_subdomain(model, D, [0.0], 0.5, [1.0], 100, RngStream(0))
-
-
-# ------------------------------------------------------------------ #
-# set distances and the exit-probability comparison
-# ------------------------------------------------------------------ #
-
-def test_set_distance_exact_for_balls():
-    assert set_distance(Ball([0.0], 1.0), Ball([2.5], 0.5)) == pytest.approx(1.0)
-    assert set_distance(Ball([0.0], 1.0), Ball([1.5], 1.0)) == 0.0
-
-
-def test_lemma24_comparison_unit_interval():
-    # U = (-1,1), W = (2,3): the implied constant is the quadrature
-    # probability itself since E_0[tau] = phi(d(U,W)) = 1
-    model = IsotropicStable(1.0, 1)
-    U = Ball([0.0], 1.0)
-    W = Ball([2.5], 0.5)
-    out = lemma24_bounds(model, U, W, [0.0], 40_000, RngStream(6),
-                         phi=ScaleFunction.power(1.0), rho=0.7)
-    assert out["dist"] == pytest.approx(1.0)
-    p = ball_exit_prob_interval(1.0, 0.0, 2.0, 3.0)
-    assert abs(out["lhs"].value - p) < 3.5 * out["lhs"].stderr
-    assert out["rhs"] == pytest.approx(out["mean_exit_time"].value)
-    assert out["implied_constant"] < 1.0    # the comparison holds with C < 1
-
-
-def test_lemma24_constant_stable_as_w_recedes():
-    # for far-away self-similar targets W = (c - c/3, c + c/3) the implied
-    # constant approaches 1/(2 pi) from below with O(1/c) corrections;
-    # check it stays bounded and within 25% of the limit at the far end
-    model = IsotropicStable(1.0, 1)
-    U = Ball([0.0], 1.0)
-    phi = ScaleFunction.power(1.0)
-    consts = []
-    for c, w in [(6.0, 2.0), (12.0, 4.0), (24.0, 8.0)]:
-        out = lemma24_bounds(model, U, Ball([c], w), [0.0], 60_000,
-                             RngStream(int(c)), phi=phi, rho=0.7)
-        consts.append(out["implied_constant"])
-    limit = 1.0 / (2.0 * np.pi)
-    assert consts == sorted(consts)          # monotone approach
-    assert all(co < limit * 1.05 for co in consts)
-    assert consts[-1] > limit * 0.75
-
-
-def test_lemma24_rejects_touching_sets():
-    model = IsotropicStable(1.0, 1)
-    with pytest.raises(DomainError):
-        lemma24_bounds(model, Ball([0.0], 1.0), Ball([1.5], 1.0), [0.0],
-                       100, RngStream(0), phi=ScaleFunction.power(1.0))
-
-
-def test_set_distance_uses_anchors_for_composites():
-    U = Intersection([Ball([0.0, 0.0], 1.0),
-                      HalfSpace([0.0, 1.0], -2.0)])
-    W = Ball([5.0, 0.0], 1.0)
-    d = set_distance(U, W)
-    assert d > 0
 
 
 # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             expected_ball_exit_time,
                             geometric_stable_increment, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
-                            sample_exits, sde_step, stable_increment,
+                            sample_exits, stable_increment,
                             survival_prob_ball, walk_exit_batch_indexed)
 from bhplab.scale import ScaleFunction
 
@@ -465,29 +465,6 @@ def _rotating_sigma(x):
     return (1.0 + 1.0 / (1.0 + r ** 2))[:, None, None] * rot
 
 
-def test_sde_step_identity_and_scaled_sigma():
-    model = SdeStable(1.0, 2)
-    x1 = sde_step(model, [0.0, 0.0], 0.1, RngStream(9).generator())
-    scaled = SdeStable(1.0, 2, sigma=_constant_sigma(2.0, 2),
-                       sigma_bounds=(2.0, 2.0))
-    x2 = sde_step(scaled, [0.0, 0.0], 0.1, RngStream(9).generator())
-    assert np.allclose(x2, 2.0 * x1, rtol=1e-12)
-
-
-def test_sde_step_enforces_ellipticity():
-    model = SdeStable(1.0, 2, sigma=_constant_sigma(3.0, 2),
-                      sigma_bounds=(1.0, 1.0))
-    with pytest.raises(ConfigError):
-        sde_step(model, [0.0, 0.0], 0.1, RngStream(1).generator())
-
-
-def test_sde_step_needs_a_positive_step():
-    model = SdeStable(1.0, 2)
-    for dt in (0.0, -1.0):
-        with pytest.raises(ConfigError):
-            sde_step(model, [0.0, 0.0], dt, RngStream(4).generator())
-
-
 def test_survival_scaled_sigma_equivalent_to_scaled_ball(rng):
     # with sigma = 2 I, exiting B(0, 2r) is the same event as the
     # identity-coefficient scheme exiting B(0, r)
@@ -538,6 +515,17 @@ def test_survival_rejects_unbatched_sigma(rng):
     with pytest.raises(ConfigError,
                        match=r"expected shape \(5, 2, 2\), got \(2, 2\)"):
         survival_prob_ball(model, [0.0, 0.0], 1.0, 1.0, 5, rng)
+
+
+def test_survival_needs_positive_horizon_radius_and_counts(rng):
+    model = SdeStable(1.0, 2)
+    for r, t, n, n_steps in [(1.0, 0.0, 10, 4), (1.0, -1.0, 10, 4),
+                             (0.0, 1.0, 10, 4), (-1.0, 1.0, 10, 4),
+                             (1.0, 1.0, 0, 4), (1.0, 1.0, 10, 0),
+                             (1.0, 1.0, 10, -2)]:
+        with pytest.raises(DomainError):
+            survival_prob_ball(model, [0.0, 0.0], r, t, n, rng,
+                               n_steps=n_steps)
 
 
 def test_survival_exact_model_needs_explicit_fallback(rng):
