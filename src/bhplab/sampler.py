@@ -239,9 +239,10 @@ class SdeStable(ProcessModel):
     sigma the scheme is exact in law at the monitoring times.  `sigma` is
     batched: it maps an (m, d) array of points to the (m, d, d) stack of
     coefficient matrices, one per point; None means the identity.  Every
-    matrix it returns must have its singular values inside
-    `sigma_bounds`.  The model carries no time step: `survival_prob_ball`
-    (with it ep-check) steps at t / n_steps.
+    matrix it returns must be finite, with its singular values inside
+    `sigma_bounds`, which must be finite with 0 < lo <= hi.  The model
+    carries no time step: `survival_prob_ball` (with it ep-check) steps at
+    t / n_steps.
     """
 
     alpha: float
@@ -254,8 +255,9 @@ class SdeStable(ProcessModel):
         if not 0 < self.alpha < 2:
             raise ConfigError("alpha must lie in (0, 2)")
         lo, hi = self.sigma_bounds
-        if not 0 < lo <= hi:
-            raise ConfigError("ellipticity bounds must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi < math.inf:
+            raise ConfigError(
+                "ellipticity bounds must be finite with 0 < lo <= hi")
 
     @property
     def kernel(self) -> JumpKernelSpec:
@@ -590,13 +592,43 @@ def stable_increment(alpha: float, d: int, dt: float, n: int,
     return np.sqrt(2.0 * s)[:, None] * g.standard_normal((n, d))
 
 
+def _outside_bounds(sig: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the (m, d, d) stack `sig` whose singular values leave [lo, hi].
+
+    The singular values of s lie in [lo, hi] exactly when G - (lo/hi)^2 I
+    and I - G are positive semidefinite, G = a^T a with a = s / hi (the
+    scaling keeps G of a matrix within its bounds from overflowing).  Both
+    are tested by Gaussian elimination without pivoting, every entry an
+    array over the stack: a pivot below 0 or NaN, or a zero pivot with a
+    nonzero rest of its row, is a violation.  A non-finite s leaves an
+    -inf or NaN on the diagonal of I - G and so fails.  Rounding in G
+    blurs its eigenvalues by about d * eps, so a singular value near lo is
+    placed only to about d * eps * (hi/lo)^2 of lo: with the 1e-9 slack of
+    `_sigma_dz`, a matrix on its lower bound passes while hi/lo < ~10^3.
+    """
+    m, d = sig.shape[:2]
+    eye = np.eye(d)[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # entry (i, j) of each (d, d, .) array below is an array over the stack
+        a = np.ascontiguousarray(sig.transpose(1, 2, 0)) / hi
+        g = (a[:, :, None, :] * a[:, None, :, :]).sum(axis=0)
+        mats = np.concatenate([g - (lo / hi) ** 2 * eye, eye - g], axis=2)
+        bad = np.zeros(2 * m, dtype=bool)
+        for k in range(d):
+            p, row = mats[k, k], mats[k, k + 1:]
+            bad |= ~(p >= 0) | ((p == 0) & (row != 0).any(axis=0))
+            mats[k + 1:, k + 1:] -= (row[:, None, :] * row[None, :, :]
+                                     / np.where(p > 0, p, 1.0))
+    return bad[:m] | bad[m:]
+
+
 def _sigma_dz(model: SdeStable, x: np.ndarray,
               dz: np.ndarray) -> np.ndarray:
     """sigma(x) dZ for points x and increments dz, both of shape (m, d).
 
-    One sigma call and one stacked SVD for the whole batch; a matrix
-    whose singular values leave the declared ellipticity bounds raises
-    ConfigError naming its point.
+    One sigma call for the whole batch; a matrix whose singular values
+    leave the declared ellipticity bounds (`_outside_bounds`), or that is
+    not finite, raises ConfigError naming its point.
     """
     if model.sigma is None:
         return dz
@@ -606,10 +638,8 @@ def _sigma_dz(model: SdeStable, x: np.ndarray,
         raise ConfigError(
             f"sigma must map (m, d) points to (m, d, d) matrices: expected "
             f"shape {(m, d, d)}, got {sig.shape}")
-    sv = np.linalg.svd(sig, compute_uv=False)
     lo, hi = model.sigma_bounds
-    bad = ((sv.min(axis=1) < lo * (1 - 1e-9))
-           | (sv.max(axis=1) > hi * (1 + 1e-9)))
+    bad = _outside_bounds(sig, lo * (1 - 1e-9), hi * (1 + 1e-9))
     if bad.any():
         k = int(np.argmax(bad))
         raise ConfigError(

@@ -325,6 +325,9 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     ("exit-stats", {**UNIT_INTERVAL, "targets": [
         {"name": "mean_exit_time", "kind": "norm-gt", "value": 2.0}]}),
     ("exit-stats", {**UNIT_INTERVAL, "out": 5}),
+    # JSON reads 1e400 as inf, so the default bounds would be [inf, inf]
+    ("ep-check", {**SDE_LINE,
+                  "model": {**SDE_LINE["model"], "sigma_scale": 1e400}}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):

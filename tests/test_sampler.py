@@ -11,6 +11,7 @@ from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             StableLikeChain, _paths_exit_indicator,
+                            _sigma_dz,
                             ball_exit_centered,
                             ball_exit_isotropic, chain_exit_batch,
                             expected_ball_exit_time,
@@ -517,6 +518,91 @@ def test_survival_rejects_unbatched_sigma(rng):
         survival_prob_ball(model, [0.0, 0.0], 1.0, 1.0, 5, rng)
 
 
+def _stack_model(sig, bounds):
+    """SdeStable whose sigma returns the fixed (m, d, d) stack `sig`."""
+    return SdeStable(1.5, sig.shape[1], sigma=lambda x: sig,
+                     sigma_bounds=bounds)
+
+
+def _svd_first_bad(sig, lo, hi):
+    """Oracle: index of the first matrix whose singular values leave
+    [lo, hi] with the 1e-9 slack, or None."""
+    sv = np.linalg.svd(sig, compute_uv=False)
+    bad = (sv.min(axis=1) < lo * (1 - 1e-9)) | (sv.max(axis=1) > hi * (1 + 1e-9))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sigma_bounds_verdict_matches_svd(rng, d):
+    # _sigma_dz raises exactly when the SVD finds a matrix outside the
+    # bounds, naming that first matrix's point
+    g = rng.substream(d).generator()
+    m, verdicts = 4, set()
+    x = np.arange(m * d, dtype=float).reshape(m, d)
+    for _ in range(500):
+        # U diag(sv) V^T, with singular values straddling the bounds
+        u = np.linalg.qr(g.standard_normal((m, d, d)))[0]
+        v = np.linalg.qr(g.standard_normal((m, d, d)))[0]
+        sig = u @ (g.uniform(0.45, 2.05, (m, d, 1)) * v)
+        k = _svd_first_bad(sig, 0.5, 2.0)
+        verdicts.add(k is None)
+        dz = g.standard_normal((m, d))
+        if k is None:
+            assert np.array_equal(_sigma_dz(_stack_model(sig, (0.5, 2.0)),
+                                            x, dz),
+                                  np.matmul(sig, dz[:, :, None])[:, :, 0])
+        else:
+            with pytest.raises(ConfigError) as err:
+                _sigma_dz(_stack_model(sig, (0.5, 2.0)), x, dz)
+            assert str(err.value).startswith(f"sigma({x[k].tolist()}) ")
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("s", [1e-150, 2.0, 1e200])
+def test_sigma_on_equal_bounds_passes(s):
+    # 1e200: the Gram matrix of sigma itself would overflow
+    sig = np.broadcast_to(s * np.eye(3), (5, 3, 3))
+    dz = np.ones((5, 3))
+    assert np.array_equal(_sigma_dz(_stack_model(sig, (s, s)),
+                                    np.zeros((5, 3)), dz), s * dz)
+
+
+def test_sigma_with_a_zero_column_is_rejected():
+    sig = np.array([[[1.0, 0.0], [0.5, 0.0]]])
+    with pytest.raises(ConfigError, match="has singular values"):
+        _sigma_dz(_stack_model(sig, (0.1, 2.0)), np.zeros((1, 2)),
+                  np.ones((1, 2)))
+
+
+def test_rotating_sigma_keeps_its_bounds_up_to_the_edge():
+    # rotation by |x| times (1 + |x|), on points with |x| <= 0.5: the
+    # singular values 1 + |x| fill the bounds [1, 1.5], both ends included
+    r = np.linspace(0.0, 0.5, 11)
+    x = np.stack([r * np.cos(3 * r), r * np.sin(3 * r)], axis=1)
+    c, s = np.cos(r), np.sin(r)
+    rot = np.stack([np.stack([c, -s], axis=-1),
+                    np.stack([s, c], axis=-1)], axis=-2)
+    sig = (1.0 + r)[:, None, None] * rot
+    dz = np.ones((11, 2))
+    assert np.array_equal(_sigma_dz(_stack_model(sig, (1.0, 1.5)), x, dz),
+                          np.matmul(sig, dz[:, :, None])[:, :, 0])
+
+
+@pytest.mark.parametrize("fill", [np.inf, np.nan])
+def test_survival_rejects_non_finite_sigma(rng, fill):
+    # sigma = I on |x| <= 0.3 and a non-finite diagonal beyond: a path
+    # carried to inf or NaN never leaves the ball, so it must not pass
+    def sigma(x):
+        sig = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        sig[np.linalg.norm(x, axis=1) > 0.3] = np.diag([fill, fill])
+        return sig
+
+    model = SdeStable(1.5, 2, sigma=sigma, sigma_bounds=(1.0, 2.0))
+    with pytest.raises(ConfigError, match=r"sigma\(\[.+\]\) has singular"):
+        survival_prob_ball(model, [0.0, 0.0], 1.0, 1.0, 1000, rng,
+                           n_steps=8)
+
+
 def test_survival_needs_positive_horizon_radius_and_counts(rng):
     model = SdeStable(1.0, 2)
     for r, t, n, n_steps in [(1.0, 0.0, 10, 4), (1.0, -1.0, 10, 4),
@@ -612,6 +698,10 @@ def test_model_validation():
         IsotropicStable(1.0, 0)
     with pytest.raises(ConfigError):
         SdeStable(1.0, 1, sigma_bounds=(2.0, 1.0))
+    with pytest.raises(ConfigError):
+        SdeStable(1.0, 1, sigma_bounds=(1.0, np.inf))
+    with pytest.raises(ConfigError):
+        SdeStable(1.0, 1, sigma_bounds=(np.inf, np.inf))
     with pytest.raises(ConfigError):
         GeometricStable(0.0, 1)
 
