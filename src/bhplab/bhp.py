@@ -434,7 +434,8 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
     exactly; step k survives if Y_k stays inside D and within either
     B(xi, 3r/2) or B(Y_{k-1}, 2 gamma_{k-1}).  Reports the survival
     probabilities for m = 1..m_max and a fitted geometric decay rate
-    with its 95% confidence interval.
+    with its 95% confidence interval; `stalled` counts the walks, over
+    all steps, that hit the step budget, and none of them survives.
     """
     if not isinstance(model, IsotropicStable):
         raise ConfigError("the chain instrument needs the exact-exit-law model")
@@ -446,6 +447,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
     y = np.tile(x, (n, 1))
     alive = np.ones(n, dtype=bool)
     survival = []
+    stalled = 0
     for step in range(m_max):
         idx_alive = np.nonzero(alive)[0]
         if len(idx_alive) == 0:
@@ -473,6 +475,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
                                         centers, BALL_FACTOR,
                                         rng.substream(step))
         new_y = batch.y
+        stalled += int(batch.stalled.sum())
         in_d = np.asarray(D.contains(new_y), dtype=bool) & ~batch.stalled
         near_xi = np.linalg.norm(new_y - xi, axis=1) < 1.5 * r
         near_prev = np.linalg.norm(new_y - centers, axis=1) < 2.0 * radii
@@ -497,5 +500,5 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
                               float(reg.slope + tq * reg.stderr)),
                "rate": float(math.exp(reg.slope)),
                "rate_upper95": float(math.exp(reg.slope + tq * reg.stderr))}
-    return {"xi": xi, "r": r, "x": x, "n": n,
+    return {"xi": xi, "r": r, "x": x, "n": n, "stalled": stalled,
             "survival": list(map(float, survival)), "fit": fit}

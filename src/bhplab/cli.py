@@ -213,8 +213,9 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
 def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     model = build_model(cfg.get("model"))
     phi = model.kernel.scale
-    r_list = reals(cfg, "r_list", [0.25, 1.0, 4.0])
-    t_factors = reals(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+    r_list = reals(cfg, "r_list", [0.25, 1.0, 4.0], positive=True)
+    t_factors = reals(cfg, "t_factors", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1],
+                      positive=True)
     n = count(cfg, "n", 20_000)
     n_steps = count(cfg, "n_steps", 64)
     max_chat = real(cfg, "max_chat") if "max_chat" in cfg else None
@@ -222,7 +223,8 @@ def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     if flag(cfg, "scaling_check", True):
         # by scaling, P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1))
         default_pair = [[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]
-        scaling_pairs = pairs(cfg, "scaling_pairs", [default_pair])
+        scaling_pairs = pairs(cfg, "scaling_pairs", [default_pair],
+                              positive=True)
     x0 = np.zeros(model.kernel.dim)
     rows = []
     k = 0
@@ -277,7 +279,7 @@ def run_bhp_scan(cfg: dict, rng: RngStream, out: str) -> str:
     D = build_domain(cfg.get("domain"))
     xi = _point(cfg, "xi", [0.0] * D.dim, D.dim)
     kappa = real(cfg, "kappa", 1.0)
-    r_series = reals(cfg, "r_series", [0.4, 0.2, 0.1, 0.05])
+    r_series = reals(cfg, "r_series", [0.4, 0.2, 0.1, 0.05], positive=True)
     grid_size = count(cfg, "grid_size", 12)
     n = count(cfg, "n", 4096)
     cap = count(cfg, "cap", exitstats.ESCALATION_CAP)
@@ -321,7 +323,7 @@ def run_factorization(cfg: dict, rng: RngStream, out: str) -> str:
     n = count(cfg, "n", 4096)
     cap = count(cfg, "cap", exitstats.ESCALATION_CAP)
     axis = _axis(cfg, "split_axis", 0, D.dim)
-    radii = reals(cfg, "r_series", [real(cfg, "r", 0.5)])
+    radii = reals(cfg, "r_series", [real(cfg, "r", 0.5)], positive=True)
     max_band = real(cfg, "max_band", 10.0)
     max_band_change = real(cfg, "max_band_change", 0.5)
     reports = []
@@ -457,7 +459,8 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "out": args.out, "n": args.n}
         if args.r_series:
             overrides["r_series"] = reals(
-                {"--r-series": args.r_series.split(",")}, "--r-series")
+                {"--r-series": args.r_series.split(",")}, "--r-series",
+                positive=True)
         cfg.update((k, v) for k, v in overrides.items() if v is not None)
         cfg["seed"] = count(cfg, "seed", 0, least=0)
         if cfg["seed"] >= 2 ** 64:

@@ -79,29 +79,34 @@ def text(spec, key: str, default=_REQUIRED) -> str:
     return v
 
 
-def _floats(values, key: str, size: int | None = None) -> list:
+def _floats(values, key: str, size: int | None = None,
+            positive: bool = False) -> list:
     out = None
     if isinstance(values, (list, tuple)):
         try:
             out = [float(v) for v in values]
         except (TypeError, ValueError, OverflowError):
             pass
-    if not out or (size is not None and len(out) != size):
+    if (not out or (size is not None and len(out) != size)
+            or (positive and not all(v > 0 for v in out))):
         raise ConfigError(f"{key} must be a list of {size or 'one or more'} "
-                          f"numbers, got {values!r}")
+                          f"{'positive ' * positive}numbers, got {values!r}")
     return out
 
 
-def reals(spec, key: str, default=_REQUIRED, size: int | None = None) -> list:
-    """A non-empty list of numbers; `size`, when given, is its length."""
-    return _floats(_get(spec, key, default), key, size)
+def reals(spec, key: str, default=_REQUIRED, size: int | None = None,
+          positive: bool = False) -> list:
+    """A non-empty list of numbers; `size`, when given, is its length, and
+    `positive` asks every entry to be > 0."""
+    return _floats(_get(spec, key, default), key, size, positive)
 
 
-def pairs(spec, key: str, default=_REQUIRED) -> list:
+def pairs(spec, key: str, default=_REQUIRED, positive: bool = False) -> list:
     """A list of [[a1, a2], [b1, b2]] entries, as (a, b) pairs of lists."""
     values = _get(spec, key, default)
     try:
-        return [(_floats(a, key, 2), _floats(b, key, 2)) for a, b in values]
+        return [(_floats(a, key, 2, positive), _floats(b, key, 2, positive))
+                for a, b in values]
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a list of [[a1, a2], [b1, b2]] "
                           f"pairs, got {values!r}") from None
@@ -147,8 +152,7 @@ def build_kernel(spec) -> JumpKernelSpec:
     return JumpKernelSpec(dim=count(spec, "dim"),
                           scale=build_scale(spec.get("scale")),
                           kappa=kappa, kappa_lo=kappa, kappa_hi=kappa,
-                          temper=temper,
-                          symmetric_in_z=flag(spec, "symmetric_in_z", True))
+                          temper=temper)
 
 
 def build_model(spec):
@@ -169,8 +173,7 @@ def build_model(spec):
         sigma = None if scale == 1.0 else (lambda x: np.broadcast_to(
             scale * np.eye(dim), (len(x), dim, dim)))
         return SdeStable(alpha=real(spec, "alpha"), dim=dim, sigma=sigma,
-                         sigma_bounds=tuple(reals(spec, "sigma_bounds",
-                                                  [scale, scale], 2)))
+                         sigma_bounds=(scale, scale))
     if t == "geometric-stable":
         return GeometricStable(alpha=real(spec, "alpha"),
                                dim=count(spec, "dim"))

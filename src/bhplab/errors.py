@@ -18,17 +18,7 @@ class DivergenceError(BhpLabError):
 
 
 class SamplerStallError(BhpLabError):
-    """A sampler exceeded its step budget.
-
-    Carries diagnostics so callers can decide whether the partial
-    result is salvageable.
-    """
-
-    def __init__(self, message, n_stalled=None, n_total=None, partial=None):
-        super().__init__(message)
-        self.n_stalled = n_stalled
-        self.n_total = n_total
-        self.partial = partial
+    """A sampler exceeded its step budget; the message counts the paths."""
 
 
 class CapabilityError(BhpLabError):

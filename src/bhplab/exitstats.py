@@ -228,19 +228,6 @@ def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
     return est
 
 
-def exit_before_subdomain(model: ProcessModel, D: Domain, xi, r: float, x,
-                          n: int, rng: RngStream) -> Estimate:
-    """P_x(tau_D > tau_{B_D(xi, r)}): the process leaves B(xi,r) before D.
-
-    Estimated as the fraction of n exit samples from D & B(xi,r) whose
-    exit point still lies in D.
-    """
-    (est,), = escalate(model, D.truncate(xi, r), [x],
-                       [lambda b: D.contains(b.y)], [rng], n, n,
-                       method="mc-binomial-exit-before-subdomain")
-    return est
-
-
 # ===================================================================== #
 # precision escalation
 # ===================================================================== #

@@ -41,8 +41,7 @@ import numpy as np
 
 from .domains import SURFACE_TOL, Domain, Truncation, _row_norm
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
-from .kernel import (JumpKernelSpec, isotropic_stable_kernel, sphere_area,
-                     tail_mass)
+from .kernel import JumpKernelSpec, isotropic_stable_kernel, tail_mass
 from .rng import RngStream
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -95,17 +94,15 @@ def _direction_draws(d: int, n: int, g: np.random.Generator) -> np.ndarray:
 
 
 def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
-    """n exact unit-ball exit points from the center, shape (n, d).
+    """Exact unit-ball exit points from the center, shape (sum(n), d).
 
     The exit radius is 1/sqrt(B) with B ~ Beta(a/2, 1 - a/2); the
-    direction is uniform by rotational symmetry.  `n` and `g` may also
-    be equal-length sequences: each generator g[j] in turn draws its
-    n[j] radii and then its n[j] directions, exactly as a call of its
-    own would, and the points come back concatenated in that order (a
-    generator with n[j] = 0 draws nothing).
+    direction is uniform by rotational symmetry.  `n` and `g` are
+    equal-length sequences: each generator g[j] in turn draws its n[j]
+    radii and then its n[j] directions, and the points come back
+    concatenated in that order (a generator with n[j] = 0 draws
+    nothing).
     """
-    if np.ndim(n) == 0:
-        n, g = [n], [g]
     b, v = [], []
     for nj, gj in zip(n, g):
         if nj:
@@ -115,43 +112,6 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
         return np.empty((0, d))
     radii = 1.0 / np.sqrt(np.concatenate(b))
     return radii[:, None] * _directions(d, np.concatenate(v))
-
-
-def ball_exit_isotropic(alpha: float, d: int, x_rel,
-                        rng: RngStream) -> np.ndarray:
-    """One exact exit point of the unit ball started from x_rel (|x_rel| < 1).
-
-    Centered starts sample the radial law directly; off-center starts use
-    rejection against the centered proposal with acceptance probability
-    ((1 - |x|) |y| / |y - x|)^d, which is bounded by 1 because
-    |y - x| >= |y|(1 - |x|) whenever |y| >= 1.  After 10^6 rejected
-    proposals it raises SamplerStallError.
-    """
-    if not 0 < alpha < 2:
-        raise DomainError("alpha must lie in (0, 2)")
-    x = np.atleast_1d(np.asarray(x_rel, dtype=float))
-    if x.shape != (d,):
-        raise DomainError(f"start point must have dimension {d}")
-    s = float(np.linalg.norm(x))
-    if s >= 1.0:
-        raise DomainError("start point must lie strictly inside the unit ball")
-    g = rng.generator()
-    if s == 0.0:
-        return ball_exit_centered(alpha, d, 1, g)[0]
-    tried = 0
-    batch = 64
-    while tried < 10 ** 6:
-        y = ball_exit_centered(alpha, d, batch, g)
-        accept = ((1.0 - s) * np.linalg.norm(y, axis=1)
-                  / np.linalg.norm(y - x, axis=1)) ** d
-        u = g.random(batch)
-        hits = np.nonzero(u < accept)[0]
-        if len(hits):
-            return y[hits[0]]
-        tried += batch
-    raise SamplerStallError(
-        "off-center ball-exit rejection exceeded 10^6 proposals "
-        f"at |x| = {s:.6f}", n_stalled=1, n_total=1)
 
 
 # ===================================================================== #
@@ -238,11 +198,12 @@ class SdeStable(ProcessModel):
     Increments of Z are exact (subordinated Gaussian), so for constant
     sigma the scheme is exact in law at the monitoring times.  `sigma` is
     batched: it maps an (m, d) array of points to the (m, d, d) stack of
-    coefficient matrices, one per point; None means the identity.  Every
-    matrix it returns must be finite, with its singular values inside
-    `sigma_bounds`, which must be finite with 0 < lo <= hi.  The model
-    carries no time step: `survival_prob_ball` (with it ep-check) steps at
-    t / n_steps.
+    coefficient matrices, one per point; None means the identity, whose
+    singular values are 1, so its `sigma_bounds` must contain 1.  Every
+    matrix a callable returns must be finite, with its singular values
+    inside `sigma_bounds`, which must be finite with 0 < lo <= hi.  The
+    model carries no time step: `survival_prob_ball` (with it ep-check)
+    steps at t / n_steps.
     """
 
     alpha: float
@@ -255,9 +216,10 @@ class SdeStable(ProcessModel):
         if not 0 < self.alpha < 2:
             raise ConfigError("alpha must lie in (0, 2)")
         lo, hi = self.sigma_bounds
-        if not 0 < lo <= hi < math.inf:
-            raise ConfigError(
-                "ellipticity bounds must be finite with 0 < lo <= hi")
+        if not 0 < lo <= hi < math.inf or (self.sigma is None
+                                           and not lo <= 1.0 <= hi):
+            raise ConfigError("ellipticity bounds must be finite with "
+                              "0 < lo <= hi, and hold 1 if sigma is None")
 
     @property
     def kernel(self) -> JumpKernelSpec:
@@ -750,9 +712,9 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
         batch = chain_exit_batch(model, Ball(x, r), np.tile(x, (n, 1)),
                                  rng, t_max=t)
         if batch.stalled.any():
-            raise SamplerStallError("chain survival run hit the step budget",
-                                    n_stalled=int(batch.stalled.sum()),
-                                    n_total=n, partial=batch)
+            raise SamplerStallError(
+                f"chain survival run hit the step budget on "
+                f"{int(batch.stalled.sum())} of {n} paths")
         exited = ~np.asarray(Ball(x, r).contains(batch.y))
     else:
         raise CapabilityError(

@@ -17,7 +17,7 @@ from bhplab.bhp import (bhp_scan_series, chain_decay, factorization_check,
                         far_field_indicator)
 from bhplab.cli import EXIT_OK, main as cli_main
 from bhplab.domains import Ball, HalfSpace, SlitPlane
-from bhplab.exitstats import exit_before_subdomain, mean_exit_time
+from bhplab.exitstats import escalate, mean_exit_time
 from bhplab.kernel import (check_jt, check_phi, isotropic_stable_kernel,
                            tail_mass, tempered_stable_kernel)
 from bhplab.rng import RngStream
@@ -210,8 +210,10 @@ def test_exit_ratio_band_half_space():
     ratios = []
     for k, r in enumerate((0.4, 0.2, 0.1, 0.05)):
         x = xi + np.array([r / 2.0, 0.0])
-        p = exit_before_subdomain(model, D, xi, r, x, 40_000,
-                                  RngStream(SEED, 20 + k))
+        # P_x(tau_D > tau_{B_D(xi, r)}): exits of D & B(xi, r) still in D
+        (p,), = escalate(model, D.truncate(xi, r), [x],
+                         [lambda b: D.contains(b.y)], [RngStream(SEED, 20 + k)],
+                         40_000, 40_000)
         met = mean_exit_time(model, D.truncate(xi, r), x, 40_000,
                              RngStream(SEED, 40 + k))
         ratios.append(p.value * float(phi(r)) / met.value)

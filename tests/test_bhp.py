@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from bhplab.bhp import (SHELL_EPS, BhpReport, BoundaryData, bhp_scan,
                         far_field_indicator, interior_grid)
 from bhplab.domains import Ball, HalfSpace, SlitPlane
 from bhplab.errors import ConfigError, DomainError
-from bhplab import exitstats
+from bhplab import bhp, exitstats
 from bhplab.cli import encode
 from bhplab.exitstats import escalate, harmonic_measure
 from bhplab.rng import RngStream
@@ -337,6 +339,17 @@ def test_chain_decay_first_step_matches_direct_mc():
     p = float(ok.mean())
     se = np.sqrt(p * (1 - p) / 20_000)
     assert abs(out["survival"][0] - p) < 4.0 * np.hypot(se, se)
+
+
+def test_chain_decay_counts_stalled_walkers_as_dead(monkeypatch):
+    monkeypatch.setattr(bhp, "walk_exit_batch_indexed", functools.partial(
+        bhp.walk_exit_batch_indexed, max_steps=1))
+    n = 2000
+    # the first ball, of radius 0.05, lies well inside D & B(x, gamma)
+    out = chain_decay(IsotropicStable(1.0, 2), HALF, XI, 0.5, [0.0, 0.05], n,
+                      RngStream(41), m_max=1)
+    assert out["stalled"] > n / 2
+    assert round(out["survival"][0] * n) <= n - out["stalled"]
 
 
 def test_chain_decay_validates_start():

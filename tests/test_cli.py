@@ -258,6 +258,20 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
                              {**disk, "targets": [target]})
 
 
+# a radius or time that is not positive, after a valid first entry, and
+# the key the error must name; it must fail before the first entry walks
+NON_POSITIVE = [
+    ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, -0.2]}, "r_series"),
+    ("bhp-scan --r-series 0.4,0", HALF_PLANE, "--r-series"),
+    ("factorization", {**HALF_PLANE, "r_series": [0.5, -0.25]}, "r_series"),
+    ("ep-check", {**SDE_LINE, "r_list": [1.0, 0.0]}, "r_list"),
+    ("ep-check", {**SDE_LINE, "t_factors": [0.1, -0.01]}, "t_factors"),
+    ("ep-check", {**SDE_LINE, "scaling_check": True,
+                  "scaling_pairs": [[[1.0, 1.0], [2.0, -1.0]]]},
+     "scaling_pairs"),
+]
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("bhp-scan", {**HALF_PLANE, "r_series": []}),
     ("factorization", {**HALF_PLANE, "r_series": []}),
@@ -328,11 +342,20 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
     # JSON reads 1e400 as inf, so the default bounds would be [inf, inf]
     ("ep-check", {**SDE_LINE,
                   "model": {**SDE_LINE["model"], "sigma_scale": 1e400}}),
-])
+] + [(command, cfg) for command, cfg, _ in NON_POSITIVE])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
     assert _config_error(tmp_path, capsys, command, cfg)
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("command, cfg, key", NON_POSITIVE)
+def test_non_positive_entry_is_named_by_its_key(tmp_path, capsys, no_walks,
+                                                command, cfg, key):
+    main([*command.split(), "--config", _write(tmp_path, "c.json", cfg),
+          "--out", str(tmp_path)])
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key} must be a list of ")
 
 
 def test_factorization_bad_r_is_reported_under_r(tmp_path, capsys, no_walks):

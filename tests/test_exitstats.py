@@ -14,9 +14,8 @@ from bhplab import exitstats
 from bhplab.cli import encode
 from bhplab.domains import Ball, HalfSpace
 from bhplab.errors import DomainError, EstimationError
-from bhplab.exitstats import (Estimate, escalate, exit_before_subdomain,
-                              gather_exits, harmonic_measure, mean_exit_time,
-                              split_n)
+from bhplab.exitstats import (Estimate, escalate, gather_exits,
+                              harmonic_measure, mean_exit_time, split_n)
 from bhplab.rng import RngStream
 from bhplab.sampler import IsotropicStable, sample_exits
 
@@ -190,14 +189,21 @@ def test_mean_exit_time_scaling_in_radius():
     assert abs(ratio - 2.0 ** 1.5) < 3.5 * se
 
 
+def _exit_before_subdomain(model, D, xi, r, x, n, rng):
+    """P_x(tau_D > tau_{B_D(xi, r)}): exits of D & B(xi, r) still in D."""
+    (est,), = escalate(model, D.truncate(xi, r), [x],
+                       [lambda b: D.contains(b.y)], [rng], n, n)
+    return est
+
+
 def test_exit_before_subdomain_monotone_in_radius():
     # a larger truncating ball is harder to leave before D
     model = IsotropicStable(1.0, 2)
     D = HalfSpace([0.0, 1.0], 0.0)
     xi = [0.0, 0.0]
     x = [0.0, 0.05]
-    small = exit_before_subdomain(model, D, xi, 0.2, x, 8000, RngStream(5))
-    large = exit_before_subdomain(model, D, xi, 2.0, x, 8000, RngStream(5))
+    small = _exit_before_subdomain(model, D, xi, 0.2, x, 8000, RngStream(5))
+    large = _exit_before_subdomain(model, D, xi, 2.0, x, 8000, RngStream(5))
     assert 0.0 <= large.value <= small.value <= 1.0
 
 
@@ -205,7 +211,8 @@ def test_exit_before_subdomain_validates_start():
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 4.0)
     with pytest.raises(DomainError):
-        exit_before_subdomain(model, D, [0.0], 0.5, [1.0], 100, RngStream(0))
+        _exit_before_subdomain(model, D, [0.0], 0.5, [1.0], 100,
+                               RngStream(0))
 
 
 # ------------------------------------------------------------------ #

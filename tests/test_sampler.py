@@ -1,19 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from bhplab.bhp import SHELL_EPS
 from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane
-from bhplab.errors import CapabilityError, ConfigError, DomainError
+from bhplab.errors import (CapabilityError, ConfigError, DomainError,
+                           SamplerStallError)
 from bhplab.exitstats import escalate
 from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
                            tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             StableLikeChain, _paths_exit_indicator,
-                            _sigma_dz,
-                            ball_exit_centered,
-                            ball_exit_isotropic, chain_exit_batch,
+                            _sigma_dz, ball_exit_centered, chain_exit_batch,
                             expected_ball_exit_time,
                             geometric_stable_increment, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
@@ -32,7 +33,7 @@ from conftest import (ball_exit_prob_interval, ball_exit_tail_prob,
 def test_centered_exit_tail_matches_quadrature(rng):
     n = 200_000
     for d, alpha, R in [(1, 1.0, 2.0), (2, 1.5, 3.0)]:
-        y = ball_exit_centered(alpha, d, n, rng.substream(d).generator())
+        y = ball_exit_centered(alpha, d, [n], [rng.substream(d).generator()])
         p_hat = float((np.linalg.norm(y, axis=1) > R).mean())
         p = ball_exit_tail_prob(alpha, d, R)
         se = np.sqrt(p * (1 - p) / n)
@@ -40,28 +41,18 @@ def test_centered_exit_tail_matches_quadrature(rng):
 
 
 def test_centered_exit_points_leave_the_ball(rng):
-    y = ball_exit_centered(0.7, 3, 10_000, rng.generator())
+    y = ball_exit_centered(0.7, 3, [10_000], [rng.generator()])
     assert np.all(np.linalg.norm(y, axis=1) >= 1.0)
 
 
 def test_offcenter_exit_matches_quadrature(rng):
     x = 0.3
-    stream = rng.substream(1)
-    got = np.array([ball_exit_isotropic(1.0, 1, [x], stream.substream(i))[0]
-                    for i in range(4000)])
-    p_hat = float((got > 1.0).mean())
+    batch = sample_exits(IsotropicStable(1.0, 1), Ball([0.0], 1.0), [x],
+                         4000, rng.substream(1))
+    p_hat = float((batch.y[:, 0] > 1.0).mean())
     p = ball_exit_prob_interval(1.0, x, 1.0, np.inf)
-    se = np.sqrt(p * (1 - p) / len(got))
+    se = np.sqrt(p * (1 - p) / batch.n)
     assert abs(p_hat - p) < 3.5 * se
-
-
-def test_offcenter_start_validation(rng):
-    with pytest.raises(DomainError):
-        ball_exit_isotropic(1.0, 1, [1.0], rng)
-    with pytest.raises(DomainError):
-        ball_exit_isotropic(2.5, 1, [0.0], rng)
-    with pytest.raises(DomainError):
-        ball_exit_isotropic(1.0, 2, [0.0], rng)
 
 
 # ------------------------------------------------------------------ #
@@ -163,7 +154,7 @@ def test_grouped_ball_exits_equal_per_generator_calls(rng):
         streams = [rng.substream(10 * d + j) for j in range(len(sizes))]
         got = ball_exit_centered(1.3, d, sizes,
                                  [s.generator() for s in streams])
-        ref = np.concatenate([ball_exit_centered(1.3, d, n, s.generator())
+        ref = np.concatenate([ball_exit_centered(1.3, d, [n], [s.generator()])
                               for n, s in zip(sizes, streams)])
         assert got.shape == (sum(sizes), d)
         assert np.array_equal(got, ref)
@@ -372,6 +363,15 @@ def test_variable_kappa_chain_feeds_the_instruments(rng):
     est = survival_prob_ball(model, [0.3125], 1.0, 0.1, 4000,
                              rng.substream(1))
     assert 0.0 < est.value < 1.0
+
+
+def test_chain_survival_stall_names_its_count(monkeypatch):
+    from bhplab import sampler
+    monkeypatch.setattr(sampler, "chain_exit_batch", functools.partial(
+        sampler.chain_exit_batch, max_steps=1))
+    model = StableLikeChain(isotropic_stable_kernel(1, 1.0), 2.0 ** -4, 4.0)
+    with pytest.raises(SamplerStallError, match=r"on [1-9]\d* of 200 paths"):
+        survival_prob_ball(model, [0.0], 1.0, 10.0, 200, RngStream(3))
 
 
 def test_tempered_chain_tables_build_without_warnings():
@@ -702,6 +702,9 @@ def test_model_validation():
         SdeStable(1.0, 1, sigma_bounds=(1.0, np.inf))
     with pytest.raises(ConfigError):
         SdeStable(1.0, 1, sigma_bounds=(np.inf, np.inf))
+    # sigma None is the identity, whose singular values are 1
+    with pytest.raises(ConfigError):
+        SdeStable(1.5, 2, sigma_bounds=(2.0, 3.0))
     with pytest.raises(ConfigError):
         GeometricStable(0.0, 1)
 
