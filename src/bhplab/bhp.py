@@ -450,11 +450,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
     stalled = 0
     for step in range(m_max):
         idx_alive = np.nonzero(alive)[0]
-        if len(idx_alive) == 0:
-            survival.extend([0.0] * (m_max - step))
-            break
-        centers = y[idx_alive]
-        radii = _gamma_radius(np.linalg.norm(centers - xi, axis=1), r)
+        radii = _gamma_radius(np.linalg.norm(y[idx_alive] - xi, axis=1), r)
         movable = radii > 0
         # paths whose radius schedule hit zero can no longer move: dead
         alive[idx_alive[~movable]] = False
@@ -485,7 +481,6 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
         y[idx] = new_y
         survival.append(float(alive.sum()) / n)
 
-    survival = survival[:m_max]
     m = np.arange(1, len(survival) + 1)
     pos_mask = np.asarray(survival) > 0
     fit = None

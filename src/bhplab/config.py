@@ -64,12 +64,15 @@ def count(spec, key: str, default=_REQUIRED, least: int = 1) -> int:
     return n
 
 
-def real(spec, key: str, default=_REQUIRED) -> float:
+def real(spec, key: str, default=_REQUIRED, positive: bool = False) -> float:
     v = _get(spec, key, default)
     try:
-        return float(v)
+        x = float(v)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {v!r}") from None
+    if positive and not x > 0:
+        raise ConfigError(f"{key} must be a positive number, got {v!r}")
+    return x
 
 
 def text(spec, key: str, default=_REQUIRED) -> str:

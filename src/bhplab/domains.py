@@ -8,8 +8,8 @@ Every domain is an immutable value object exposing
   nothing else, except that a shelled truncation also tells it which
   walkers lie in its shell (``Truncation.shelled_clearance``).
 * ``contains(x)``  -- open-set membership, ``clearance(x) > SURFACE_TOL``,
-* ``dist_lb(x)``   -- ``clearance(x)`` on inside points, a computable
-  lower bound 0 < delta(x) <= d(x, D^c); it raises outside,
+* ``dist_lb(x)``   -- ``clearance(x)`` inside, raising outside; unused in
+  the package, it stays only because ``bench/tracer.py`` patches it,
 * ``truncate(xi, r)``  -- the intersection D & B(xi, r), optionally with
   a stopping shell at D's own boundary for the walk on balls.
 
@@ -281,17 +281,14 @@ def box_minus_comb(teeth: int = 4, gap: float = 0.25) -> Domain:
 # composites
 # ===================================================================== #
 
-class Intersection(Domain):
-    """Intersection of domains; clearance is the min over components.
-
-    The min is the exact distance to the complement of the intersection,
-    so dist_lb stays tight here.
-    """
+class _Composite(Domain):
+    """Domains combined by `_reduce`, which folds the components'
+    clearances; `_word` names the combination in errors."""
 
     def __init__(self, domains):
         domains = list(domains)
         if not domains:
-            raise ConfigError("intersection of nothing")
+            raise ConfigError(f"{self._word} of nothing")
         dims = {d.dim for d in domains}
         if len(dims) != 1:
             raise ConfigError("all components must share a dimension")
@@ -301,8 +298,19 @@ class Intersection(Domain):
     def _clearance(self, pts):
         c = self.components[0]._clearance(pts)
         for d in self.components[1:]:
-            c = np.minimum(c, d._clearance(pts))
+            c = self._reduce(c, d._clearance(pts))
         return c
+
+
+class Intersection(_Composite):
+    """Intersection of domains; clearance is the min over components.
+
+    The min is the exact distance to the complement of the intersection,
+    so dist_lb stays tight here.
+    """
+
+    _word = "intersection"
+    _reduce = staticmethod(np.minimum)
 
 
 class Truncation(Intersection):
@@ -330,26 +338,12 @@ class Truncation(Intersection):
             own <= self.shell
 
 
-class Union(Domain):
+class Union(_Composite):
     """Union of domains; clearance is the max over components.
 
     The max of the component clearances is a valid (possibly
     conservative) lower bound on the distance to the union's complement.
     """
 
-    def __init__(self, domains):
-        domains = list(domains)
-        if not domains:
-            raise ConfigError("union of nothing")
-        dims = {d.dim for d in domains}
-        if len(dims) != 1:
-            raise ConfigError("all components must share a dimension")
-        self.components = domains
-        self.dim = domains[0].dim
-
-    def _clearance(self, pts):
-        c = self.components[0]._clearance(pts)
-        for d in self.components[1:]:
-            c = np.maximum(c, d._clearance(pts))
-        return c
-
+    _word = "union"
+    _reduce = staticmethod(np.maximum)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import SURFACE_TOL, Domain, Truncation, _row_norm
+from .domains import SURFACE_TOL, Ball, Domain, Truncation, _row_norm
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
 from .kernel import JumpKernelSpec, isotropic_stable_kernel, tail_mass
 from .rng import RngStream
@@ -121,8 +121,6 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
 class ProcessModel:
     """Base class for the simulable model variants."""
 
-    exactness: str
-
     @property
     def kernel(self) -> JumpKernelSpec:
         raise NotImplementedError
@@ -134,7 +132,6 @@ class IsotropicStable(ProcessModel):
 
     alpha: float
     dim: int
-    exactness = "exact-exit-law"
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -163,7 +160,6 @@ class StableLikeChain(ProcessModel):
     h: float
     r_cut: float
     lattice_offset: float = 0.0   # lattice is h * (Z^d + offset) per axis
-    exactness = "weak-order-approximation"
 
     def __post_init__(self):
         if not 0 < self.h < self.r_cut:
@@ -210,7 +206,6 @@ class SdeStable(ProcessModel):
     dim: int
     sigma: object = None               # callable (m,d) -> (m,d,d), or None
     sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
-    exactness = "weak-order-approximation"
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -231,12 +226,11 @@ class GeometricStable(ProcessModel):
     """Stable process run at an independent Gamma-process clock.
 
     Matches the jump density comparable to r^{-d} min(1, r^{-alpha});
-    approximation-grade only — exactness of exit laws is not claimed.
+    approximation-grade only — its exit laws are not claimed exact.
     """
 
     alpha: float
     dim: int
-    exactness = "weak-order-approximation"
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -708,14 +702,14 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
     if isinstance(model, (SdeStable, GeometricStable)):
         exited = _paths_exit_indicator(model, x, r, t, n, n_steps, g)
     elif isinstance(model, StableLikeChain):
-        from .domains import Ball
-        batch = chain_exit_batch(model, Ball(x, r), np.tile(x, (n, 1)),
-                                 rng, t_max=t)
+        ball = Ball(x, r)
+        batch = chain_exit_batch(model, ball, np.tile(x, (n, 1)), rng,
+                                 t_max=t)
         if batch.stalled.any():
             raise SamplerStallError(
                 f"chain survival run hit the step budget on "
                 f"{int(batch.stalled.sum())} of {n} paths")
-        exited = ~np.asarray(Ball(x, r).contains(batch.y))
+        exited = ~np.asarray(ball.contains(batch.y))
     else:
         raise CapabilityError(
             f"{type(model).__name__} provides no time marginal; the "

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -258,8 +257,8 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
                              {**disk, "targets": [target]})
 
 
-# a radius or time that is not positive, after a valid first entry, and
-# the key the error must name; it must fail before the first entry walks
+# a radius or time that is not positive, and the key the error must name;
+# after a valid first entry, it must fail before that entry walks
 NON_POSITIVE = [
     ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, -0.2]}, "r_series"),
     ("bhp-scan --r-series 0.4,0", HALF_PLANE, "--r-series"),
@@ -269,6 +268,12 @@ NON_POSITIVE = [
     ("ep-check", {**SDE_LINE, "scaling_check": True,
                   "scaling_pairs": [[[1.0, 1.0], [2.0, -1.0]]]},
      "scaling_pairs"),
+    ("check-kernel", {"kernel": POWER_KERNEL,
+                      "phi_grid": [0, 0.001, 1, 100]}, "phi_grid"),
+    ("check-kernel", {"kernel": POWER_KERNEL,
+                      "jt_grid": [0.001, 0, 1, 10]}, "jt_grid"),
+    ("check-kernel", {"kernel": POWER_KERNEL,
+                      "jt_grid": [-1, 10, 100, 1000, 10000]}, "jt_grid"),
 ]
 
 
@@ -367,6 +372,21 @@ def test_factorization_bad_r_is_reported_under_r(tmp_path, capsys, no_walks):
     assert capsys.readouterr().err.startswith("config error: r must be ")
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("box-method", {**HALF_PLANE, "r": -1}),
+    ("box-method", {**HALF_PLANE, "r": 0}),
+    ("chain-decay", {**HALF_PLANE, "r": -0.5}),
+    ("factorization", {**{k: v for k, v in HALF_PLANE.items()
+                          if k != "r_series"}, "r": -0.5}),
+])
+def test_non_positive_r_is_named_as_r(tmp_path, capsys, no_walks, command,
+                                      cfg):
+    rc = main([command, "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: r ")
+
+
 def test_underpowered_factorization_exits_3(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
@@ -418,11 +438,7 @@ def test_summarize_without_reports_is_config_error(tmp_path, capsys):
 # determinism
 # ------------------------------------------------------------------ #
 
-def _strip_timestamp(text: str) -> str:
-    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
-
-
-def test_reports_byte_identical_modulo_timestamp(tmp_path):
+def test_reports_byte_identical(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
         "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
@@ -430,9 +446,21 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path):
     })
     main(["exit-stats", "--config", cfg, "--out", str(tmp_path / "r1")])
     main(["exit-stats", "--config", cfg, "--out", str(tmp_path / "r2")])
-    a = (tmp_path / "r1" / "exit-stats.json").read_text()
-    b = (tmp_path / "r2" / "exit-stats.json").read_text()
-    assert _strip_timestamp(a) == _strip_timestamp(b)
+    a = (tmp_path / "r1" / "exit-stats.json").read_bytes()
+    b = (tmp_path / "r2" / "exit-stats.json").read_bytes()
+    assert a == b
+
+
+def test_bhp_scan_writes_one_byte_identical_report(tmp_path):
+    cfg = _write(tmp_path, "c.json", {**HALF_PLANE, "n": 8192, "cap": 8192,
+                                      "seed": 1})
+    for out in ("r1", "r2"):
+        assert main(["bhp-scan", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == EXIT_OK
+        assert [p.name for p in (tmp_path / out).iterdir()] == \
+            ["bhp-scan.json"]
+    assert (tmp_path / "r1" / "bhp-scan.json").read_bytes() == \
+        (tmp_path / "r2" / "bhp-scan.json").read_bytes()
 
 
 def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name):
