@@ -219,10 +219,12 @@ def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     max_chat = real(cfg, "max_chat") if "max_chat" in cfg else None
     scaling_pairs = None
     if flag(cfg, "scaling_check", True):
-        # by scaling, P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1))
-        default_pair = [[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]
-        scaling_pairs = pairs(cfg, "scaling_pairs", [default_pair],
-                              positive=True)
+        # P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1)) holds
+        # for a self-similar process: a power phi with no temper
+        default = ([[[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]]
+                   if phi.form == "power" and model.kernel.temper is None
+                   else [])
+        scaling_pairs = pairs(cfg, "scaling_pairs", default, positive=True)
     x0 = np.zeros(model.kernel.dim)
     rows = []
     k = 0
@@ -417,11 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--r-series", default=None,
-                        help="comma-separated radius list override")
-        sp.add_argument("--n", type=int, default=None)
     ssum = sub.add_parser("summarize")
     ssum.add_argument("paths", nargs="*")
     return parser
@@ -434,12 +432,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        overrides = {"seed": args.seed, "out": args.out, "n": args.n}
-        if args.r_series:
-            overrides["r_series"] = reals(
-                {"--r-series": args.r_series.split(",")}, "--r-series",
-                positive=True)
-        cfg.update((k, v) for k, v in overrides.items() if v is not None)
+        if args.out is not None:
+            cfg["out"] = args.out
         cfg["seed"] = count(cfg, "seed", 0, least=0)
         if cfg["seed"] >= 2 ** 64:
             raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")

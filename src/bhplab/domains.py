@@ -69,19 +69,6 @@ def _row_norm(v):
     return np.sqrt(s)
 
 
-def _segment_distance(pts, a, b):
-    """Distances from pts (n,2+) to the closed segment [a, b]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return _row_norm(pts - a)
-    t = np.clip(_row_dot(pts - a, ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return _row_norm(pts - proj)
-
-
 class Domain:
     """Base class: open subset of R^d."""
 
@@ -244,11 +231,18 @@ class SegmentComplement(Domain):
             if a.shape != (2,) or b.shape != (2,):
                 raise ConfigError("segments must join 2-d points")
         object.__setattr__(self, "segments", segs)
+        # each segment as (a, b - a, |b - a|^2), fixed for every walk step
+        object.__setattr__(self, "_spans", tuple(
+            (a, b - a, float((b - a) @ (b - a))) for a, b in segs))
 
     def _clearance(self, pts):
         d = np.full(pts.shape[0], np.inf)
-        for a, b in self.segments:
-            d = np.minimum(d, _segment_distance(pts, a, b))
+        for a, ab, denom in self._spans:
+            if denom == 0.0:
+                d = np.minimum(d, _row_norm(pts - a))
+                continue
+            t = np.clip(_row_dot(pts - a, ab) / denom, 0.0, 1.0)
+            d = np.minimum(d, _row_norm(pts - (a + t[:, None] * ab)))
         return d
 
 

@@ -167,7 +167,8 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
 
     Returns (tally, warnings): the `Tally` of the points in order, and
     each point's warning list.  Raises EstimationError at the first point
-    with more than 5% of its paths stalled.
+    with more than 5% of its paths stalled: paths that hit the step
+    budget or escaped to infinity.
     """
     parts = [(j, x, size, rng.substream(i))
              for j, (x, n, rng) in enumerate(zip(points, ns, rngs))
@@ -196,7 +197,8 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
         if frac > STALL_FAIL_FRACTION:
             raise EstimationError(
                 f"sampler stall rate {frac:.2%} exceeds the 5% reliability "
-                f"limit ({n_stall}/{n})")
+                f"limit ({n_stall}/{n} paths hit the step budget or escaped "
+                f"to infinity)")
         warnings.append(
             [f"stall rate {frac:.3%} ({n_stall}/{n}); estimates use the "
              f"non-stalled paths only"] if frac > STALL_WARN_FRACTION else [])

@@ -207,18 +207,17 @@ def _angular_mean(J: JumpKernelSpec, x: np.ndarray, nodes, g=None):
     return ang
 
 
-def _outward_integral(J: JumpKernelSpec, ang, r: float,
-                      r_max: float = math.inf) -> float:
-    """omega_d * integral over [r, r_max] of ang(s) s^{d-1} profile(s) ds.
+def _outward_integral(J: JumpKernelSpec, ang, r: float) -> float:
+    """omega_d * integral over [r, inf) of ang(s) s^{d-1} profile(s) ds.
 
     Integrated decade by decade outward, in u = log s for stability of
-    heavy-tailed integrands.  Returns at r_max, once the kernel has
-    vanished, or once a full decade [a, b] (b >= 5a) adds at most
-    QUAD_REL_TOL of a non-zero total and less than the decade before it,
-    so that data vanishing near r do not stop it early; a sliver left over
-    where the scale table ends mid-decade adds ~0 whether or not the
-    integral converges, so it is no evidence.  Raises DivergenceError at
-    the scale table's edge or after _SEG_DECADES_CAP decades.
+    heavy-tailed integrands.  Returns once the kernel has vanished, or
+    once a full decade [a, b] (b >= 5a) adds at most QUAD_REL_TOL of a
+    non-zero total and less than the decade before it, so that data
+    vanishing near r do not stop it early; a sliver left over where the
+    scale table ends mid-decade adds ~0 whether or not the integral
+    converges, so it is no evidence.  Raises DivergenceError at the scale
+    table's edge or after _SEG_DECADES_CAP decades.
     """
     from scipy import integrate  # local import: slow to load
 
@@ -234,13 +233,13 @@ def _outward_integral(J: JumpKernelSpec, ang, r: float,
     prev_seg = None
     a = float(r)
     for _ in range(_SEG_DECADES_CAP):
-        b = min(a * 10.0, r_max, edge)
+        b = min(a * 10.0, edge)
         seg, _ = integrate.quad(f, math.log(a), math.log(b),
                                 epsrel=QUAD_REL_TOL * 1e-2, epsabs=0.0,
                                 limit=200)
         seg = omega * seg
         total += seg
-        if b >= r_max or float(J.radial_profile(b)) == 0.0:
+        if float(J.radial_profile(b)) == 0.0:
             return total
         if b >= 5.0 * a and total != 0.0 and \
                 abs(seg) <= QUAD_REL_TOL * abs(total) and \
@@ -505,9 +504,8 @@ def check_phi(phi: ScaleFunction, r_grid,
 # boundary integrals for the BHP harness
 # ===================================================================== #
 
-def boundary_integral(J: JumpKernelSpec, xi, g, r_min: float,
-                      r_max: float = np.inf) -> float:
-    """integral of g(y) J(xi, dy) over |y - xi| >= r_min (and <= r_max).
+def boundary_integral(J: JumpKernelSpec, xi, g, r_min: float) -> float:
+    """integral of g(y) J(xi, dy) over |y - xi| >= r_min.
 
     The outward radial quadrature with a fixed-node angular average of
     g(xi + s u) * kappa(xi, s u) over 256 directions; exact enough for
@@ -517,4 +515,4 @@ def boundary_integral(J: JumpKernelSpec, xi, g, r_min: float,
         raise DomainError("boundary_integral needs r_min > 0")
     xi = np.asarray(xi, dtype=float)
     ang = _angular_mean(J, xi, angular_nodes(J.dim, _BOUNDARY_NODES), g)
-    return _outward_integral(J, ang, r_min, r_max)
+    return _outward_integral(J, ang, r_min)

@@ -253,7 +253,7 @@ class BatchExit:
     y: np.ndarray          # (n, d) exit points
     w: np.ndarray          # (n,) accumulated expected-time weights
     steps: np.ndarray      # (n,) ball-exit counts
-    stalled: np.ndarray    # (n,) bool: hit the step budget before exiting
+    stalled: np.ndarray    # (n,) bool: out of steps or escaped to infinity
     shelled: np.ndarray    # (n,) bool: stopped in a stopping shell
 
     @property
@@ -286,7 +286,9 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     It is evaluated once on the starts and once per active walker after
     each jump: a walker with clearance c > SURFACE_TOL is inside and next
     exits the ball B(x, rho * c) exactly, accumulating the closed-form
-    expected ball-exit time; any other walker has exited.
+    expected ball-exit time; any other walker has exited.  One that left
+    from a non-finite point escaped to infinity: like one still walking
+    after `max_steps` steps, it is marked stalled.
 
     `clearance` may instead return a pair (c, in_shell), whose boolean
     `in_shell` marks the walkers inside a stopping shell (see
@@ -330,29 +332,32 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     # all of them have taken the same number of steps
     wa = np.zeros(n)
     ce = mean_exit_constant(d, alpha)
-    for step in range(max_steps + 1):
-        inside = c > SURFACE_TOL
-        if in_shell is not None:
-            inside &= ~in_shell
-        if not inside.all():
-            out = ~inside
-            done = idx[out]
-            y[done] = x[out]
-            w[done] = wa[out]
-            steps[done] = step
+    # a walker escaping to infinity overflows; it is marked stalled below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_steps + 1):
+            inside = c > SURFACE_TOL
             if in_shell is not None:
-                # a walker that ends with positive clearance stopped in
-                # the shell; any other jumped out
-                shelled[done] = c[out] > SURFACE_TOL
-            x, wa, idx, c, group = (x[inside], wa[inside], idx[inside],
-                                    c[inside], group[inside])
-            counts = np.bincount(group, minlength=len(sizes)).tolist()
-        if len(idx) == 0 or step == max_steps:
-            break
-        radii = rho * c
-        wa += ce * radii ** alpha
-        x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
-        c, in_shell = _clearance_and_shell(clearance(x, idx))
+                inside &= ~in_shell
+            if not inside.all():
+                out = ~inside
+                done = idx[out]
+                y[done] = x[out]
+                w[done] = wa[out]
+                steps[done] = step
+                stalled[done] = ~np.isfinite(x[out]).all(axis=1)
+                if in_shell is not None:
+                    # a walker that ends with positive clearance stopped in
+                    # the shell; any other jumped out
+                    shelled[done] = c[out] > SURFACE_TOL
+                x, wa, idx, c, group = (x[inside], wa[inside], idx[inside],
+                                        c[inside], group[inside])
+                counts = np.bincount(group, minlength=len(sizes)).tolist()
+            if len(idx) == 0 or step == max_steps:
+                break
+            radii = rho * c
+            wa += ce * radii ** alpha
+            x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
+            c, in_shell = _clearance_and_shell(clearance(x, idx))
     if len(idx):
         stalled[idx] = True
         y[idx] = x
@@ -536,13 +541,14 @@ def one_sided_stable(a: float, n: int, g: np.random.Generator) -> np.ndarray:
     return np.exp((1.0 - a) / a * (log_a - np.log(wexp)))
 
 
-def stable_increment(alpha: float, d: int, dt: float, n: int,
+def stable_increment(alpha: float, d: int, dt, n: int,
                      g: np.random.Generator) -> np.ndarray:
     """Exact isotropic alpha-stable increments over time dt, shape (n, d).
 
     Subordinated Gaussian: sqrt(2 S) N(0, I) with S positive
     (alpha/2)-stable scaled by dt^{2/alpha}, so the characteristic
-    function is exp(-dt |xi|^alpha).
+    function is exp(-dt |xi|^alpha).  `dt` may be an (n,) array, one
+    time per increment.
     """
     s = dt ** (2.0 / alpha) * one_sided_stable(alpha / 2.0, n, g)
     return np.sqrt(2.0 * s)[:, None] * g.standard_normal((n, d))
@@ -622,8 +628,10 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
         if alive.size == 0:
             break
         if isinstance(model, GeometricStable):
-            x = x + geometric_stable_increment(model.alpha, model.dim, dt,
-                                               alive.size, g)
+            # the stable process over a gamma clock's increment
+            x = x + stable_increment(model.alpha, model.dim,
+                                     g.gamma(dt, 1.0, alive.size),
+                                     alive.size, g)
         else:
             dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
             x = x + _sigma_dz(model, x, dz)
@@ -631,14 +639,6 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
         exited[alive[out]] = True
         alive, x = alive[~out], x[~out]
     return exited
-
-
-def geometric_stable_increment(alpha: float, d: int, dt: float, n: int,
-                               g: np.random.Generator) -> np.ndarray:
-    """Increments of the gamma-subordinated stable process over dt."""
-    gam = g.gamma(dt, 1.0, n)
-    s = gam ** (2.0 / alpha) * one_sided_stable(alpha / 2.0, n, g)
-    return np.sqrt(2.0 * s)[:, None] * g.standard_normal((n, d))
 
 
 # ===================================================================== #

@@ -9,7 +9,7 @@ import pytest
 
 from bhplab import bhp, exitstats
 from bhplab.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
-                        EXIT_UNDERPOWERED, main)
+                        EXIT_RUNTIME, EXIT_UNDERPOWERED, main)
 from bhplab.sampler import mean_exit_constant
 
 
@@ -75,6 +75,25 @@ def test_exit_stats_unit_interval(tmp_path):
     assert 0.0 < rep["results"]["targets"]["far"]["value"] < 1.0
 
 
+def test_exit_stats_targets_with_exact_values(tmp_path):
+    # from the center of the unit interval the default walk is one exact
+    # exit of the Cauchy process: every exit lands in the complement, by
+    # symmetry half of them on the left, and by the Poisson kernel
+    # (1/pi) / (|y| sqrt(y^2 - 1)), P(|y| <= 2) = (2/pi) arcsec 2 = 2/3
+    targets = [{"name": "all", "kind": "complement"},
+               {"name": "near", "kind": "norm-le", "value": 2.0},
+               {"name": "left", "kind": "coordinate-lt", "value": 0.0}]
+    cfg = _write(tmp_path, "c.json", {**UNIT_INTERVAL, "n": 20000,
+                                      "targets": targets})
+    assert main(["exit-stats", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    got = _load_report(tmp_path, "exit-stats")["results"]["targets"]
+    assert got["all"]["value"] == 1.0
+    for name, exact in (("near", 2.0 / 3.0), ("left", 0.5)):
+        assert abs(got[name]["value"] - exact) <= 4 * got[name]["stderr"]
+        assert 0.0 < got[name]["stderr"] < 0.005
+
+
 def test_ep_check_runs(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "sde-stable", "alpha": 1.0, "dim": 1, "dt": 0.01},
@@ -115,6 +134,39 @@ def test_ep_check_default_scaling_pair_follows_alpha(tmp_path):
     assert status["ep-scaling-0"] == "pass"
 
 
+def test_ep_check_c_bound_passes_and_fails(tmp_path):
+    rows = []
+    for max_chat in (1e6, 1e-6):
+        cfg = _write(tmp_path, "c.json", {**SDE_LINE, "t_factors": [0.1],
+                                          "n": 1000, "seed": 5,
+                                          "max_chat": max_chat})
+        assert main(["ep-check", "--config", cfg,
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rep = _load_report(tmp_path, "ep-check")
+        c_max = rep["results"]["c_max"]
+        assert c_max == max(row["c_hat"] for row in rep["results"]["table"])
+        rows += [c for c in rep["checks"] if c["name"] == "ep-c-bound"]
+    assert [(c["value"], c["threshold"], c["status"]) for c in rows] == [
+        (c_max, 1e6, "pass"), (c_max, 1e-6, "fail")]
+    assert 0.0 < c_max < 1e6
+
+
+def test_ep_check_has_no_default_pair_without_power_scale(tmp_path):
+    # a stable process on a gamma clock is not self-similar, so the
+    # scaling identity behind the default pair does not hold for it
+    cfg = _write(tmp_path, "c.json", {
+        "model": {"type": "geometric-stable", "alpha": 1.5, "dim": 2},
+        "r_list": [0.5, 2.0], "t_factors": [0.01, 0.1], "n": 2000,
+        "n_steps": 16, "max_chat": 100, "seed": 3,
+    })
+    assert main(["ep-check", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rep = _load_report(tmp_path, "ep-check")
+    assert rep["results"]["scaling_pairs"] == []
+    assert [c["name"] for c in rep["checks"]] == ["ep-c-bound"]
+    assert len(rep["results"]["table"]) == 4
+
+
 def test_chain_decay_runs(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
@@ -142,15 +194,42 @@ def test_box_method_runs(tmp_path):
     assert len(rep["results"]["layers"]) == 2
 
 
-def test_factorization_r_series_flag(tmp_path):
+def test_box_method_checks_the_least_finite_lambda(tmp_path):
+    cfg = _write(tmp_path, "c.json", {**HALF_PLANE, "r": 1.0, "j_max": 3,
+                                      "grid_size": 24, "n": 2000,
+                                      "seed": 31})
+    assert main(["box-method", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rep = _load_report(tmp_path, "box-method")
+    # an empty layer's lambda, +inf, is written as {"__float__": "inf"}
+    finite = [lay["lambda_j"] for lay in rep["results"]["layers"]
+              if not isinstance(lay["lambda_j"], dict)]
+    assert finite and min(finite) > 0
+    assert rep["checks"] == [{"name": "box-lambda-positive",
+                              "value": min(finite), "threshold": 0.0,
+                              "op": ">", "status": "pass"}]
+
+
+def test_check_kernel_reads_a_tabulated_scale(tmp_path):
+    # a table of r^1.5 interpolates log-log linearly, so it is r^1.5
+    r = np.logspace(-4, 3, 29)
+    cfg = _write(tmp_path, "c.json", {"kernel": {"dim": 1, "scale": {
+        "form": "tabulated", "r": r.tolist(), "phi": (r ** 1.5).tolist()}}})
+    assert main(["check-kernel", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    phi = _load_report(tmp_path, "check-kernel")["results"]["phi"]
+    assert phi["verdict"] == "holds-numerically"
+    assert phi["constants"]["beta"] == pytest.approx(1.5, rel=1e-9)
+
+
+def test_factorization_r_series_key(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 2},
         "domain": {"type": "half-space", "normal": [0.0, 1.0]},
-        "xi": [0.0, 0.0], "grid_size": 2, "n": 2048, "cap": 120000,
-        "seed": 9,
+        "xi": [0.0, 0.0], "r_series": [0.5, 0.25], "grid_size": 2,
+        "n": 2048, "cap": 120000, "seed": 9,
     })
-    rc = main(["factorization", "--config", cfg, "--out", str(tmp_path),
-               "--r-series", "0.5,0.25"])
+    rc = main(["factorization", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_OK
     rep = _load_report(tmp_path, "factorization")
     assert rep["results"]["radii"] == [0.5, 0.25]
@@ -175,6 +254,25 @@ def test_invalid_model_is_config_error(tmp_path):
     })
     rc = main(["exit-stats", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+# a walker of the plane minus a segment and a point escapes to infinity
+ESCAPING = {
+    "model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 2},
+    "domain": {"type": "segment-complement",
+               "segments": [[[0, 0], [1, 0]], [[0, 1], [0, 1]]]},
+    "x": [0.5, 0.5], "n": 2000, "seed": 1,
+    "targets": [{"name": "up", "kind": "coordinate-gt", "axis": 1,
+                 "value": 0.5}],
+}
+
+
+def test_escape_to_infinity_is_a_runtime_error(tmp_path, capsys):
+    rc = main(["exit-stats", "--config", _write(tmp_path, "c.json", ESCAPING),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_RUNTIME
+    assert "escaped to infinity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 UNIT_INTERVAL = {
@@ -210,8 +308,7 @@ def no_walks(monkeypatch):
 def _config_error(tmp_path, capsys, command, cfg):
     # --out would override a config's own "out", so it is left off for one
     out = [] if "out" in cfg else ["--out", str(tmp_path)]
-    rc = main([*command.split(), "--config", _write(tmp_path, "c.json", cfg),
-               *out])
+    rc = main([command, "--config", _write(tmp_path, "c.json", cfg), *out])
     err = capsys.readouterr().err
     return rc == EXIT_CONFIG and err.startswith("config error: ")
 
@@ -261,7 +358,7 @@ def test_target_axis_outside_the_dimension_is_config_error(tmp_path, capsys,
 # after a valid first entry, it must fail before that entry walks
 NON_POSITIVE = [
     ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, -0.2]}, "r_series"),
-    ("bhp-scan --r-series 0.4,0", HALF_PLANE, "--r-series"),
+    ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, 0]}, "r_series"),
     ("factorization", {**HALF_PLANE, "r_series": [0.5, -0.25]}, "r_series"),
     ("ep-check", {**SDE_LINE, "r_list": [1.0, 0.0]}, "r_list"),
     ("ep-check", {**SDE_LINE, "t_factors": [0.1, -0.01]}, "t_factors"),
@@ -302,7 +399,7 @@ NON_POSITIVE = [
     ("ep-check", {**SDE_LINE, "r_list": [1.0, "abc"]}),
     ("ep-check", {**SDE_LINE, "t_factors": 0.01}),
     ("bhp-scan", {**HALF_PLANE, "r_series": [0.4, "abc"]}),
-    ("bhp-scan --r-series 0.4,abc", HALF_PLANE),
+    ("bhp-scan", {**HALF_PLANE, "r_series": "0.4,abc"}),
     ("bhp-scan", {**HALF_PLANE, "cap": "abc"}),
     ("factorization", {**HALF_PLANE, "cap": 4096.5}),
     ("bhp-scan", {**HALF_PLANE, "grid_size": "abc"}),
@@ -357,7 +454,7 @@ def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
 @pytest.mark.parametrize("command, cfg, key", NON_POSITIVE)
 def test_non_positive_entry_is_named_by_its_key(tmp_path, capsys, no_walks,
                                                 command, cfg, key):
-    main([*command.split(), "--config", _write(tmp_path, "c.json", cfg),
+    main([command, "--config", _write(tmp_path, "c.json", cfg),
           "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(
         f"config error: {key} must be a list of ")
@@ -532,9 +629,12 @@ def test_workers_key_is_ignored_and_flag_rejected(tmp_path, monkeypatch):
     b = _load_report(tmp_path / "b", "exit-stats")
     assert a["results"] == b["results"] and a["checks"] == b["checks"]
     assert "workers" not in a["config"] and b["config"]["workers"] == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["exit-stats", "--config", plain, "--workers", "2"])
-    assert exc.value.code == 2
+    # nor for any other run value: the config is the one way in
+    for flag in (["--workers", "2"], ["--seed", "1"], ["--n", "5"],
+                 ["--r-series", "0.4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["exit-stats", "--config", plain, *flag])
+        assert exc.value.code == 2
 
 
 def test_seed_changes_results(tmp_path):
@@ -545,11 +645,10 @@ def test_seed_changes_results(tmp_path):
         # mean exit time is the same for every seed
         "n": 2000, "rho": 0.5,
     }
-    cfg = _write(tmp_path, "c.json", base)
-    main(["exit-stats", "--config", cfg, "--out", str(tmp_path / "s1"),
-          "--seed", "1"])
-    main(["exit-stats", "--config", cfg, "--out", str(tmp_path / "s2"),
-          "--seed", "2"])
+    for seed in (1, 2):
+        cfg = _write(tmp_path, f"c{seed}.json", {**base, "seed": seed})
+        main(["exit-stats", "--config", cfg,
+              "--out", str(tmp_path / f"s{seed}")])
     r1 = _load_report(tmp_path / "s1", "exit-stats")
     r2 = _load_report(tmp_path / "s2", "exit-stats")
     assert r1["results"]["mean_exit_time"]["value"] \

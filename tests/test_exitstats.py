@@ -12,7 +12,7 @@ from conftest import ball_exit_prob_interval
 
 from bhplab import exitstats
 from bhplab.cli import encode
-from bhplab.domains import Ball, HalfSpace
+from bhplab.domains import Ball, HalfSpace, SegmentComplement
 from bhplab.errors import DomainError, EstimationError
 from bhplab.exitstats import (Estimate, escalate, gather_exits,
                               harmonic_measure, mean_exit_time, split_n)
@@ -226,6 +226,15 @@ def test_gather_exits_stall_policy_fails_hard():
         # one step almost never exits with a tiny ball factor
         gather_exits(model, D, [[0.0]], [200], [RngStream(1)],
                      [lambda b: b.w], rho=0.001, max_steps=1)
+
+
+def test_escape_to_infinity_counts_as_a_stall():
+    # from beside one segment of the plane the alpha = 1.5 walk escapes to
+    # infinity about half the time; those paths have no exit point
+    D = SegmentComplement((((0.0, 0.0), (1.0, 0.0)),))
+    with pytest.raises(EstimationError, match="escaped to infinity"):
+        mean_exit_time(IsotropicStable(1.5, 2), D, [0.5, 0.5], 2000,
+                       RngStream(1))
 
 
 def test_gather_exits_clean_batch_has_no_stalls():

@@ -4,10 +4,10 @@ from scipy import integrate
 
 from bhplab.errors import ConfigError, DivergenceError, DomainError
 from bhplab.kernel import (QUAD_REL_TOL, JumpKernelSpec, TripleSamplingConfig,
-                           ball_mass, boundary_integral, check_jc1, check_jc2,
-                           check_jt, check_phi, geometric_stable_kernel,
-                           isotropic_stable_kernel, sphere_area, tail_mass,
-                           tempered_stable_kernel)
+                           angular_nodes, ball_mass, boundary_integral,
+                           check_jc1, check_jc2, check_jt, check_phi,
+                           geometric_stable_kernel, isotropic_stable_kernel,
+                           sphere_area, tail_mass, tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.scale import ScaleFunction
 
@@ -32,6 +32,14 @@ def test_tail_mass_power_kernel_general():
         expect = sphere_area(d) / alpha
         tm = tail_mass(J, np.zeros(d), 1.0)
         assert tm == pytest.approx(expect, rel=1e-6)
+
+
+def test_angular_nodes_above_three_dimensions_are_fixed_unit_vectors():
+    for d in (4, 6):
+        nodes = angular_nodes(d)
+        assert nodes.shape == (64, d)
+        assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0, rtol=1e-14)
+        assert np.array_equal(nodes, angular_nodes(d))
 
 
 def test_tail_mass_geometric_stable_matches_scale():
@@ -180,6 +188,23 @@ def test_check_jt_tempered_kernel_bounded_vs_unbounded(rng):
     assert big.witness["r"] > 1.0
 
 
+def test_check_jt_variable_kappa_probes_five_base_points(rng):
+    # kappa depends on x only, so the tail mass at x is kappa(x) * 2 / r
+    # and m(r) = 2 kappa(x) at every r
+    def kappa(x, z):
+        return 1.0 + 0.5 * np.sin(np.atleast_2d(x)[..., 0])
+
+    J = JumpKernelSpec(dim=1, scale=ScaleFunction.power(1.0), kappa=kappa,
+                       kappa_lo=0.5, kappa_hi=1.5)
+    rep = check_jt(J, J.scale, np.logspace(-2, 1, 7), rng=rng)
+    xs = rep.test_points["x_samples"]
+    assert xs.shape == (5, 1) and np.all(np.abs(xs) <= 1.0)
+    m = 2.0 * (1.0 + 0.5 * np.sin(xs[:, 0]))
+    assert rep.constants["C4"] == pytest.approx(m.min(), rel=1e-5)
+    assert rep.constants["C5"] == pytest.approx(m.max(), rel=1e-5)
+    assert rep.verdict == "holds-numerically"
+
+
 def test_check_jt_grid_span_precondition(rng):
     J = isotropic_stable_kernel(1, 1.0)
     with pytest.raises(DomainError):
@@ -235,9 +260,10 @@ def test_boundary_integral_halfplane_indicator():
 
 
 def test_boundary_integral_annulus_with_rmax():
+    # the datum 1{|y| < 4} from r_min = 1 cuts the annulus 1 <= |y| < 4
     J = isotropic_stable_kernel(1, 1.0)
-    got = boundary_integral(J, [0.0], lambda y: np.ones(len(y)),
-                            r_min=1.0, r_max=4.0)
+    got = boundary_integral(J, [0.0], lambda y: (np.abs(y[:, 0]) < 4.0)
+                            .astype(float), r_min=1.0)
     assert got == pytest.approx(2.0 * (1.0 - 0.25), rel=1e-6)
 
 

@@ -15,8 +15,7 @@ from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             StableLikeChain, _paths_exit_indicator,
                             _sigma_dz, ball_exit_centered, chain_exit_batch,
-                            expected_ball_exit_time,
-                            geometric_stable_increment, mean_exit_constant,
+                            expected_ball_exit_time, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
                             sample_exits, stable_increment,
                             survival_prob_ball, walk_exit_batch_indexed)
@@ -652,6 +651,23 @@ def test_survival_chain_and_geometric_run(rng):
 
 
 
+def test_survival_stops_drawing_once_every_path_has_left(rng, monkeypatch):
+    # every path leaves a ball of radius 1e-9 on the first of 16 steps
+    import bhplab.sampler as sampler
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return stable_increment(*args)
+
+    monkeypatch.setattr(sampler, "stable_increment", counted)
+    est = survival_prob_ball(SdeStable(1.5, 2), [0.0, 0.0], 1e-9, 1.0, 500,
+                             rng, n_steps=16)
+    assert est.value == 1.0
+    assert calls == [500]
+
+
 def test_geometric_survival_matches_per_path_loop(rng):
     # reference: the gamma-subordinated process one path at a time,
     # drawing the alive paths' increments in path order, as the batched
@@ -664,7 +680,11 @@ def test_geometric_survival_matches_per_path_loop(rng):
     want = np.zeros(n, dtype=bool)
     for _ in range(n_steps):
         alive = np.nonzero(~want)[0]
-        dx = geometric_stable_increment(1.5, 2, t / n_steps, len(alive), g)
+        # a stable increment over a gamma clock's increment
+        m = len(alive)
+        clock = g.gamma(t / n_steps, 1.0, m)
+        s = clock ** (2.0 / 1.5) * one_sided_stable(0.75, m, g)
+        dx = np.sqrt(2.0 * s)[:, None] * g.standard_normal((m, 2))
         for i, k in enumerate(alive):
             x[k] = x[k] + dx[i]
         want |= np.linalg.norm(x - x0, axis=1) > r
