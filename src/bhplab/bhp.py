@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
-from .domains import SURFACE_TOL, Ball, Domain, Intersection
+from .domains import SURFACE_TOL, Ball, Domain, Intersection, _row_norm
 from .errors import ConfigError, DomainError, UnderpoweredError
 from .exitstats import ESCALATION_CAP, TARGET_REL_STDERR, escalate
 # unused here, but bench/tracer.py patches bhp.gather_exits by name
@@ -464,7 +464,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
         # clearance of D & B(centers[row], radii[row]); the walker index
         # passed back by the core is the row for this step
         def clearance(pts, rows):
-            to_ball = radii[rows] - np.linalg.norm(pts - centers[rows], axis=1)
+            to_ball = radii[rows] - _row_norm(pts - centers[rows])
             return np.minimum(D.clearance(pts), to_ball)
 
         batch = walk_exit_batch_indexed(model.alpha, model.dim, clearance,

@@ -18,6 +18,13 @@ Membership is resolved conservatively for openness: any point within
 are exact for the primitive shapes and conservative (a min or max over
 components) for composites -- the samplers only ever need a positive
 lower bound.
+
+A shape's ``_clearance(pts)`` must compute each row's value from that
+row alone, with elementwise operations, so that a walker's clearance does
+not depend on who walks with it; and it must accept (m, d) points in any
+memory order, giving the same bits for each.  The walk on balls passes a
+column-major view, so the shapes here sum over coordinates a column at a
+time (``_row_dot``, ``_row_norm``), never along a row.
 """
 
 from __future__ import annotations
@@ -231,18 +238,30 @@ class SegmentComplement(Domain):
             if a.shape != (2,) or b.shape != (2,):
                 raise ConfigError("segments must join 2-d points")
         object.__setattr__(self, "segments", segs)
-        # each segment as (a, b - a, |b - a|^2), fixed for every walk step
+        # each segment as (a, b - a, |b - a|^2) by coordinates, fixed for
+        # every walk step
         object.__setattr__(self, "_spans", tuple(
-            (a, b - a, float((b - a) @ (b - a))) for a, b in segs))
+            (*map(float, a), *map(float, b - a), float((b - a) @ (b - a)))
+            for a, b in segs))
 
     def _clearance(self, pts):
-        d = np.full(pts.shape[0], np.inf)
-        for a, ab, denom in self._spans:
+        # the distance to each segment's nearest point a + t (b - a), a
+        # coordinate column at a time, with the operations of _row_dot and
+        # _row_norm in their order
+        x, y = pts[:, 0], pts[:, 1]
+        d = np.full(len(x), np.inf)
+        for ax, ay, abx, aby, denom in self._spans:
             if denom == 0.0:
-                d = np.minimum(d, _row_norm(pts - a))
-                continue
-            t = np.clip(_row_dot(pts - a, ab) / denom, 0.0, 1.0)
-            d = np.minimum(d, _row_norm(pts - (a + t[:, None] * ab)))
+                ex, ey = x - ax, y - ay
+            else:
+                s = (x - ax) * abx
+                s += (y - ay) * aby
+                t = np.clip(s / denom, 0.0, 1.0)
+                ex, ey = x - (ax + t * abx), y - (ay + t * aby)
+            ex *= ex
+            ey *= ey
+            ex += ey
+            np.minimum(d, np.sqrt(ex, out=ex), out=d)
         return d
 
 

@@ -80,17 +80,41 @@ def expected_ball_exit_time(d: int, alpha: float, r: float,
 # exact ball exits
 # ===================================================================== #
 
-def _directions(d: int, v: np.ndarray) -> np.ndarray:
-    """Uniform unit vectors, shape (n, d), from the raw draws v of
-    `_direction_draws`: signs of uniforms if d = 1, else normalized
-    Gaussians."""
+def _radial_points(d: int, n, g, draw_radii) -> np.ndarray:
+    """Points at radii draw_radii(gen, k) in uniform directions, shape
+    (sum(n), d).
+
+    `n` and `g` are equal-length sequences: each generator g[j] in turn
+    draws its n[j] radii and then its n[j] directions, and the points
+    come back concatenated in that order (a generator with n[j] = 0 draws
+    nothing).  A direction is the sign of a uniform if d = 1, else a
+    normalized Gaussian, drawn as g[j].random(n[j]) or
+    g[j].standard_normal((n[j], d)) would draw them.  The points are
+    column-major, each coordinate's column contiguous, and are scaled a
+    column at a time.
+    """
+    m = int(sum(n))
+    radii = np.empty(m)
+    v = np.empty(m) if d == 1 else np.empty((m, d))
+    start = 0
+    for nj, gj in zip(n, g):
+        if nj:
+            stop = start + nj
+            radii[start:stop] = draw_radii(gj, nj)
+            if d == 1:
+                gj.random(out=v[start:stop])
+            else:
+                gj.standard_normal(out=v[start:stop])
+            start = stop
+    out = np.empty((d, m)).T
     if d == 1:
-        return np.where(v < 0.5, -1.0, 1.0)[:, None]
-    return v / _row_norm(v)[:, None]
-
-
-def _direction_draws(d: int, n: int, g: np.random.Generator) -> np.ndarray:
-    return g.random(n) if d == 1 else g.standard_normal((n, d))
+        out[:, 0] = np.where(v < 0.5, -radii, radii)
+        return out
+    norm = _row_norm(v)
+    for k in range(d):
+        col = np.divide(v[:, k], norm, out=out[:, k])
+        col *= radii
+    return out
 
 
 def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
@@ -98,20 +122,14 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
 
     The exit radius is 1/sqrt(B) with B ~ Beta(a/2, 1 - a/2); the
     direction is uniform by rotational symmetry.  `n` and `g` are
-    equal-length sequences: each generator g[j] in turn draws its n[j]
-    radii and then its n[j] directions, and the points come back
-    concatenated in that order (a generator with n[j] = 0 draws
-    nothing).
+    equal-length sequences, one group per generator, drawn and ordered
+    as `_radial_points` does.
     """
-    b, v = [], []
-    for nj, gj in zip(n, g):
-        if nj:
-            b.append(gj.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=nj))
-            v.append(_direction_draws(d, nj, gj))
-    if not b:
-        return np.empty((0, d))
-    radii = 1.0 / np.sqrt(np.concatenate(b))
-    return radii[:, None] * _directions(d, np.concatenate(v))
+    def radii(gj, nj):
+        b = gj.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=nj)
+        return np.divide(1.0, np.sqrt(b, out=b), out=b)
+
+    return _radial_points(d, n, g, radii)
 
 
 # ===================================================================== #
@@ -306,31 +324,39 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     j's t-th draw gets exactly the count its own walk would ask for, and
     a group with no active walker draws nothing.  Every group's exits are
     therefore bit-identical to a separate walk, `max_steps` included.
+
+    The active positions live as coordinate rows, one C-ordered (d, m)
+    array, and each jump is applied a coordinate at a time; `clearance`
+    always gets the column-major (m, d) view of that array.  Finished
+    walkers are dropped by taking the indices of the rest
+    (`np.flatnonzero`), and each group's count is read off the ascending
+    path indices of the active walkers with `np.searchsorted`.
     """
     if not 0 < rho <= 1:
         raise DomainError("ball factor rho must lie in (0, 1]")
-    x = np.array(np.atleast_2d(starts), dtype=float)
-    n = x.shape[0]
+    # the active walkers, compacted: coordinate rows xt, weights wa, path
+    # idx (ascending); all of them have taken the same number of steps
+    xt = np.atleast_2d(np.asarray(starts, dtype=float)).T.copy()
+    n = xt.shape[1]
     rngs = [rng] if isinstance(rng, RngStream) else list(rng)
     sizes = [n] if sizes is None else [int(s) for s in sizes]
     if len(sizes) != len(rngs) or sum(sizes) != n:
         raise DomainError("walk exit: one stream per group, and group sizes "
                           "summing to the number of starts")
     idx = np.arange(n)
-    c, in_shell = _clearance_and_shell(clearance(x, idx))
+    wa = np.zeros(n)
+    c, in_shell = _clearance_and_shell(clearance(xt.T, idx))
     if not np.all(c > SURFACE_TOL):
         raise DomainError("walk exit: a start point lies outside the domain")
     gens = [r.generator() for r in rngs]
-    group = np.repeat(np.arange(len(sizes)), sizes)
+    # group j holds the paths edges[j] <= i < edges[j + 1]
+    edges = np.cumsum([0] + sizes)
     counts = sizes
-    y = np.empty_like(x)
+    y = np.empty((n, len(xt)))
     w = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
     shelled = np.zeros(n, dtype=bool)
-    # the active walkers, compacted: positions x, weights wa, path idx;
-    # all of them have taken the same number of steps
-    wa = np.zeros(n)
     ce = mean_exit_constant(d, alpha)
     # a walker escaping to infinity overflows; it is marked stalled below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,28 +365,32 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
             if in_shell is not None:
                 inside &= ~in_shell
             if not inside.all():
-                out = ~inside
-                done = idx[out]
-                y[done] = x[out]
-                w[done] = wa[out]
+                out = np.flatnonzero(~inside)
+                done = idx.take(out)
+                pos = xt.take(out, axis=1)
+                y[done] = pos.T
+                w[done] = wa.take(out)
                 steps[done] = step
-                stalled[done] = ~np.isfinite(x[out]).all(axis=1)
+                stalled[done] = ~np.isfinite(pos).all(axis=0)
                 if in_shell is not None:
                     # a walker that ends with positive clearance stopped in
                     # the shell; any other jumped out
-                    shelled[done] = c[out] > SURFACE_TOL
-                x, wa, idx, c, group = (x[inside], wa[inside], idx[inside],
-                                        c[inside], group[inside])
-                counts = np.bincount(group, minlength=len(sizes)).tolist()
+                    shelled[done] = c.take(out) > SURFACE_TOL
+                keep = np.flatnonzero(inside)
+                xt, wa, idx, c = (xt.take(keep, axis=1), wa.take(keep),
+                                  idx.take(keep), c.take(keep))
+                counts = np.diff(np.searchsorted(idx, edges)).tolist()
             if len(idx) == 0 or step == max_steps:
                 break
             radii = rho * c
             wa += ce * radii ** alpha
-            x += radii[:, None] * ball_exit_centered(alpha, d, counts, gens)
-            c, in_shell = _clearance_and_shell(clearance(x, idx))
+            jumps = ball_exit_centered(alpha, d, counts, gens)
+            for k in range(d):
+                xt[k] += radii * jumps[:, k]
+            c, in_shell = _clearance_and_shell(clearance(xt.T, idx))
     if len(idx):
         stalled[idx] = True
-        y[idx] = x
+        y[idx] = xt.T
         w[idx] = wa
         steps[idx] = max_steps
     return BatchExit(y=y, w=w, steps=steps, stalled=stalled, shelled=shelled)
@@ -436,10 +466,11 @@ def _snap(z: np.ndarray, h: float, offset: float = 0.0) -> np.ndarray:
 
 def _far_jumps(tables: _ChainTables, d: int, h: float, n: int,
                g: np.random.Generator) -> np.ndarray:
-    radii = np.interp(g.random(n), tables.far_radius_cdf,
-                      tables.far_radius_grid)
-    z = radii[:, None] * _directions(d, _direction_draws(d, n, g))
-    return _snap(z, h)
+    def radii(gj, k):
+        return np.interp(gj.random(k), tables.far_radius_cdf,
+                         tables.far_radius_grid)
+
+    return _snap(_radial_points(d, [n], [g], radii), h)
 
 
 def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
@@ -635,7 +666,7 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
         else:
             dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
             x = x + _sigma_dz(model, x, dz)
-        out = np.linalg.norm(x - x0, axis=1) > r
+        out = _row_norm(x - x0) > r
         exited[alive[out]] = True
         alive, x = alive[~out], x[~out]
     return exited

@@ -560,14 +560,19 @@ def test_bhp_scan_writes_one_byte_identical_report(tmp_path):
         (tmp_path / "r2" / "bhp-scan.json").read_bytes()
 
 
-def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name):
-    """sha256 of every exit batch that owner.name returns in one run."""
+def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name,
+                 shelled=False):
+    """sha256 of every exit batch that owner.name returns in one run; its
+    `shelled` mask too if `shelled` is set."""
     h = hashlib.sha256()
     walk = getattr(owner, name)
 
     def recording(*args, **kwargs):
         batch = walk(*args, **kwargs)
-        for a in (batch.y, batch.w, batch.steps, batch.stalled):
+        fields = [batch.y, batch.w, batch.steps, batch.stalled]
+        if shelled:
+            fields.append(batch.shelled)
+        for a in fields:
             h.update(np.ascontiguousarray(a).tobytes())
         return batch
 
@@ -613,6 +618,27 @@ def test_unshelled_experiments_walk_as_before(tmp_path, monkeypatch):
                                     slit, bhp, "walk_exit_batch_indexed"),
     }
     assert got == UNSHELLED_EXIT_DIGESTS
+
+
+# recorded as UNSHELLED_EXIT_DIGESTS were; bhp-scan's walks (through
+# eval_harmonic) stop in an epsilon-shell at the slit, as the slit-plane
+# benchmark's do, so this pins the shelled walk's exits and shell stops
+SHELLED_EXIT_DIGESTS = {
+    "bhp-scan":
+        "6c0f87fc9084dc25a0d7a226ae3664dcd836ea1d1d12639756beced36b4a2308",
+}
+
+
+def test_shelled_experiments_walk_as_before(tmp_path, monkeypatch):
+    slit = {
+        "model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 2},
+        "domain": {"type": "slit-plane"}, "xi": [0.0, 0.0],
+        "r_series": [0.4], "grid_size": 3, "n": 512, "cap": 2048,
+        "split_axis": 1, "seed": 5,
+    }
+    got = {"bhp-scan": _exit_digest(tmp_path, monkeypatch, "bhp-scan", slit,
+                                    exitstats, "sample_exits", shelled=True)}
+    assert got == SHELLED_EXIT_DIGESTS
 
 
 def test_workers_key_is_ignored_and_flag_rejected(tmp_path, monkeypatch):

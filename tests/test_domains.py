@@ -258,3 +258,60 @@ def test_row_norm_is_bitwise_linalg_norm():
         for mag in 10.0 ** np.arange(-12, 4):
             v = mag * g.standard_normal((257, d))
             assert np.array_equal(_row_norm(v), np.linalg.norm(v, axis=1))
+
+
+# ------------------------------------------------------------------ #
+# memory order: the walk passes column-major views of its positions
+# ------------------------------------------------------------------ #
+
+ORDER_DOMAINS = DOMAINS + [
+    Ball([0.3, -0.2, 0.1], 1.0),
+    HalfSpace([1.0, -2.0, 0.5], 0.3),
+    Cone([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 2.5),
+    # a zero-length segment is a point
+    SegmentComplement((([0.2, 0.2], [0.2, 0.2]), ([-1.0, 0.0], [1.0, 0.0]),
+                       ([-0.3, 0.7], [0.9, 1.6]))),
+    Truncation(box_minus_comb(3, 0.3), [0.5, 0.5], 0.4, shell=1e-3),
+]
+
+
+def _probe_points(dim):
+    g = np.random.default_rng(5)
+    pts = 2.0 * g.standard_normal((300, dim))
+    pts[0] = 0.0
+    pts[1, :2] = [0.2, 0.2]
+    pts[2, :2] = [0.5, 0.0]
+    pts[3, :2] = [1.0 / 3.0, 0.5]
+    return pts
+
+
+@pytest.mark.parametrize("D", ORDER_DOMAINS, ids=lambda d: type(d).__name__)
+def test_clearance_bits_do_not_depend_on_memory_order(D):
+    pts = _probe_points(D.dim)
+    fortran = np.asfortranarray(pts)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    assert np.array_equal(D.clearance(pts), D.clearance(fortran))
+    if isinstance(D, Truncation):
+        for a, b in zip(D.shelled_clearance(pts),
+                        D.shelled_clearance(fortran)):
+            assert np.array_equal(a, b)
+
+
+def test_segment_clearance_bits_match_the_row_formula():
+    # the column-wise clearance performs, per element, the operations of
+    # the (m, 2) row formula it replaced, in the same order
+    D = ORDER_DOMAINS[-2]
+    pts = _probe_points(2)
+    ref = np.full(len(pts), np.inf)
+    for a, b in D.segments:
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            ref = np.minimum(ref, np.linalg.norm(pts - a, axis=1))
+            continue
+        rel = pts - a
+        t = np.clip((rel[:, 0] * ab[0] + rel[:, 1] * ab[1]) / denom, 0.0, 1.0)
+        ref = np.minimum(ref, np.linalg.norm(pts - (a + t[:, None] * ab),
+                                             axis=1))
+    for order in (pts, np.asfortranarray(pts)):
+        assert np.array_equal(D.clearance(order), ref)

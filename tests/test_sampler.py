@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from bhplab.bhp import SHELL_EPS
-from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane
+from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane, _row_norm
 from bhplab.errors import (CapabilityError, ConfigError, DomainError,
                            SamplerStallError)
 from bhplab.exitstats import escalate
@@ -13,8 +13,9 @@ from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
                            tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
-                            StableLikeChain, _paths_exit_indicator,
-                            _sigma_dz, ball_exit_centered, chain_exit_batch,
+                            StableLikeChain, _far_jumps,
+                            _paths_exit_indicator, _sigma_dz, _snap,
+                            ball_exit_centered, chain_exit_batch,
                             expected_ball_exit_time, mean_exit_constant,
                             one_sided_stable, poisson_kernel_constant,
                             sample_exits, stable_increment,
@@ -156,6 +157,53 @@ def test_grouped_ball_exits_equal_per_generator_calls(rng):
         ref = np.concatenate([ball_exit_centered(1.3, d, [n], [s.generator()])
                               for n, s in zip(sizes, streams)])
         assert got.shape == (sum(sizes), d)
+        assert np.array_equal(got, ref)
+
+
+def _row_directions(d, v):
+    """Unit directions from raw draws by the (n, d) row formula that the
+    column-wise kernels replaced."""
+    if d == 1:
+        return np.where(v < 0.5, -1.0, 1.0)[:, None]
+    return v / _row_norm(v)[:, None]
+
+
+def _draws(d, n, g):
+    return g.random(n) if d == 1 else g.standard_normal((n, d))
+
+
+def test_ball_exits_are_bitwise_the_row_formula(rng):
+    # same draws, same elementwise operations in the same order: every
+    # bit of the column-wise kernel matches the row formula, and its
+    # columns are contiguous
+    sizes = [7, 0, 1, 513, 64]
+    for d in (1, 2, 3):
+        streams = [rng.substream(100 + 10 * d + j) for j in range(len(sizes))]
+        alpha = 0.8 + 0.3 * d
+        got = ball_exit_centered(alpha, d, sizes,
+                                 [s.generator() for s in streams])
+        b, v = [], []
+        for n, s in zip(sizes, streams):
+            g = s.generator()
+            if n:
+                b.append(g.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=n))
+                v.append(_draws(d, n, g))
+        ref = (1.0 / np.sqrt(np.concatenate(b)))[:, None] \
+            * _row_directions(d, np.concatenate(v))
+        assert got.flags.f_contiguous and np.array_equal(got, ref)
+    assert ball_exit_centered(1.0, 2, [0, 0], [None, None]).shape == (0, 2)
+
+
+def test_far_jumps_are_bitwise_the_row_formula(rng):
+    for d in (1, 2):
+        model = StableLikeChain(isotropic_stable_kernel(d, 1.2), 2.0 ** -3,
+                                1.0)
+        t = model.tables
+        got = _far_jumps(t, d, model.h, 300, rng.substream(d).generator())
+        g = rng.substream(d).generator()
+        radii = np.interp(g.random(300), t.far_radius_cdf, t.far_radius_grid)
+        ref = _snap(radii[:, None] * _row_directions(d, _draws(d, 300, g)),
+                    model.h)
         assert np.array_equal(got, ref)
 
 
