@@ -18,7 +18,7 @@ from scipy.special import stdtrit
 
 from .domains import SURFACE_TOL, Ball, Domain, Intersection, _row_norm
 from .errors import ConfigError, DomainError, UnderpoweredError
-from .exitstats import ESCALATION_CAP, TARGET_REL_STDERR, escalate
+from .exitstats import ESCALATION_CAP, escalate
 # unused here, but bench/tracer.py patches bhp.gather_exits by name
 from .exitstats import gather_exits  # noqa: F401
 from .kernel import boundary_integral
@@ -28,9 +28,10 @@ from .sampler import (BALL_FACTOR, IsotropicStable, ProcessModel,
 
 PAIR_GATE_REL_STDERR = 0.05   # per-estimate precision gate for ratio pairs
 DELTA_FLOOR_FACTOR = 1.0 / 64.0
+GRID_MAX_TRIES = 1_000_000    # candidates interior_grid draws at most
 # eval_harmonic stops a walker once its clearance to D is at most
-# SHELL_EPS * r; h vanishes off D near xi and decays like delta^{alpha/2},
-# so a stop biases h by at most of order SHELL_EPS^{alpha/2} of its scale
+# SHELL_EPS * r; the bias is of order SHELL_EPS^{alpha/2} only beside a fat
+# complement (eval_harmonic), and has no bound where the boundary is polar
 SHELL_EPS = 1e-6
 
 
@@ -113,17 +114,20 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
     The walk on balls (IsotropicStable) stops a walker whose clearance
     to D falls to SHELL_EPS * r, with SHELL_EPS = 1e-6, and scores g
     where it stops, which is 0 since it lies in B(xi, 2r); the sphere of
-    B(xi, 2r) has no shell.  h decays like delta^{alpha/2} at D's
-    boundary near xi, so the stops bias h by at most of order
-    SHELL_EPS^{alpha/2} of its scale.  Each point's `shell_stops` counts
-    its stopped paths.  Lattice chains walk without a shell.
+    B(xi, 2r) has no shell.  The stops bias h by about its size at
+    distance SHELL_EPS * r from D's boundary.  That is of order
+    SHELL_EPS^{alpha/2} of h's scale only where D's complement is fat
+    near the stop, as for a half-space.  Beside the slit at alpha = 1.5
+    it decays at about SHELL_EPS^{0.55} as measured, and at alpha <= 1
+    the slit and the comb's teeth are polar, so no bound holds.  Each
+    point's `shell_stops` counts its stopped paths.  Lattice chains walk
+    without a shell.
     """
     for g in data:
         g.validate(r)
     U = D.truncate(xi, 2.0 * r, shell=_shell_eps(model) * r)
     return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
-                    rngs, n0, cap, TARGET_REL_STDERR,
-                    method="mc-mean-harmonic")
+                    rngs, n0, cap, method="mc-mean-harmonic")
 
 
 def _shell_eps(model: ProcessModel) -> float:
@@ -134,10 +138,9 @@ def _shell_eps(model: ProcessModel) -> float:
 
 def _shell_fields(model: ProcessModel, h: list) -> dict:
     """Report fields for eval_harmonic's result h: the paths stopped in
-    its shell, the relative width eps and the decay bound eps^{alpha/2}."""
-    eps = _shell_eps(model)
-    return {"shell_stops": sum(p.shell_stops for p in h), "shell_eps": eps,
-            "shell_decay": eps ** (model.alpha / 2.0) if eps else 0.0}
+    its shell and the shell's relative width."""
+    return {"shell_stops": sum(p.shell_stops for p in h),
+            "shell_eps": _shell_eps(model)}
 
 
 # ===================================================================== #
@@ -145,9 +148,9 @@ def _shell_fields(model: ProcessModel, h: list) -> dict:
 # ===================================================================== #
 
 def interior_grid(D: Domain, xi, radius: float, size: int,
-                  delta_floor: float, rng: RngStream,
-                  max_tries: int = 1_000_000) -> np.ndarray:
-    """size points of D & B(xi, radius) with clearance >= delta_floor."""
+                  delta_floor: float, rng: RngStream) -> np.ndarray:
+    """size points of D & B(xi, radius) with clearance >= delta_floor,
+    from at most GRID_MAX_TRIES candidates."""
     if size < 1:
         raise ConfigError("a grid needs at least one point")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -155,7 +158,7 @@ def interior_grid(D: Domain, xi, radius: float, size: int,
     g = rng.generator()
     pts = []
     tried = 0
-    while len(pts) < size and tried < max_tries:
+    while len(pts) < size and tried < GRID_MAX_TRIES:
         m = 4 * size
         u = g.standard_normal((m, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -180,9 +183,9 @@ class BhpReport:
     """Ratio-scan result at one radius.
 
     h1 and h2 come from walks stopped in a shell of width shell_eps * r
-    at D's boundary (`eval_harmonic`); shell_decay = shell_eps^{alpha/2}
-    bounds the relative bias of each h, and shell_stops counts the
-    stopped paths among the n_total paths behind h1 (and h2).
+    at D's boundary (`eval_harmonic`, which says what bias that adds);
+    shell_stops counts the stopped paths among the n_total paths behind
+    h1 (and h2).
     """
 
     xi: np.ndarray
@@ -198,7 +201,6 @@ class BhpReport:
     n_total: int = 0
     shell_stops: int = 0
     shell_eps: float = 0.0
-    shell_decay: float = 0.0
     warnings: list = field(default_factory=list)   # distinct, first seen
 
 
@@ -326,7 +328,7 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
         # each point walks its own ball, so these walks run one by one
         ball = Intersection([D, Ball(x, c1 * r)])
         (met,), = escalate(model, ball, [x], [lambda b: b.w],
-                           [sub.substream(1)], n, cap, TARGET_REL_STDERR,
+                           [sub.substream(1)], n, cap,
                            method="mc-mean-exit-time")
         e_est.append(met)
         ok = (h.rel_stderr < PAIR_GATE_REL_STDERR
@@ -469,7 +471,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
 
         batch = walk_exit_batch_indexed(model.alpha, model.dim, clearance,
                                         centers, BALL_FACTOR,
-                                        rng.substream(step))
+                                        [rng.substream(step)], [len(centers)])
         new_y = batch.y
         stalled += int(batch.stalled.sum())
         in_d = np.asarray(D.contains(new_y), dtype=bool) & ~batch.stalled

@@ -5,7 +5,8 @@ writes one JSON report, `<kind>.json`, into the output directory; for a
 fixed (config, seed) pair its bytes are fixed.  Every key a command reads
 is read through `config` before its first walk, so a malformed value
 exits 1 as a configuration error; config keys a command does not read
-are still ignored.
+are still ignored, except ep-check's retired `scaling_check`, which is
+rejected.
 
 Exit codes: 0 completed (a "violated" verdict is data, not failure),
 1 configuration error, 2 runtime/stall error, 3 underpowered,
@@ -217,49 +218,42 @@ def run_ep_check(cfg: dict, rng: RngStream, out: str) -> str:
     n = count(cfg, "n", 20_000)
     n_steps = count(cfg, "n_steps", 64)
     max_chat = real(cfg, "max_chat") if "max_chat" in cfg else None
-    scaling_pairs = None
-    if flag(cfg, "scaling_check", True):
-        # P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1)) holds
-        # for a self-similar process: a power phi with no temper
-        default = ([[[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]]
-                   if phi.form == "power" and model.kernel.temper is None
-                   else [])
-        scaling_pairs = pairs(cfg, "scaling_pairs", default, positive=True)
+    if "scaling_check" in cfg:
+        # an ignored false would run the default pair
+        raise ConfigError("scaling_check is retired; set scaling_pairs to [] "
+                          "to skip the scaling pairs")
+    # P(tau_B(r1) < t1) = P(tau_B(r2) < t1 phi(r2) / phi(r1)) holds for a
+    # self-similar process: a power phi with no temper
+    default = ([[[1.0, 1.0], [2.0, float(phi(2.0) / phi(1.0))]]]
+               if phi.form == "power" and model.kernel.temper is None
+               else [])
+    scaling_pairs = pairs(cfg, "scaling_pairs", default, positive=True)
+    # the table's (r, t) points, then both sides of each pair, point k on
+    # substream k
+    points = [(r, f * float(phi(r))) for r in r_list for f in t_factors]
+    n_rows = len(points)
+    points += [side for pair in scaling_pairs for side in pair]
     x0 = np.zeros(model.kernel.dim)
-    rows = []
-    k = 0
-    for r in r_list:
-        for f in t_factors:
-            t = f * float(phi(r))
-            est = survival_prob_ball(model, x0, r, t, n, rng.substream(k),
-                                     n_steps=n_steps)
-            k += 1
-            rows.append({"r": r, "t": t, "p": est.value,
-                         "stderr": est.stderr, "n": est.n,
-                         "c_hat": est.value * float(phi(r)) / t})
-    c_max = max(row["c_hat"] for row in rows)
-    results = {"table": rows, "c_max": c_max}
-
-    if scaling_pairs is not None:
-        collapse = []
-        for (r1, t1), (r2, t2) in scaling_pairs:
-            e1 = survival_prob_ball(model, x0, r1, t1, n, rng.substream(k),
-                                    n_steps=n_steps)
-            e2 = survival_prob_ball(model, x0, r2, t2, n,
-                                    rng.substream(k + 1), n_steps=n_steps)
-            k += 2
-            joint = float(np.hypot(e1.stderr, e2.stderr))
-            collapse.append({"p1": e1.value, "p2": e2.value,
-                             "diff": e1.value - e2.value,
-                             "joint_stderr": joint,
-                             "within_3se": abs(e1.value - e2.value)
-                             <= 3 * joint + 1e-12})
-        results["scaling_pairs"] = collapse
+    ests = [survival_prob_ball(model, x0, r, t, n, rng.substream(k),
+                               n_steps=n_steps)
+            for k, (r, t) in enumerate(points)]
+    table = [{"r": r, "t": t, "p": est.value, "stderr": est.stderr,
+              "n": est.n, "c_hat": est.value * float(phi(r)) / t}
+             for (r, t), est in zip(points[:n_rows], ests)]
+    collapse = []
+    for e1, e2 in zip(ests[n_rows::2], ests[n_rows + 1::2]):
+        joint = float(np.hypot(e1.stderr, e2.stderr))
+        collapse.append({"p1": e1.value, "p2": e2.value,
+                         "diff": e1.value - e2.value, "joint_stderr": joint,
+                         "within_3se": abs(e1.value - e2.value)
+                         <= 3 * joint + 1e-12})
+    c_max = max(row["c_hat"] for row in table)
+    results = {"table": table, "c_max": c_max, "scaling_pairs": collapse}
 
     checks = []
     if max_chat is not None:
         checks.append(check("ep-c-bound", c_max, max_chat, "<"))
-    for i, pair in enumerate(results.get("scaling_pairs", [])):
+    for i, pair in enumerate(collapse):
         checks.append(check(f"ep-scaling-{i}", pair["diff"],
                             3 * pair["joint_stderr"] + 1e-12, "abs<="))
     return write_report(out, "ep-check", cfg, results, checks)

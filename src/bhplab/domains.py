@@ -256,7 +256,7 @@ class SegmentComplement(Domain):
             else:
                 s = (x - ax) * abx
                 s += (y - ay) * aby
-                t = np.clip(s / denom, 0.0, 1.0)
+                t = np.minimum(np.maximum(s / denom, 0.0), 1.0)
                 ex, ey = x - (ax + t * abx), y - (ay + t * aby)
             ex *= ex
             ey *= ey
@@ -319,7 +319,7 @@ class Intersection(_Composite):
     """Intersection of domains; clearance is the min over components.
 
     The min is the exact distance to the complement of the intersection,
-    so dist_lb stays tight here.
+    so the clearance stays tight here.
     """
 
     _word = "intersection"

@@ -23,8 +23,7 @@ from scipy.special import stdtrit
 from .domains import Domain
 from .errors import DomainError, EstimationError
 from .rng import RngStream
-from .sampler import (BALL_FACTOR, DEFAULT_MAX_STEPS, ProcessModel,
-                      sample_exits)
+from .sampler import BALL_FACTOR, ProcessModel, sample_exits
 
 STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
@@ -153,8 +152,7 @@ def _lockstep_chunks(sizes: list):
 
 
 def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
-                 functionals, rho: float = BALL_FACTOR,
-                 max_steps: int = DEFAULT_MAX_STEPS) -> tuple:
+                 functionals, rho: float = BALL_FACTOR) -> tuple:
     """Per-point sums of `functionals` over exits, stall policy applied.
 
     Point j draws ns[j] paths split into ceil(ns[j] / PART_PATHS)
@@ -168,7 +166,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
     Returns (tally, warnings): the `Tally` of the points in order, and
     each point's warning list.  Raises EstimationError at the first point
     with more than 5% of its paths stalled: paths that hit the step
-    budget or escaped to infinity.
+    budget (`sampler.MAX_STEPS`) or escaped to infinity.
     """
     parts = [(j, x, size, rng.substream(i))
              for j, (x, n, rng) in enumerate(zip(points, ns, rngs))
@@ -176,8 +174,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
     tally = Tally.zeros(len(ns), len(functionals))
     for chunk in _lockstep_chunks([size for _, _, size, _ in parts]):
         owners, xs, sizes, streams = zip(*parts[chunk])
-        batch = sample_exits(model, D, xs, sizes, streams, rho=rho,
-                             max_steps=max_steps)
+        batch = sample_exits(model, D, xs, sizes, streams, rho=rho)
         start = 0
         for j, size in zip(owners, sizes):
             kept = batch.take(start + np.flatnonzero(
@@ -236,8 +233,7 @@ def mean_exit_time(model: ProcessModel, D: Domain, x, n: int,
 
 def escalate(model: ProcessModel, D: Domain, points, functionals,
              rngs, n0: int, cap: int = ESCALATION_CAP,
-             target: float = TARGET_REL_STDERR, rho: float = BALL_FACTOR,
-             method: str = "mc-mean") -> list:
+             rho: float = BALL_FACTOR, method: str = "mc-mean") -> list:
     """Estimates of several batch functionals over common exits, per point.
 
     `points` holds one start point per stream in `rngs`; the result
@@ -255,10 +251,11 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     then as many as already drawn (bounded by the cap), so the sample
     count doubles per round.  A cap below n0 raises DomainError before
     any walk.  A point stops once every relative standard error is below
-    `target`, or once `cap` paths have been drawn, in which case its
-    estimates are marked underpowered; `cap = n0` is a fixed-n estimate.
-    Stalled paths count as drawn but not in the estimates, and every
-    round's stall warnings are attached to each of the point's estimates.
+    TARGET_REL_STDERR, or once `cap` paths have been drawn, in which case
+    its estimates are marked underpowered; `cap = n0` is a fixed-n
+    estimate.  Stalled paths count as drawn but not in the estimates, and
+    every round's stall warnings are attached to each of the point's
+    estimates.
 
     Each round is one `gather_exits` call for the points still running;
     draws depend on PART_PATHS, not on which points walk together.  If
@@ -296,7 +293,8 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
                                                 method=method)
                 for s, q, b in zip(total.sums[j, :nf], total.sumsq[j, :nf],
                                    tally.binary)]
-            precise = max(e.rel_stderr for e in estimates) < target
+            precise = (max(e.rel_stderr for e in estimates)
+                       < TARGET_REL_STDERR)
             if precise or drawn >= cap:
                 for e in estimates:
                     e.underpowered = not precise

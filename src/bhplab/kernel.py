@@ -35,6 +35,7 @@ _BOUNDARY_NODES = 256        # angular nodes for boundary integrals
 JT_MAX_RATIO = 100.0         # (Jt) holds while C5_hat / C4_hat <= this
 RD_C1 = 2.0                  # reverse doubling tests phi(RD_C1 r) / phi(r)
 THETA_CAP = 16.0             # largest (Jc.1) exponent theta tried
+BALL_MASS_POINTS = 100_000   # uniform points of a ball_mass estimate, d >= 2
 
 
 def sphere_area(d: int) -> float:
@@ -270,11 +271,12 @@ def tail_mass(J: JumpKernelSpec, x, r: float) -> float:
 
 
 def ball_mass(J: JumpKernelSpec, x, center, s: float,
-              n_mc: int = 100_000, rng: RngStream | None = None) -> float:
+              rng: RngStream | None = None) -> float:
     """J(x, B(center, s)) for a ball not containing x.
 
-    Exact quadrature in d=1; uniform Monte Carlo over the ball in d>=2
-    (the integrand is smooth there since x is outside the ball).
+    Exact quadrature in d=1; in d>=2 the mean over BALL_MASS_POINTS
+    uniform points of the ball (the integrand is smooth there since x is
+    outside the ball).
     """
     x = np.asarray(x, dtype=float)
     center = np.asarray(center, dtype=float)
@@ -292,9 +294,9 @@ def ball_mass(J: JumpKernelSpec, x, center, s: float,
         val, _ = integrate.quad(f, lo, hi, epsrel=QUAD_REL_TOL * 1e-2, limit=200)
         return val
     g = (rng or RngStream(0)).generator()
-    u = g.standard_normal((n_mc, d))
+    u = g.standard_normal((BALL_MASS_POINTS, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = s * g.random(n_mc) ** (1.0 / d)
+    radii = s * g.random(BALL_MASS_POINTS) ** (1.0 / d)
     z = center + radii[:, None] * u
     vals = J.density(np.broadcast_to(x, z.shape), z - x)
     return ball_volume(d, s) * float(np.mean(vals))
@@ -343,25 +345,17 @@ def check_jt(J: JumpKernelSpec, phi: ScaleFunction, r_grid,
         witness=witness)
 
 
-@dataclass(frozen=True)
-class TripleSamplingConfig:
-    """How to draw (x, y, z) triples for the density-comparability check:
-    x uniform in [-1, 1]^d, y in B(x, min(r_bar, 2)), z at a log-uniform
-    distance in [1e-3, 1e3] from x."""
-
-    n_triples: int = 10_000
-    r_bar: float = np.inf          # only pairs with |x - y| < r_bar are tested
-    rng: RngStream = RngStream(0)
-
-
-def _sample_triples(J: JumpKernelSpec, cfg: TripleSamplingConfig):
-    g = cfg.rng.generator()
+def _sample_triples(J: JumpKernelSpec, n: int, r_bar: float,
+                    rng: RngStream):
+    """n triples (x, y, z): x uniform in [-1, 1]^d, y in
+    B(x, min(r_bar, 2)), z at a log-uniform distance in [1e-3, 1e3]
+    from x."""
+    g = rng.generator()
     d = J.dim
-    n = cfg.n_triples
     x = g.uniform(-1.0, 1.0, size=(n, d))
     u = g.standard_normal((n, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r_pair = min(cfg.r_bar, 2.0)
+    r_pair = min(r_bar, 2.0)
     y = x + g.random(n)[:, None] * r_pair * u
     v = g.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -370,17 +364,18 @@ def _sample_triples(J: JumpKernelSpec, cfg: TripleSamplingConfig):
     return x, y, z
 
 
-def check_jc1(J: JumpKernelSpec,
-              cfg: TripleSamplingConfig | None = None) -> ConditionReport:
+def check_jc1(J: JumpKernelSpec, n_triples: int = 10_000,
+              r_bar: float = math.inf,
+              rng: RngStream | None = None) -> ConditionReport:
     """Density comparability: j(x,z) <= C1 (1 + |y-z|/|x-z|)^theta j(y,z).
 
-    Fits the smallest exponent theta_hat (on a grid up to THETA_CAP) for
-    which the envelope constant stays within 2^theta times the
-    coefficient spread kappa_hi/kappa_lo, then reports C1_hat at that
-    exponent.
+    Draws n_triples triples from `rng` (RngStream(0) by default), with
+    |x - y| < min(r_bar, 2) (`_sample_triples`).  Fits the smallest
+    exponent theta_hat (on a grid up to THETA_CAP) for which the
+    envelope constant stays within 2^theta times the coefficient spread
+    kappa_hi/kappa_lo, then reports C1_hat at that exponent.
     """
-    cfg = cfg or TripleSamplingConfig()
-    x, y, z = _sample_triples(J, cfg)
+    x, y, z = _sample_triples(J, n_triples, r_bar, rng or RngStream(0))
     jx = J.density(x, z - x)
     jy = J.density(y, z - y)
     t = 1.0 + np.linalg.norm(y - z, axis=1) / np.linalg.norm(x - z, axis=1)
@@ -410,7 +405,7 @@ def check_jc1(J: JumpKernelSpec,
         condition="(Jc.1)", verdict=HOLDS,
         constants={"C1": c1_hat, "theta": theta_hat,
                    "worst_ratio": float(np.exp(lr[i_worst]))},
-        test_points={"n": int(ok.sum()), "r_bar": cfg.r_bar},
+        test_points={"n": int(ok.sum()), "r_bar": r_bar},
         witness={"x": x[idx], "y": y[idx], "z": z[idx],
                  "jx": float(jx[idx]), "jy": float(jy[idx]), "t": float(t[idx])})
 

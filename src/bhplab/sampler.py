@@ -18,11 +18,12 @@ plane at alpha = 1.5 takes half the paths a hundred or more shrinking
 balls.  A truncation D & B(xi, R) may carry a stopping shell of width
 eps * r at D's own boundary (`domains.Truncation`): a walker whose
 clearance to D falls to that width stops where it is, the epsilon-shell
-of walk on spheres (Muller 1956).  Harmonic functions whose data vanish
-near that boundary decay like delta^{alpha/2} there, so the bias a stop
-adds to such a function is at most of order eps^{alpha/2} times its
-scale; `bhp.eval_harmonic` walks with eps = `bhp.SHELL_EPS` = 1e-6, and
-every other caller walks without a shell.
+of walk on spheres (Muller 1956).  A stop biases a harmonic function
+whose data vanish nearby by about its size at distance eps * r: of order
+eps^{alpha/2} only beside a fat complement, about eps^{0.55} as measured
+beside the slit at alpha = 1.5, and with no bound at alpha <= 1, where
+the slit and the comb's teeth are polar.  `bhp.eval_harmonic` walks with
+eps = `bhp.SHELL_EPS` = 1e-6, and every other caller walks without one.
 
 Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
 gamma-subordinated stable) cover variable coefficients and non-power
@@ -44,7 +45,7 @@ from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
 from .kernel import JumpKernelSpec, isotropic_stable_kernel, tail_mass
 from .rng import RngStream
 
-DEFAULT_MAX_STEPS = 10 ** 6
+MAX_STEPS = 10 ** 6   # ball exits or chain proposals before a path stalls
 # the default ball factor rho of the walk on balls: a walker at clearance
 # c next exits B(x, rho * c); rho = 1 is the largest ball inside D, which
 # gives exact exits in the fewest steps
@@ -172,6 +173,11 @@ class StableLikeChain(ProcessModel):
     against kappa_hi: jumps are proposed at the envelope rates and kept
     with probability kappa(x, z) / kappa_hi, which is exact for the chain,
     far jumps included.
+
+    With kappa = 1 the chain runs the process with kernel |z|^{-d-alpha}.
+    SdeStable's kernel is C |z|^{-d-alpha}, C = alpha 2^{alpha-1}
+    Gamma((d+alpha)/2) / (pi^{d/2} Gamma(1 - alpha/2)), so chain time t
+    is SdeStable time t / C (pi t at d = 1, alpha = 1).
     """
 
     kernel_spec: JumpKernelSpec
@@ -294,8 +300,7 @@ class BatchExit:
 
 
 def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
-                            rho: float, rng, max_steps: int = DEFAULT_MAX_STEPS,
-                            sizes=None) -> BatchExit:
+                            rho: float, rngs, sizes) -> BatchExit:
     """Walk-on-balls exits for many starting points at once.
 
     `clearance(pts, idx)` is the signed clearance of the (m, d) points
@@ -306,7 +311,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     exits the ball B(x, rho * c) exactly, accumulating the closed-form
     expected ball-exit time; any other walker has exited.  One that left
     from a non-finite point escaped to infinity: like one still walking
-    after `max_steps` steps, it is marked stalled.
+    after MAX_STEPS steps, it is marked stalled.
 
     `clearance` may instead return a pair (c, in_shell), whose boolean
     `in_shell` marks the walkers inside a stopping shell (see
@@ -315,15 +320,15 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     the epsilon-shell rule of walk on spheres (Muller, Ann. Math. Stat.
     27, 1956).  A start in the shell stops after 0 steps.
 
-    The starts may form consecutive groups, each with its own stream:
-    `rng` is then a sequence of RngStreams and `sizes` their group sizes
-    (one stream, the default, is the one-group case).  All groups walk in
-    lockstep, one clearance call and one position update per step for
-    all of them, but each draws from its own generator in the order a
-    walk of its own would: active walkers stay in path order, so group
-    j's t-th draw gets exactly the count its own walk would ask for, and
-    a group with no active walker draws nothing.  Every group's exits are
-    therefore bit-identical to a separate walk, `max_steps` included.
+    The starts form consecutive groups, each with its own stream: `rngs`
+    is a sequence of RngStreams and `sizes` their group sizes, which sum
+    to the number of starts.  All groups walk in lockstep, one clearance
+    call and one position update per step for all of them, but each
+    draws from its own generator in the order a walk of its own would:
+    active walkers stay in path order, so group j's t-th draw gets
+    exactly the count its own walk would ask for, and a group with no
+    active walker draws nothing.  Every group's exits are therefore
+    bit-identical to a separate walk, MAX_STEPS included.
 
     The active positions live as coordinate rows, one C-ordered (d, m)
     array, and each jump is applied a coordinate at a time; `clearance`
@@ -338,8 +343,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     # idx (ascending); all of them have taken the same number of steps
     xt = np.atleast_2d(np.asarray(starts, dtype=float)).T.copy()
     n = xt.shape[1]
-    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
-    sizes = [n] if sizes is None else [int(s) for s in sizes]
+    sizes = [int(s) for s in sizes]
     if len(sizes) != len(rngs) or sum(sizes) != n:
         raise DomainError("walk exit: one stream per group, and group sizes "
                           "summing to the number of starts")
@@ -360,7 +364,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     ce = mean_exit_constant(d, alpha)
     # a walker escaping to infinity overflows; it is marked stalled below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max_steps + 1):
+        for step in range(MAX_STEPS + 1):
             inside = c > SURFACE_TOL
             if in_shell is not None:
                 inside &= ~in_shell
@@ -380,7 +384,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
                 xt, wa, idx, c = (xt.take(keep, axis=1), wa.take(keep),
                                   idx.take(keep), c.take(keep))
                 counts = np.diff(np.searchsorted(idx, edges)).tolist()
-            if len(idx) == 0 or step == max_steps:
+            if len(idx) == 0 or step == MAX_STEPS:
                 break
             radii = rho * c
             wa += ce * radii ** alpha
@@ -392,7 +396,7 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
         stalled[idx] = True
         y[idx] = xt.T
         w[idx] = wa
-        steps[idx] = max_steps
+        steps[idx] = MAX_STEPS
     return BatchExit(y=y, w=w, steps=steps, stalled=stalled, shelled=shelled)
 
 
@@ -474,8 +478,7 @@ def _far_jumps(tables: _ChainTables, d: int, h: float, n: int,
 
 
 def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
-                     rng: RngStream, max_steps: int = DEFAULT_MAX_STEPS,
-                     t_max: float | None = None) -> BatchExit:
+                     rng: RngStream, t_max: float | None = None) -> BatchExit:
     """Vectorized chain exits from D.
 
     Jumps are proposed from the tables at the envelope rate.  For a
@@ -484,10 +487,12 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
     (thinning); a kappa outside [kappa_lo, kappa_hi] raises ConfigError
     naming the point.  Weights accumulate the expected holding time
     1/total_rate per proposal, the same conditional-expectation trick as
-    the walk on balls, and `steps` counts proposals.  With `t_max` set,
-    paths additionally stop once their (random, exponential) clock passes
-    t_max; such paths report y = last position inside D and
-    stalled = False, letting callers estimate time marginals.
+    the walk on balls, and `steps` counts proposals; a path still
+    running after MAX_STEPS proposals is marked stalled.  With `t_max`
+    set, paths additionally stop once their (random, exponential) clock
+    passes t_max: the jump drawn at that proposal comes after t_max, so
+    it is not applied, and such paths report y = last position inside D
+    and stalled = False, letting callers estimate time marginals.
     """
     ks = model.kernel_spec
     t = model.tables
@@ -507,7 +512,7 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
     stalled = np.zeros(n, dtype=bool)
     clock = np.zeros(n) if t_max is not None else None
     active = np.arange(n)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if len(active) == 0:
             break
         m = len(active)
@@ -536,11 +541,15 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
                     f"lies outside the declared bounds "
                     f"[{ks.kappa_lo}, {ks.kappa_hi}]")
             z[g.random(m) >= kap / ks.kappa_hi] = 0.0
+        if t_max is not None:
+            # a jump drawn after t_max is not made by time t_max
+            late = clock[active] > t_max
+            z[late] = 0.0
         x[active] += z
         steps[active] += 1
         inside = D.contains(x[active])
         if t_max is not None:
-            inside &= clock[active] <= t_max
+            inside &= ~late
         done = active[~inside]
         y[done] = x[done]
         active = active[inside]
@@ -677,8 +686,7 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
 # ===================================================================== #
 
 def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
-                 rho: float = BALL_FACTOR,
-                 max_steps: int = DEFAULT_MAX_STEPS) -> BatchExit:
+                 rho: float = BALL_FACTOR) -> BatchExit:
     """n exit samples of D from x under the given model.
 
     Exact for IsotropicStable (walk on balls over `D.clearance`), except
@@ -704,10 +712,10 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
             clearance = lambda pts, idx: D.clearance(pts)
         return walk_exit_batch_indexed(model.alpha, model.dim, clearance,
                                        np.repeat(points, n, axis=0), rho,
-                                       rng, max_steps, sizes=n)
+                                       rng, n)
     if isinstance(model, StableLikeChain):
         return BatchExit.concat([
-            chain_exit_batch(model, D, np.tile(p, (nj, 1)), r, max_steps)
+            chain_exit_batch(model, D, np.tile(p, (nj, 1)), r)
             for p, nj, r in zip(points, n, rng)])
     raise CapabilityError(
         f"{type(model).__name__} provides no exit-law sampler")

@@ -98,7 +98,7 @@ def test_ep_check_runs(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "model": {"type": "sde-stable", "alpha": 1.0, "dim": 1, "dt": 0.01},
         "r_list": [1.0], "t_factors": [0.01], "n": 2000, "n_steps": 8,
-        "scaling_check": False, "seed": 5,
+        "scaling_pairs": [], "seed": 5,
     })
     rc = main(["ep-check", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -113,7 +113,7 @@ def test_ep_check_runs_on_the_chain(tmp_path):
         "model": {"type": "stable-like-chain", "kernel": POWER_KERNEL,
                   "h": 0.1, "r_cut": 2.0},
         "r_list": [1.0], "t_factors": [0.1], "n": 300,
-        "scaling_check": False, "seed": 4,
+        "scaling_pairs": [], "seed": 4,
     })
     assert main(["ep-check", "--config", cfg,
                  "--out", str(tmp_path)]) == EXIT_OK
@@ -288,7 +288,7 @@ HALF_PLANE = {
 SDE_LINE = {
     "model": {"type": "sde-stable", "alpha": 1.0, "dim": 1},
     "r_list": [1.0], "t_factors": [0.01], "n": 100, "n_steps": 4,
-    "scaling_check": False,
+    "scaling_pairs": [],
 }
 
 
@@ -362,8 +362,7 @@ NON_POSITIVE = [
     ("factorization", {**HALF_PLANE, "r_series": [0.5, -0.25]}, "r_series"),
     ("ep-check", {**SDE_LINE, "r_list": [1.0, 0.0]}, "r_list"),
     ("ep-check", {**SDE_LINE, "t_factors": [0.1, -0.01]}, "t_factors"),
-    ("ep-check", {**SDE_LINE, "scaling_check": True,
-                  "scaling_pairs": [[[1.0, 1.0], [2.0, -1.0]]]},
+    ("ep-check", {**SDE_LINE, "scaling_pairs": [[[1.0, 1.0], [2.0, -1.0]]]},
      "scaling_pairs"),
     ("check-kernel", {"kernel": POWER_KERNEL,
                       "phi_grid": [0, 0.001, 1, 100]}, "phi_grid"),
@@ -427,11 +426,11 @@ NON_POSITIVE = [
                     "domain": {**UNIT_INTERVAL["domain"], "radius": "abc"}}),
     ("exit-stats", {**UNIT_INTERVAL,
                     "model": {**UNIT_INTERVAL["model"], "type": 5}}),
-    ("ep-check", {**SDE_LINE, "scaling_check": "false"}),
+    # a retired key
+    ("ep-check", {**SDE_LINE, "scaling_check": False}),
     ("exit-stats", []),
     ("exit-stats", {**UNIT_INTERVAL, "targets": 5}),
-    ("ep-check", {**SDE_LINE, "scaling_check": True,
-                  "scaling_pairs": [[1.0, 2.0]]}),
+    ("ep-check", {**SDE_LINE, "scaling_pairs": [[1.0, 2.0]]}),
     # target names and the output directory, read before any walk
     ("exit-stats", {**UNIT_INTERVAL, "targets": [
         {"name": ["a"], "kind": "norm-gt", "value": 2.0}]}),
@@ -444,7 +443,11 @@ NON_POSITIVE = [
     # JSON reads 1e400 as inf, so the default bounds would be [inf, inf]
     ("ep-check", {**SDE_LINE,
                   "model": {**SDE_LINE["model"], "sigma_scale": 1e400}}),
-] + [(command, cfg) for command, cfg, _ in NON_POSITIVE])
+] + [(command, cfg) for command, cfg, _ in NON_POSITIVE] + [
+    # a word for a flag
+    ("check-kernel", {"kernel": POWER_KERNEL,
+                      "check_reverse_doubling": "false"}),
+])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
     assert _config_error(tmp_path, capsys, command, cfg)
@@ -458,6 +461,21 @@ def test_non_positive_entry_is_named_by_its_key(tmp_path, capsys, no_walks,
           "--out", str(tmp_path)])
     assert capsys.readouterr().err.startswith(
         f"config error: {key} must be a list of ")
+
+
+def test_ep_check_rejects_the_retired_scaling_check(tmp_path, capsys,
+                                                   no_walks):
+    # scaling_pairs [] skips the pairs; an ignored scaling_check false
+    # would run the default pair instead
+    cfg = {k: v for k, v in SDE_LINE.items() if k != "scaling_pairs"}
+    for value in (False, True):
+        rc = main(["ep-check", "--config",
+                   _write(tmp_path, "c.json", {**cfg, "scaling_check": value}),
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG and err.startswith("config error: ")
+        assert "scaling_pairs" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_factorization_bad_r_is_reported_under_r(tmp_path, capsys, no_walks):

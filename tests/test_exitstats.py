@@ -10,7 +10,7 @@ from scipy import special, stats
 
 from conftest import ball_exit_prob_interval
 
-from bhplab import exitstats
+from bhplab import exitstats, sampler
 from bhplab.cli import encode
 from bhplab.domains import Ball, HalfSpace, SegmentComplement
 from bhplab.errors import DomainError, EstimationError
@@ -219,13 +219,14 @@ def test_exit_before_subdomain_validates_start():
 # stall policy and escalation
 # ------------------------------------------------------------------ #
 
-def test_gather_exits_stall_policy_fails_hard():
+def test_gather_exits_stall_policy_fails_hard(monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_STEPS", 1)
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     with pytest.raises(EstimationError):
         # one step almost never exits with a tiny ball factor
         gather_exits(model, D, [[0.0]], [200], [RngStream(1)],
-                     [lambda b: b.w], rho=0.001, max_steps=1)
+                     [lambda b: b.w], rho=0.001)
 
 
 def test_escape_to_infinity_counts_as_a_stall():
@@ -251,7 +252,7 @@ def test_escalate_reaches_target():
     model = IsotropicStable(1.0, 1)
     ests, = escalate(model, Ball([0.0], 1.0), [[0.0]],
                      [lambda b: b.w, lambda b: b.y[:, 0] > 0.0],
-                     [RngStream(9)], n0=128, target=0.02)
+                     [RngStream(9)], n0=128)
     met, right = ests
     assert met.n == right.n
     rounds = met.n // 128
@@ -267,7 +268,7 @@ def test_escalate_marks_underpowered_at_cap():
     model = IsotropicStable(1.0, 1)
     (est,), = escalate(model, Ball([0.0], 1.0), [[0.0]],
                        [lambda b: np.abs(b.y[:, 0]) > 100.0], [RngStream(1)],
-                       n0=64, cap=256, target=0.02)
+                       n0=64, cap=256)
     assert est.underpowered
     assert est.n == 256          # rounds of 64, 64 and 128 paths
 
@@ -304,6 +305,7 @@ def test_gather_exits_equals_separate_part_walks(monkeypatch):
     # sample_exits call of its own; each part's non-stalled exits are
     # summed into its point's row in part order
     monkeypatch.setattr(exitstats, "PART_PATHS", 100)
+    monkeypatch.setattr(sampler, "MAX_STEPS", 20)
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     points, ns = [[0.5], [-0.2], [0.0]], [301, 20, 150]
@@ -311,13 +313,11 @@ def test_gather_exits_equals_separate_part_walks(monkeypatch):
     # a seed at which each point stalls a path or two in 20 steps of
     # half-clearance balls
     rngs = [RngStream(13).substream(j) for j in range(len(points))]
-    tally, warnings = gather_exits(model, D, points, ns, rngs, fs, rho=0.5,
-                                   max_steps=20)
+    tally, warnings = gather_exits(model, D, points, ns, rngs, fs, rho=0.5)
     sums, sumsq, counts = np.zeros((3, 3)), np.zeros((3, 3)), [0, 0, 0]
     for j, (x, n, rng) in enumerate(zip(points, ns, rngs)):
         for i, size in enumerate(split_n(n, -(-n // 100))):
-            part = sample_exits(model, D, x, size, rng.substream(i), rho=0.5,
-                                max_steps=20)
+            part = sample_exits(model, D, x, size, rng.substream(i), rho=0.5)
             kept = part.take(~part.stalled)
             counts[j] += kept.n
             v = np.array([f(kept) for f in fs], dtype=float)
@@ -334,7 +334,7 @@ def _escalate_points(points, rngs):
     model = IsotropicStable(1.0, 1)
     return escalate(model, Ball([0.0], 1.0), points,
                     [lambda b: b.w, lambda b: b.y[:, 0] > 0.0], rngs,
-                    n0=64, cap=4096, target=0.04)
+                    n0=64, cap=4096)
 
 
 def test_escalate_many_points_equals_one_point_calls(monkeypatch):
@@ -342,6 +342,7 @@ def test_escalate_many_points_equals_one_point_calls(monkeypatch):
     # rounds it takes: points stop at different rounds, yet each equals
     # its own one-point call; later rounds walk in several parts
     monkeypatch.setattr(exitstats, "PART_PATHS", 100)
+    monkeypatch.setattr(exitstats, "TARGET_REL_STDERR", 0.04)
     points = [[0.6], [0.0], [-0.6], [-0.9]]
     rngs = [RngStream(5).substream(j) for j in range(len(points))]
     got = _escalate_points(points, rngs)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from bhplab import kernel
 from bhplab.errors import ConfigError, DivergenceError, DomainError
-from bhplab.kernel import (QUAD_REL_TOL, JumpKernelSpec, TripleSamplingConfig,
-                           angular_nodes, ball_mass, boundary_integral,
+from bhplab.kernel import (QUAD_REL_TOL, JumpKernelSpec, angular_nodes,
+                           ball_mass, boundary_integral,
                            check_jc1, check_jc2, check_jt, check_phi,
                            geometric_stable_kernel, isotropic_stable_kernel,
                            sphere_area, tail_mass, tempered_stable_kernel)
@@ -96,9 +97,10 @@ def test_ball_mass_1d_quadrature():
     assert got == pytest.approx(1.0 / 9.0 - 1.0 / 11.0, rel=1e-6)
 
 
-def test_ball_mass_2d_matches_quadrature(rng):
+def test_ball_mass_2d_matches_quadrature(rng, monkeypatch):
+    monkeypatch.setattr(kernel, "BALL_MASS_POINTS", 400_000)
     J = isotropic_stable_kernel(2, 1.0)
-    got = ball_mass(J, [0.0, 0.0], [5.0, 0.0], 1.0, n_mc=400_000, rng=rng)
+    got = ball_mass(J, [0.0, 0.0], [5.0, 0.0], 1.0, rng=rng)
 
     # |y|^-3 over the unit disc about (5, 0), in polar coordinates about
     # its center: a smooth integrand, so the quadrature converges
@@ -136,7 +138,7 @@ def test_check_jc2_separation_precondition(rng):
 
 def test_check_jc1_isotropic_stable(rng):
     J = isotropic_stable_kernel(1, 1.0)
-    rep = check_jc1(J, TripleSamplingConfig(n_triples=20_000, rng=rng))
+    rep = check_jc1(J, n_triples=20_000, rng=rng)
     assert rep.verdict == "holds-numerically"
     # for translation-invariant power kernels the exponent is d + alpha
     assert rep.constants["theta"] <= 2.0 + 0.25
@@ -145,7 +147,7 @@ def test_check_jc1_isotropic_stable(rng):
 
 def test_check_jc1_witness_reproducible(rng):
     J = isotropic_stable_kernel(2, 1.5)
-    rep = check_jc1(J, TripleSamplingConfig(n_triples=5_000, rng=rng))
+    rep = check_jc1(J, n_triples=5_000, rng=rng)
     w = rep.witness
     jx = float(J.density(np.asarray(w["x"]), np.asarray(w["z"]) - w["x"]))
     jy = float(J.density(np.asarray(w["y"]), np.asarray(w["z"]) - w["y"]))
@@ -162,7 +164,7 @@ def test_check_jc1_variable_coefficients(rng):
 
     J = JumpKernelSpec(dim=1, scale=phi, kappa=kappa, kappa_lo=0.5,
                        kappa_hi=1.5)
-    rep = check_jc1(J, TripleSamplingConfig(n_triples=20_000, rng=rng))
+    rep = check_jc1(J, n_triples=20_000, rng=rng)
     assert rep.verdict == "holds-numerically"
 
 

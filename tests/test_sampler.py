@@ -1,9 +1,8 @@
-import functools
-
 import numpy as np
 import pytest
 from scipy import stats
 
+from bhplab import exitstats, sampler
 from bhplab.bhp import SHELL_EPS
 from bhplab.domains import SURFACE_TOL, Ball, HalfSpace, SlitPlane, _row_norm
 from bhplab.errors import (CapabilityError, ConfigError, DomainError,
@@ -113,15 +112,15 @@ def test_walk_determinism_bitwise():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.w, b.w)
 
 
-def test_walk_on_balls_single_sample_and_stall():
+def test_walk_on_balls_single_sample_and_stall(monkeypatch):
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
     s = sample_exits(model, D, [0.2], 1, RngStream(3))
     assert not D.contains(s.y[0]) and not s.stalled[0]
     assert s.w[0] > 0 and s.steps[0] >= 1
     # a walker that runs out of steps is flagged, not reported as an exit
-    stuck = sample_exits(model, D, [0.0], 1, RngStream(3), rho=0.001,
-                         max_steps=1)
+    monkeypatch.setattr(sampler, "MAX_STEPS", 1)
+    stuck = sample_exits(model, D, [0.0], 1, RngStream(3), rho=0.001)
     assert stuck.stalled[0] and stuck.steps[0] == 1
     assert D.contains(stuck.y[0])
 
@@ -139,7 +138,7 @@ def test_walk_evaluates_clearance_once_per_step(rng):
 
     n = 2000
     batch = walk_exit_batch_indexed(1.5, 2, clearance, np.zeros((n, 2)), 0.5,
-                                    rng)
+                                    [rng], [n])
     assert not batch.stalled.any()
     assert sum(seen) == n + int(batch.steps.sum())
     assert len(seen) == 1 + int(batch.steps.max())
@@ -207,13 +206,13 @@ def test_far_jumps_are_bitwise_the_row_formula(rng):
         assert np.array_equal(got, ref)
 
 
-def _walk_groups(D, points, sizes, streams, rho, max_steps):
+def _walk_groups(D, points, sizes, streams, rho):
     starts = np.repeat(np.asarray(points, dtype=float), sizes, axis=0)
     return walk_exit_batch_indexed(1.5, 2, lambda pts, idx: D.clearance(pts),
-                                   starts, rho, streams, max_steps, sizes)
+                                   starts, rho, streams, sizes)
 
 
-def test_lockstep_groups_equal_separate_walks(rng):
+def test_lockstep_groups_equal_separate_walks(rng, monkeypatch):
     # groups of different sizes and starts (one empty) walking in
     # lockstep give each group the exits of a walk of its own, also when
     # the step budget stalls most of them
@@ -225,8 +224,9 @@ def test_lockstep_groups_equal_separate_walks(rng):
     slit = SlitPlane().truncate([0.0, 0.0], 0.8)
     for D, rho, max_steps in [(slit, 0.5, 10 ** 6), (half, 0.5, 10 ** 6),
                               (slit, 0.1, 3)]:
-        got = _walk_groups(D, points, sizes, streams, rho, max_steps)
-        refs = [_walk_groups(D, [p], [n], [s], rho, max_steps)
+        monkeypatch.setattr(sampler, "MAX_STEPS", max_steps)
+        got = _walk_groups(D, points, sizes, streams, rho)
+        refs = [_walk_groups(D, [p], [n], [s], rho)
                 for p, n, s in zip(points, sizes, streams)]
         for f in ("y", "w", "steps", "stalled"):
             assert np.array_equal(getattr(got, f),
@@ -250,7 +250,7 @@ def test_walk_validates_inputs():
         sample_exits(model, D, [0.0], 1, RngStream(0), rho=1.5)
     with pytest.raises(DomainError):
         walk_exit_batch_indexed(1.0, 1, lambda pts, idx: D.clearance(pts),
-                                [[2.0]], 0.5, RngStream(0))
+                                [[2.0]], 0.5, [RngStream(0)], [1])
 
 
 # ------------------------------------------------------------------ #
@@ -399,12 +399,13 @@ def test_chain_rejects_kappa_outside_its_bounds(rng):
                          rng)
 
 
-def test_variable_kappa_chain_feeds_the_instruments(rng):
+def test_variable_kappa_chain_feeds_the_instruments(rng, monkeypatch):
+    monkeypatch.setattr(exitstats, "TARGET_REL_STDERR", 0.01)
     model, _ = _variable_chain()
     D = Ball([0.0], 1.0)
     (mean, right), = escalate(model, D, [[0.3125]],
                               [lambda b: b.w, lambda b: b.y[:, 0] > 0],
-                              [rng.substream(0)], 2000, cap=8000, target=0.01)
+                              [rng.substream(0)], 2000, cap=8000)
     assert mean.n == right.n == 8000 and not mean.warnings
     assert 0.2 < mean.value < 0.24 and 0.55 < right.value < 0.64
     est = survival_prob_ball(model, [0.3125], 1.0, 0.1, 4000,
@@ -413,12 +414,20 @@ def test_variable_kappa_chain_feeds_the_instruments(rng):
 
 
 def test_chain_survival_stall_names_its_count(monkeypatch):
-    from bhplab import sampler
-    monkeypatch.setattr(sampler, "chain_exit_batch", functools.partial(
-        sampler.chain_exit_batch, max_steps=1))
+    monkeypatch.setattr(sampler, "MAX_STEPS", 1)
     model = StableLikeChain(isotropic_stable_kernel(1, 1.0), 2.0 ** -4, 4.0)
     with pytest.raises(SamplerStallError, match=r"on [1-9]\d* of 200 paths"):
         survival_prob_ball(model, [0.0], 1.0, 10.0, 200, RngStream(3))
+
+
+def test_chain_survival_counts_no_jump_after_t(rng):
+    # by t = 0.01 / lambda, with lambda the chain's total jump rate, a
+    # path has jumped at all with probability 1 - e^{-0.01}; the jump
+    # drawn at the proposal whose clock passes t must not count as an exit
+    model = StableLikeChain(isotropic_stable_kernel(1, 1.0), 2.0 ** -3, 4.0)
+    lam = model.tables.total_rate
+    est = survival_prob_ball(model, [0.0], 0.5, 0.01 / lam, 20_000, rng)
+    assert est.value <= -np.expm1(-0.01) + 4.0 * est.stderr
 
 
 def test_tempered_chain_tables_build_without_warnings():
@@ -452,10 +461,11 @@ def test_chain_rejects_asymmetric_kernel_at_large_alpha():
         StableLikeChain(ks, 2.0 ** -5, 8.0)
 
 
-def test_chain_snaps_starts_to_the_lattice(rng):
+def test_chain_snaps_starts_to_the_lattice(rng, monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_STEPS", 1)
     model = _unit_chain(offset=0.0)
     batch = chain_exit_batch(model, Ball([0.0], 1.0),
-                             np.full((10, 1), 0.013), rng, max_steps=1)
+                             np.full((10, 1), 0.013), rng)
     # after one step every position is on the lattice h Z
     rem = np.abs(batch.y / model.h - np.round(batch.y / model.h))
     assert np.all(rem < 1e-9)
