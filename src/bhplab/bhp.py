@@ -41,7 +41,8 @@ SHELL_EPS = 1e-6
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Nonnegative boundary data g vanishing inside B(xi, support_radius).
+    """Nonnegative boundary data g vanishing inside B(xi, support_radius),
+    xi being the boundary point of the instrument that validates it.
 
     The induced function h(x) = E_x[g(exit position of D & B(xi, 2r))] is
     regular harmonic in the truncated set and vanishes outside D near xi
@@ -50,11 +51,8 @@ class BoundaryData:
 
     fn: object              # vectorized y -> values >= 0
     support_radius: float   # g == 0 on B(xi, support_radius)
-    xi: np.ndarray          # the boundary point the support is anchored to
 
     def __post_init__(self):
-        object.__setattr__(self, "xi",
-                           np.atleast_1d(np.asarray(self.xi, dtype=float)))
         if not self.support_radius > 0:
             raise ConfigError("boundary data needs a positive support radius")
 
@@ -62,21 +60,22 @@ class BoundaryData:
         return np.asarray(self.fn(np.atleast_2d(np.asarray(y, dtype=float))),
                           dtype=float)
 
-    def validate(self, r: float) -> None:
+    def validate(self, xi, r: float) -> None:
         """Probe-test at 10^4 points that g is 0 on B(xi, 2r) and >= 0."""
         if self.support_radius < 2.0 * r * (1 - 1e-12):
             raise ConfigError(
                 f"boundary data support starts at {self.support_radius:g} "
                 f"but must vanish on B(xi, {2 * r:g})")
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
         g = RngStream(0).generator()
-        d = self.xi.shape[0]
+        d = xi.shape[0]
         u = g.standard_normal((10_000, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        pts = self.xi + (2.0 * r) * g.random(10_000)[:, None] ** (1.0 / d) * u
+        pts = xi + (2.0 * r) * g.random(10_000)[:, None] ** (1.0 / d) * u
         vals = self(pts)
         if np.any(vals != 0.0):
             raise ConfigError("boundary data does not vanish on B(xi, 2r)")
-        far = self.xi + self.support_radius * 3.0 * u
+        far = xi + self.support_radius * 3.0 * u
         if np.any(self(far) < 0.0):
             raise ConfigError("boundary data must be nonnegative")
 
@@ -91,7 +90,7 @@ def far_field_indicator(xi, r_min: float, predicate=None) -> BoundaryData:
             return far.astype(float)
         return (far & np.asarray(predicate(y), dtype=bool)).astype(float)
 
-    return BoundaryData(fn=fn, support_radius=r_min, xi=xi)
+    return BoundaryData(fn=fn, support_radius=r_min)
 
 
 # ===================================================================== #
@@ -104,12 +103,12 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
 
     Returns, for each start x in `points` (one per stream in `rngs`),
     the `PointEstimates` for the data in order.  Every datum is
-    validated, then averaged at each point over the *same* exit samples
-    of D & B(xi, 2r), escalated by `escalate` from n0 paths until every
-    relative standard error beats TARGET_REL_STDERR or `cap` paths are
-    drawn (estimates then marked underpowered).  All points walk the
-    same set, so `escalate` walks them in lockstep.  A start outside the
-    truncated set raises DomainError.
+    validated at this xi, then averaged at each point over the *same*
+    exit samples of D & B(xi, 2r), escalated by `escalate` from n0 paths
+    until every relative standard error beats TARGET_REL_STDERR or `cap`
+    paths are drawn (estimates then marked underpowered).  All points
+    walk the same set, so `escalate` walks them in lockstep.  A start
+    outside the truncated set raises DomainError.
 
     The walk on balls (IsotropicStable) stops a walker whose clearance
     to D falls to SHELL_EPS * r, with SHELL_EPS = 1e-6, and scores g
@@ -124,7 +123,7 @@ def eval_harmonic(model: ProcessModel, D: Domain, xi, r: float, data,
     without a shell.
     """
     for g in data:
-        g.validate(r)
+        g.validate(xi, r)
     U = D.truncate(xi, 2.0 * r, shell=_shell_eps(model) * r)
     return escalate(model, U, points, [lambda b, g=g: g(b.y) for g in data],
                     rngs, n0, cap, method="mc-mean-harmonic")
@@ -148,9 +147,10 @@ def _shell_fields(model: ProcessModel, h: list) -> dict:
 # ===================================================================== #
 
 def interior_grid(D: Domain, xi, radius: float, size: int,
-                  delta_floor: float, rng: RngStream) -> np.ndarray:
-    """size points of D & B(xi, radius) with clearance >= delta_floor,
-    from at most GRID_MAX_TRIES candidates."""
+                  rng: RngStream) -> np.ndarray:
+    """size points of D & B(xi, radius) with clearance at least the floor
+    DELTA_FLOOR_FACTOR * radius, from at most GRID_MAX_TRIES candidates."""
+    delta_floor = DELTA_FLOOR_FACTOR * radius
     if size < 1:
         raise ConfigError("a grid needs at least one point")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -229,8 +229,7 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
         raise ConfigError(
             f"radius {r:g} exceeds this model's verified radius {r_ok:g}")
     if grid is None:
-        grid = interior_grid(D, xi, kappa * r, grid_size,
-                             DELTA_FLOOR_FACTOR * kappa * r, rng.substream(0))
+        grid = interior_grid(D, xi, kappa * r, grid_size, rng.substream(0))
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         if not np.all(D.contains(grid)):
@@ -265,12 +264,13 @@ def bhp_scan(model: ProcessModel, D: Domain, xi, r: float, kappa: float,
 
 def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
                     g_factory, grid_size: int, n: int, rng: RngStream,
-                    **kwargs) -> dict:
+                    cap: int = ESCALATION_CAP) -> dict:
     """Run bhp_scan over a radius series; g_factory(r) -> (g1, g2).
 
     One grid is drawn at the first radius and rescaled about xi for the
     others, so that on sets invariant under dilation about xi the radii
     see congruent grids and the c_hat series varies by MC noise only.
+    Each scan escalates its points to at most `cap` paths.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     reports = []
@@ -281,8 +281,8 @@ def bhp_scan_series(model: ProcessModel, D: Domain, xi, r_series, kappa: float,
         if reports:
             grid = xi_arr + (float(r) / r0) * (reports[0].grid - xi_arr)
         reports.append(bhp_scan(model, D, xi, float(r), kappa, g1, g2,
-                                grid_size, n, rng.substream(k), grid=grid,
-                                **kwargs))
+                                grid_size, n, rng.substream(k), cap=cap,
+                                grid=grid))
     series = [rep.c_hat for rep in reports]
     return {"r_series": [float(r) for r in r_series],
             "c_hat_series": series,
@@ -317,8 +317,7 @@ def factorization_check(model: ProcessModel, D: Domain, xi, r: float,
     if not integral > 0:
         raise DomainError("boundary integral of g vanishes; rho is undefined")
 
-    grid = interior_grid(D, xi, c3 * r, grid_size,
-                         DELTA_FLOOR_FACTOR * c3 * r, rng.substream(0))
+    grid = interior_grid(D, xi, c3 * r, grid_size, rng.substream(0))
     subs = [rng.substream(1 + i) for i in range(len(grid))]
     harmonic = eval_harmonic(model, D, xi, r, (g,), grid,
                              [sub.substream(0) for sub in subs], n, cap)
@@ -389,8 +388,7 @@ def box_diagnostics(model: ProcessModel, D: Domain, xi, r: float, j_max: int,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     phi_r = float(model.kernel.scale(r))
-    grid = interior_grid(D, xi, 0.75 * r, grid_size,
-                         DELTA_FLOOR_FACTOR * 0.75 * r, rng.substream(0))
+    grid = interior_grid(D, xi, 0.75 * r, grid_size, rng.substream(0))
     trunc = D.truncate(xi, r)
     p_est, e_est = map(list, zip(*escalate(
         model, trunc, grid, [lambda b: D.contains(b.y), lambda b: b.w],
@@ -469,9 +467,9 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
             to_ball = radii[rows] - _row_norm(pts - centers[rows])
             return np.minimum(D.clearance(pts), to_ball)
 
-        batch = walk_exit_batch_indexed(model.alpha, model.dim, clearance,
-                                        centers, BALL_FACTOR,
-                                        [rng.substream(step)], [len(centers)])
+        batch = walk_exit_batch_indexed(model, clearance, centers,
+                                        BALL_FACTOR, [rng.substream(step)],
+                                        [len(centers)])
         new_y = batch.y
         stalled += int(batch.stalled.sum())
         in_d = np.asarray(D.contains(new_y), dtype=bool) & ~batch.stalled

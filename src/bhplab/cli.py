@@ -143,8 +143,7 @@ def run_check_kernel(cfg: dict, rng: RngStream, out: str) -> str:
 
     results = {}
     try:
-        results["jt"] = kernelmod.check_jt(J, J.scale, np.array(jt_grid),
-                                           rng=rng)
+        results["jt"] = kernelmod.check_jt(J, np.array(jt_grid), rng=rng)
     except DivergenceError as exc:
         results["jt"] = kernelmod.ConditionReport(
             condition="(Jt)", verdict=kernelmod.VIOLATED,

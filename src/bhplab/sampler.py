@@ -42,8 +42,9 @@ import numpy as np
 
 from .domains import SURFACE_TOL, Ball, Domain, Truncation, _row_norm
 from .errors import CapabilityError, ConfigError, DomainError, SamplerStallError
-from .kernel import JumpKernelSpec, isotropic_stable_kernel, tail_mass
+from .kernel import JumpKernelSpec, geometric_stable_kernel, tail_mass
 from .rng import RngStream
+from .scale import ScaleFunction
 
 MAX_STEPS = 10 ** 6   # ball exits or chain proposals before a path stalls
 # the default ball factor rho of the walk on balls: a walker at clearance
@@ -72,9 +73,11 @@ def mean_exit_constant(d: int, alpha: float) -> float:
                                   * math.gamma((d + alpha) / 2.0))
 
 
-def expected_ball_exit_time(d: int, alpha: float, r: float,
-                            x_dist: float = 0.0) -> float:
-    return mean_exit_constant(d, alpha) * (r * r - x_dist * x_dist) ** (alpha / 2.0)
+def stable_kernel_constant(d: int, alpha: float) -> float:
+    """The C of the jump kernel C |z|^{-d-a} of the process with symbol
+    |xi|^a, the process the walk on balls and the Euler scheme run."""
+    return alpha * 2.0 ** (alpha - 1.0) * math.gamma((d + alpha) / 2.0) \
+        / (math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0))
 
 
 # ===================================================================== #
@@ -138,16 +141,13 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
 # ===================================================================== #
 
 class ProcessModel:
-    """Base class for the simulable model variants."""
-
-    @property
-    def kernel(self) -> JumpKernelSpec:
-        raise NotImplementedError
+    """Base class for the simulable model variants, each with a `kernel`."""
 
 
 @dataclass(frozen=True)
-class IsotropicStable(ProcessModel):
-    """Rotation-invariant alpha-stable process; exact ball-exit law."""
+class StableModel(ProcessModel):
+    """A model of the alpha-stable process in R^dim with symbol |xi|^alpha,
+    whose jump kernel is C |z|^{-dim-alpha}, C = `stable_kernel_constant`."""
 
     alpha: float
     dim: int
@@ -160,7 +160,14 @@ class IsotropicStable(ProcessModel):
 
     @property
     def kernel(self) -> JumpKernelSpec:
-        return isotropic_stable_kernel(self.dim, self.alpha)
+        c = stable_kernel_constant(self.dim, self.alpha)
+        return JumpKernelSpec(dim=self.dim,
+                              scale=ScaleFunction.power(self.alpha),
+                              kappa=c, kappa_lo=c, kappa_hi=c)
+
+
+class IsotropicStable(StableModel):
+    """Rotation-invariant alpha-stable process; exact ball-exit law."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,8 @@ class StableLikeChain(ProcessModel):
     far jumps included.
 
     With kappa = 1 the chain runs the process with kernel |z|^{-d-alpha}.
-    SdeStable's kernel is C |z|^{-d-alpha}, C = alpha 2^{alpha-1}
-    Gamma((d+alpha)/2) / (pi^{d/2} Gamma(1 - alpha/2)), so chain time t
-    is SdeStable time t / C (pi t at d = 1, alpha = 1).
+    SdeStable's kernel is C |z|^{-d-alpha}, C = `stable_kernel_constant`,
+    so chain time t is SdeStable time t / C (pi t at d = 1, alpha = 1).
     """
 
     kernel_spec: JumpKernelSpec
@@ -212,7 +218,7 @@ class StableLikeChain(ProcessModel):
 
 
 @dataclass(frozen=True)
-class SdeStable(ProcessModel):
+class SdeStable(StableModel):
     """Euler scheme for dX = sigma(X-) dZ with Z isotropic alpha-stable.
 
     Increments of Z are exact (subordinated Gaussian), so for constant
@@ -226,43 +232,27 @@ class SdeStable(ProcessModel):
     steps at t / n_steps.
     """
 
-    alpha: float
-    dim: int
     sigma: object = None               # callable (m,d) -> (m,d,d), or None
     sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
 
     def __post_init__(self):
-        if not 0 < self.alpha < 2:
-            raise ConfigError("alpha must lie in (0, 2)")
+        super().__post_init__()
         lo, hi = self.sigma_bounds
         if not 0 < lo <= hi < math.inf or (self.sigma is None
                                            and not lo <= 1.0 <= hi):
             raise ConfigError("ellipticity bounds must be finite with "
                               "0 < lo <= hi, and hold 1 if sigma is None")
 
-    @property
-    def kernel(self) -> JumpKernelSpec:
-        return isotropic_stable_kernel(self.dim, self.alpha)
 
-
-@dataclass(frozen=True)
-class GeometricStable(ProcessModel):
+class GeometricStable(StableModel):
     """Stable process run at an independent Gamma-process clock.
 
     Matches the jump density comparable to r^{-d} min(1, r^{-alpha});
     approximation-grade only — its exit laws are not claimed exact.
     """
 
-    alpha: float
-    dim: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 2:
-            raise ConfigError("alpha must lie in (0, 2)")
-
     @property
     def kernel(self) -> JumpKernelSpec:
-        from .kernel import geometric_stable_kernel
         return geometric_stable_kernel(self.dim, self.alpha)
 
 
@@ -299,9 +289,17 @@ class BatchExit:
                    shelled=np.concatenate([p.shelled for p in parts]))
 
 
-def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
+def _check_dimension(start_dim: int, model_dim: int) -> None:
+    """Raise DomainError unless the starts lie in the model's R^d."""
+    if start_dim != model_dim:
+        raise DomainError(f"start points have dimension {start_dim} but the "
+                          f"model has dimension {model_dim}")
+
+
+def walk_exit_batch_indexed(model: IsotropicStable, clearance, starts,
                             rho: float, rngs, sizes) -> BatchExit:
-    """Walk-on-balls exits for many starting points at once.
+    """Walk-on-balls exits of `model` for many starting points at once;
+    starts outside its dimension raise DomainError before any draw.
 
     `clearance(pts, idx)` is the signed clearance of the (m, d) points
     `pts`; it also receives their path indices, so callers can close over
@@ -342,7 +340,8 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     # the active walkers, compacted: coordinate rows xt, weights wa, path
     # idx (ascending); all of them have taken the same number of steps
     xt = np.atleast_2d(np.asarray(starts, dtype=float)).T.copy()
-    n = xt.shape[1]
+    d, n = xt.shape
+    _check_dimension(d, model.dim)
     sizes = [int(s) for s in sizes]
     if len(sizes) != len(rngs) or sum(sizes) != n:
         raise DomainError("walk exit: one stream per group, and group sizes "
@@ -356,12 +355,12 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
     # group j holds the paths edges[j] <= i < edges[j + 1]
     edges = np.cumsum([0] + sizes)
     counts = sizes
-    y = np.empty((n, len(xt)))
+    y = np.empty((n, d))
     w = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
     shelled = np.zeros(n, dtype=bool)
-    ce = mean_exit_constant(d, alpha)
+    ce = mean_exit_constant(d, model.alpha)
     # a walker escaping to infinity overflows; it is marked stalled below
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(MAX_STEPS + 1):
@@ -387,8 +386,8 @@ def walk_exit_batch_indexed(alpha: float, d: int, clearance, starts,
             if len(idx) == 0 or step == MAX_STEPS:
                 break
             radii = rho * c
-            wa += ce * radii ** alpha
-            jumps = ball_exit_centered(alpha, d, counts, gens)
+            wa += ce * radii ** model.alpha
+            jumps = ball_exit_centered(model.alpha, d, counts, gens)
             for k in range(d):
                 xt[k] += radii * jumps[:, k]
             c, in_shell = _clearance_and_shell(clearance(xt.T, idx))
@@ -488,18 +487,20 @@ def chain_exit_batch(model: StableLikeChain, D: Domain, starts,
     naming the point.  Weights accumulate the expected holding time
     1/total_rate per proposal, the same conditional-expectation trick as
     the walk on balls, and `steps` counts proposals; a path still
-    running after MAX_STEPS proposals is marked stalled.  With `t_max`
+    running after MAX_STEPS proposals is marked stalled.  Starts outside
+    the kernel's dimension raise DomainError before any draw.  With `t_max`
     set, paths additionally stop once their (random, exponential) clock
     passes t_max: the jump drawn at that proposal comes after t_max, so
     it is not applied, and such paths report y = last position inside D
     and stalled = False, letting callers estimate time marginals.
     """
     ks = model.kernel_spec
-    t = model.tables
-    g = rng.generator()
     x = _snap(np.array(np.atleast_2d(starts), dtype=float), model.h,
               model.lattice_offset)
     n, d = x.shape
+    _check_dimension(d, ks.dim)
+    t = model.tables
+    g = rng.generator()
     if not np.all(D.contains(x)):
         raise DomainError("chain_exit_batch: a start point lies outside D")
     p_far = t.far_rate / t.total_rate
@@ -660,6 +661,7 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
     SdeStable, a gamma-subordinated stable increment for GeometricStable.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    _check_dimension(len(x0), model.dim)
     dt = t / n_steps
     exited = np.zeros(n, dtype=bool)
     alive = np.arange(n)
@@ -710,9 +712,8 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
             clearance = lambda pts, idx: D.shelled_clearance(pts)
         else:
             clearance = lambda pts, idx: D.clearance(pts)
-        return walk_exit_batch_indexed(model.alpha, model.dim, clearance,
-                                       np.repeat(points, n, axis=0), rho,
-                                       rng, n)
+        return walk_exit_batch_indexed(
+            model, clearance, np.repeat(points, n, axis=0), rho, rng, n)
     if isinstance(model, StableLikeChain):
         return BatchExit.concat([
             chain_exit_batch(model, D, np.tile(p, (nj, 1)), r)

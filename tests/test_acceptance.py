@@ -261,10 +261,10 @@ def test_reports_are_deterministic(tmp_path):
 def test_condition_checkers_flag_known_cases():
     rng = RngStream(SEED, 12)
     tempered = tempered_stable_kernel(1, 1.0, lam=1.0, beta_t=1.0)
-    small = check_jt(tempered, tempered.scale, np.logspace(-3, 0, 13),
+    small = check_jt(tempered, np.logspace(-3, 0, 13),
                      rng=rng.substream(0))
     assert small.verdict == "holds-numerically"
-    big = check_jt(tempered, tempered.scale, np.logspace(-3, 3, 25),
+    big = check_jt(tempered, np.logspace(-3, 3, 25),
                    rng=rng.substream(1))
     assert big.verdict == "violated"
 

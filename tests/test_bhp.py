@@ -32,23 +32,30 @@ def _pair(r, split=0.0):
 
 def test_boundary_data_validation():
     g = far_field_indicator(XI, 1.0)
-    g.validate(0.5)
+    g.validate(XI, 0.5)
     with pytest.raises(ConfigError):
-        g.validate(0.6)    # support must start at >= 2r
+        g.validate(XI, 0.6)    # support must start at >= 2r
     with pytest.raises(ConfigError):
-        BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=-1.0, xi=XI)
+        BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=-1.0)
 
 
 def test_boundary_data_rejects_support_violation():
-    near = BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=1.0,
-                        xi=XI)
+    near = BoundaryData(fn=lambda y: np.ones(len(y)), support_radius=1.0)
     far = far_field_indicator(XI, 1.0)      # 0 on B(xi, 2r) at r = 0.5
-    negative = BoundaryData(fn=lambda y: -far.fn(y), support_radius=1.0,
-                            xi=XI)
+    negative = BoundaryData(fn=lambda y: -far.fn(y), support_radius=1.0)
     for bad, message in ((near, "does not vanish"),
                          (negative, "must be nonnegative")):
         with pytest.raises(ConfigError, match=message):
-            bad.validate(0.5)
+            bad.validate(XI, 0.5)
+
+
+def test_eval_harmonic_validates_data_at_its_own_xi():
+    # data anchored at (0, 5) are 1 on all of B(0, 1), so at xi = 0 they
+    # do not vanish on B(xi, 2r), whatever point they were built about
+    g = far_field_indicator([0.0, 5.0], 1.0)
+    with pytest.raises(ConfigError, match="does not vanish"):
+        eval_harmonic(IsotropicStable(1.0, 2), HALF, XI, 0.5, (g,),
+                      [[0.0, 0.25]], [RngStream(0)], 100, 100)
 
 
 # ------------------------------------------------------------------ #
@@ -75,8 +82,7 @@ def test_eval_harmonic_is_linear_in_the_data():
     model = IsotropicStable(1.0, 2)
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
-    g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
-                       xi=XI)
+    g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r)
     (a, b), = eval_harmonic(model, HALF, XI, r, (g, g10), [[0.0, 0.25]],
                             [RngStream(7)], 5000, 5000)
     assert b.value == pytest.approx(10.0 * a.value, rel=1e-12)
@@ -103,7 +109,7 @@ def test_eval_harmonic_validates_the_point():
 def test_interior_grid_respects_floor_and_ball():
     D = SlitPlane()
     r = 0.4
-    grid = interior_grid(D, XI, r, 32, r / 64.0, RngStream(5))
+    grid = interior_grid(D, XI, r, 32, RngStream(5))
     assert grid.shape == (32, 2)
     assert np.all(np.linalg.norm(grid - XI, axis=1) <= r)
     assert np.all(D.dist_lb(grid) >= r / 64.0)
@@ -111,12 +117,12 @@ def test_interior_grid_respects_floor_and_ball():
 
 def test_interior_grid_fails_when_infeasible(monkeypatch):
     monkeypatch.setattr(bhp, "GRID_MAX_TRIES", 10_000)
-    D = Ball([0.0, 0.0], 1.0)
+    D = Ball([0.0, 0.0], 1e-3)
     with pytest.raises(DomainError):
-        # clearance floor larger than the ball radius
-        interior_grid(D, [0.0, 0.0], 0.5, 8, 2.0, RngStream(1))
+        # no clearance in D reaches the floor 0.5 / 64
+        interior_grid(D, [0.0, 0.0], 0.5, 8, RngStream(1))
     with pytest.raises(ConfigError):
-        interior_grid(D, [0.0, 0.0], 0.5, 0, 0.1, RngStream(1))
+        interior_grid(D, [0.0, 0.0], 0.5, 0, RngStream(1))
 
 
 # ------------------------------------------------------------------ #
@@ -161,8 +167,7 @@ def test_bhp_scan_scaling_invariance_of_data():
     model = IsotropicStable(1.0, 2)
     r = 0.5
     g1, g2 = _pair(r)
-    s1 = BoundaryData(fn=lambda y: 7.0 * g1.fn(y), support_radius=2.0 * r,
-                      xi=XI)
+    s1 = BoundaryData(fn=lambda y: 7.0 * g1.fn(y), support_radius=2.0 * r)
     a = bhp_scan(model, HALF, XI, r, 1.0, g1, g2, grid_size=3, n=4000,
                  rng=RngStream(19), cap=200_000)
     b = bhp_scan(model, HALF, XI, r, 1.0, s1, g2, grid_size=3, n=4000,
@@ -209,8 +214,7 @@ def test_factorization_homogeneous_in_the_data():
     model = IsotropicStable(1.0, 2)
     r = 0.5
     g = far_field_indicator(XI, 2.0 * r)
-    g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r,
-                       xi=XI)
+    g10 = BoundaryData(fn=lambda y: 10.0 * g.fn(y), support_radius=2.0 * r)
     a = factorization_check(model, HALF, XI, r, 0.5, 1.5, 2.0 / 3.0, g,
                             grid_size=3, n=2000, rng=RngStream(29),
                             cap=100_000)
@@ -233,7 +237,7 @@ def test_factorization_reports_quadrature_warnings():
         far = np.linalg.norm(y, axis=1) > 2.0 * r
         return (far & (y[:, 1] > 0.05)) / (1.0 + 0.1 * np.abs(y[:, 0]))
 
-    g = BoundaryData(fn=fn, support_radius=2.0 * r, xi=XI)
+    g = BoundaryData(fn=fn, support_radius=2.0 * r)
     rep = factorization_check(IsotropicStable(1.5, 2), HALF, XI, r, 0.5, 1.5,
                               2.0 / 3.0, g, grid_size=1, n=2000,
                               rng=RngStream(3), cap=20_000)

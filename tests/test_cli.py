@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,42 @@ SDE_LINE = {
     "r_list": [1.0], "t_factors": [0.01], "n": 100, "n_steps": 4,
     "scaling_pairs": [],
 }
+
+
+# each model fixes a dimension the domain does not have; these reach the
+# walk's entry (or factorization's boundary integral), which refuses them
+# before any draw
+HALF_PLANE_AT = {"domain": {"type": "half-space", "normal": [0.0, 1.0]},
+                 "x": [0.0, 0.5]}
+DIMENSION_MISMATCH = [
+    ("exit-stats",
+     {"model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 3},
+      "domain": {"type": "slit-plane"}, "x": [0.0, 0.5]}, 3),
+    ("exit-stats",
+     {"model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 1},
+      **HALF_PLANE_AT}, 1),
+    ("exit-stats",
+     {"model": {"type": "stable-like-chain", "kernel": POWER_KERNEL,
+                "h": 0.125, "r_cut": 1.0}, **HALF_PLANE_AT}, 1),
+    ("factorization",
+     {"model": {"type": "isotropic-stable", "alpha": 1.5, "dim": 3},
+      **HALF_PLANE_AT}, 3),
+]
+
+
+@pytest.mark.parametrize("command, cfg, dim", DIMENSION_MISMATCH)
+def test_model_and_domain_of_different_dimensions_is_config_error(
+        tmp_path, capsys, command, cfg, dim):
+    start = time.perf_counter()
+    rc = main([command, "--config",
+               _write(tmp_path, "c.json", {**cfg, "n": 1000}),
+               "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and err.startswith("config error: ")
+    # naming both dimensions: the domain's, then the model's or kernel's
+    assert "dimension 2 but the" in err and f"has dimension {dim}" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture

@@ -168,13 +168,63 @@ def test_check_jc1_variable_coefficients(rng):
     assert rep.verdict == "holds-numerically"
 
 
+def _variable_kappa_kernel():
+    def kappa(x, z):
+        x = np.atleast_2d(x)
+        return 1.0 + 0.5 * np.sin(x[..., 0])
+
+    return JumpKernelSpec(dim=1, scale=ScaleFunction.power(1.0), kappa=kappa,
+                          kappa_lo=0.5, kappa_hi=1.5)
+
+
+def test_check_jc1_exponent_is_the_grid_scan_minimum(rng):
+    # the solved exponent is the least that satisfies every triple: the
+    # worst triple's constraint is tight there, and the smallest theta of
+    # a 0.01 grid that satisfies them all lies within one step above it
+    kernels = [isotropic_stable_kernel(1, 1.0),
+               isotropic_stable_kernel(2, 1.5),
+               geometric_stable_kernel(2, 1.5), _variable_kappa_kernel()]
+    for k, J in enumerate(kernels):
+        sub = rng.substream(k)
+        rep = check_jc1(J, n_triples=5_000, rng=sub)
+        x, y, z = kernel._sample_triples(J, 5_000, np.inf, sub)
+        lr = np.log(J.density(x, z - x)) - np.log(J.density(y, z - y))
+        lt = np.log(1.0 + np.linalg.norm(y - z, axis=1)
+                    / np.linalg.norm(x - z, axis=1))
+        slack = np.log(J.kappa_hi / J.kappa_lo) + 1e-9
+        grid_theta = next(th for th in np.arange(0.0, 16.0 + 1e-9, 0.01)
+                          if np.max(lr - th * lt) <= th * np.log(2.0) + slack)
+        theta = rep.constants["theta"]
+        assert grid_theta - 0.01 <= theta <= grid_theta + 1e-12, J
+        assert np.max(lr - theta * (lt + np.log(2.0))) - slack \
+            == pytest.approx(0.0, abs=1e-9)
+        assert rep.constants["C1"] == pytest.approx(
+            np.exp(np.max(lr - theta * lt)), rel=1e-12)
+
+
+def test_check_jc1_memory_does_not_grow_with_a_theta_grid():
+    # 10^4 triples hold a few arrays of 10^4 floats; a (1601, n) matrix
+    # of exponents by triples would take 128 MB
+    import tracemalloc
+
+    J = geometric_stable_kernel(2, 1.5)
+    tracemalloc.start()
+    try:
+        rep = check_jc1(J, n_triples=10_000, rng=RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "holds-numerically"
+    assert peak < 16e6
+
+
 # ------------------------------------------------------------------ #
 # (Jt)
 # ------------------------------------------------------------------ #
 
 def test_check_jt_power_kernel(rng):
     J = isotropic_stable_kernel(1, 1.0)
-    rep = check_jt(J, J.scale, np.logspace(-2, 1, 13), rng=rng)
+    rep = check_jt(J, np.logspace(-2, 1, 13), rng=rng)
     assert rep.verdict == "holds-numerically"
     assert rep.constants["C4"] == pytest.approx(2.0, abs=1e-5)
     assert rep.constants["C5"] == pytest.approx(2.0, abs=1e-5)
@@ -182,9 +232,9 @@ def test_check_jt_power_kernel(rng):
 
 def test_check_jt_tempered_kernel_bounded_vs_unbounded(rng):
     J = tempered_stable_kernel(1, 1.0, lam=1.0, beta_t=1.0)
-    small = check_jt(J, J.scale, np.logspace(-3, 0, 13), rng=rng)
+    small = check_jt(J, np.logspace(-3, 0, 13), rng=rng)
     assert small.verdict == "holds-numerically"
-    big = check_jt(J, J.scale, np.logspace(-3, 3, 25), rng=rng)
+    big = check_jt(J, np.logspace(-3, 3, 25), rng=rng)
     assert big.verdict == "violated"
     assert big.witness is not None
     assert big.witness["r"] > 1.0
@@ -198,7 +248,7 @@ def test_check_jt_variable_kappa_probes_five_base_points(rng):
 
     J = JumpKernelSpec(dim=1, scale=ScaleFunction.power(1.0), kappa=kappa,
                        kappa_lo=0.5, kappa_hi=1.5)
-    rep = check_jt(J, J.scale, np.logspace(-2, 1, 7), rng=rng)
+    rep = check_jt(J, np.logspace(-2, 1, 7), rng=rng)
     xs = rep.test_points["x_samples"]
     assert xs.shape == (5, 1) and np.all(np.abs(xs) <= 1.0)
     m = 2.0 * (1.0 + 0.5 * np.sin(xs[:, 0]))
@@ -210,7 +260,7 @@ def test_check_jt_variable_kappa_probes_five_base_points(rng):
 def test_check_jt_grid_span_precondition(rng):
     J = isotropic_stable_kernel(1, 1.0)
     with pytest.raises(DomainError):
-        check_jt(J, J.scale, np.logspace(-1, 1, 5), rng=rng)
+        check_jt(J, np.logspace(-1, 1, 5), rng=rng)
 
 
 # ------------------------------------------------------------------ #
@@ -287,7 +337,7 @@ def test_boundary_integral_divergence_detected():
 def test_report_serialization_roundtrip(rng):
     import json
     J = isotropic_stable_kernel(1, 1.0)
-    rep = check_jt(J, J.scale, np.logspace(-2, 1, 13), rng=rng)
+    rep = check_jt(J, np.logspace(-2, 1, 13), rng=rng)
     from bhplab.cli import encode
     payload = json.dumps(encode(rep))
     assert "holds-numerically" in payload

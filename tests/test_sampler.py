@@ -9,16 +9,16 @@ from bhplab.errors import (CapabilityError, ConfigError, DomainError,
                            SamplerStallError)
 from bhplab.exitstats import escalate
 from bhplab.kernel import (JumpKernelSpec, isotropic_stable_kernel,
-                           tempered_stable_kernel)
+                           tail_mass, tempered_stable_kernel)
 from bhplab.rng import RngStream
 from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             StableLikeChain, _far_jumps,
                             _paths_exit_indicator, _sigma_dz, _snap,
                             ball_exit_centered, chain_exit_batch,
-                            expected_ball_exit_time, mean_exit_constant,
-                            one_sided_stable, poisson_kernel_constant,
-                            sample_exits, stable_increment,
-                            survival_prob_ball, walk_exit_batch_indexed)
+                            mean_exit_constant, one_sided_stable,
+                            poisson_kernel_constant, sample_exits,
+                            stable_increment, survival_prob_ball,
+                            walk_exit_batch_indexed)
 from bhplab.scale import ScaleFunction
 
 from conftest import (ball_exit_prob_interval, ball_exit_tail_prob,
@@ -90,7 +90,7 @@ def test_walk_time_weight_matches_closed_form(rng):
     D = Ball([0.0], r)
     n = 40_000
     batch = sample_exits(IsotropicStable(alpha, 1), D, [x0], n, rng, rho=0.7)
-    expect = expected_ball_exit_time(1, alpha, r, x0)
+    expect = mean_exit_constant(1, alpha) * (r * r - x0 * x0) ** (alpha / 2)
     se = batch.w.std(ddof=1) / np.sqrt(n)
     assert abs(batch.w.mean() - expect) < 3.5 * se
 
@@ -137,8 +137,8 @@ def test_walk_evaluates_clearance_once_per_step(rng):
         return D.clearance(pts)
 
     n = 2000
-    batch = walk_exit_batch_indexed(1.5, 2, clearance, np.zeros((n, 2)), 0.5,
-                                    [rng], [n])
+    batch = walk_exit_batch_indexed(IsotropicStable(1.5, 2), clearance,
+                                    np.zeros((n, 2)), 0.5, [rng], [n])
     assert not batch.stalled.any()
     assert sum(seen) == n + int(batch.steps.sum())
     assert len(seen) == 1 + int(batch.steps.max())
@@ -208,7 +208,8 @@ def test_far_jumps_are_bitwise_the_row_formula(rng):
 
 def _walk_groups(D, points, sizes, streams, rho):
     starts = np.repeat(np.asarray(points, dtype=float), sizes, axis=0)
-    return walk_exit_batch_indexed(1.5, 2, lambda pts, idx: D.clearance(pts),
+    return walk_exit_batch_indexed(IsotropicStable(1.5, 2),
+                                   lambda pts, idx: D.clearance(pts),
                                    starts, rho, streams, sizes)
 
 
@@ -237,6 +238,31 @@ def test_lockstep_groups_equal_separate_walks(rng, monkeypatch):
             assert np.all(got.steps[got.stalled] == 3)
 
 
+class _NoDraws:
+    """A stream that fails the test if a sampler asks it for draws."""
+
+    def generator(self):
+        raise AssertionError("the sampler drew before checking its input")
+
+
+def test_samplers_reject_starts_of_another_dimension(rng):
+    # the model fixes a run's dimension: a start in another is refused
+    # before any draw, not indexed out of range or broadcast over axes
+    D = HalfSpace([0.0, 1.0], 0.0)
+    for d in (1, 3):
+        with pytest.raises(DomainError,
+                           match=f"dimension 2 but the model has "
+                                 f"dimension {d}"):
+            walk_exit_batch_indexed(IsotropicStable(1.0, d),
+                                    lambda pts, idx: D.clearance(pts),
+                                    [[0.0, 1.0]], 1.0, [_NoDraws()], [1])
+    with pytest.raises(DomainError, match="model has dimension 1"):
+        chain_exit_batch(_unit_chain(), D, [[0.0, 1.0]], _NoDraws())
+    for model in (SdeStable(1.5, 2), GeometricStable(1.5, 2)):
+        with pytest.raises(DomainError, match="model has dimension 2"):
+            survival_prob_ball(model, [0.0], 1.0, 0.1, 10, rng)
+
+
 def test_walk_validates_inputs():
     model = IsotropicStable(1.0, 1)
     D = Ball([0.0], 1.0)
@@ -249,7 +275,7 @@ def test_walk_validates_inputs():
     with pytest.raises(DomainError):
         sample_exits(model, D, [0.0], 1, RngStream(0), rho=1.5)
     with pytest.raises(DomainError):
-        walk_exit_batch_indexed(1.0, 1, lambda pts, idx: D.clearance(pts),
+        walk_exit_batch_indexed(model, lambda pts, idx: D.clearance(pts),
                                 [[2.0]], 0.5, [RngStream(0)], [1])
 
 
@@ -785,6 +811,23 @@ def test_model_validation():
         SdeStable(1.5, 2, sigma_bounds=(2.0, 3.0))
     with pytest.raises(ConfigError):
         GeometricStable(0.0, 1)
+    # the three stable models share one check of alpha and the dimension
+    for model in (IsotropicStable, SdeStable, GeometricStable):
+        with pytest.raises(ConfigError, match="dimension"):
+            model(1.5, 0)
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 1.0), (2, 1.5), (3, 0.7)])
+def test_stable_model_kernel_is_the_process_kernel(d, alpha):
+    # Ikeda-Watanabe: from the center of the unit ball the exit point Y
+    # has P(|Y| > R) = E[tau] J(0, B(0, R)^c) up to relative O(R^-2), so
+    # the models' kernel must be the one of the walked process
+    R = 100.0
+    exact = ball_exit_tail_prob(alpha, d, R)
+    for model in (IsotropicStable(alpha, d), SdeStable(alpha, d)):
+        tail = tail_mass(model.kernel, np.zeros(d), R)
+        assert tail * mean_exit_constant(d, alpha) == \
+            pytest.approx(exact, rel=1e-3)
 
 
 def test_poisson_kernel_constant_known_value():
@@ -792,4 +835,3 @@ def test_poisson_kernel_constant_known_value():
     assert poisson_kernel_constant(1, 1.0) == pytest.approx(1.0 / np.pi)
     # mean-exit constant: C_E(1, 1) = 1, so E_0[tau_(-1,1)] = 1
     assert mean_exit_constant(1, 1.0) == pytest.approx(1.0)
-    assert expected_ball_exit_time(1, 1.0, 1.0, 0.0) == pytest.approx(1.0)
