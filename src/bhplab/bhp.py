@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .domains import SURFACE_TOL, Ball, Domain, Intersection, _row_norm
 from .errors import ConfigError, DomainError, UnderpoweredError
-from .exitstats import ESCALATION_CAP, escalate
+from .exitstats import ESCALATION_CAP, escalate, t_quantile_975
 # unused here, but bench/tracer.py patches bhp.gather_exits by name
 from .exitstats import gather_exits  # noqa: F401
 from .kernel import boundary_integral
@@ -485,15 +484,19 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
     pos_mask = np.asarray(survival) > 0
     fit = None
     if pos_mask.sum() >= 3:
-        from scipy import stats  # local import: slow to load
-        reg = stats.linregress(m[pos_mask], np.log(np.asarray(survival)[pos_mask]))
+        # least squares of log survival on m, by scipy's linregress formulas
+        log_s = np.log(np.asarray(survival)[pos_mask])
+        sxx, sxy, _, syy = np.cov(m[pos_mask], log_s, bias=True).flat
+        slope = float(sxy / sxx)
+        corr = (min(1.0, max(-1.0, sxy / np.sqrt(sxx * syy)))
+                if syy > 0 else 0.0)
         df = int(pos_mask.sum()) - 2
-        tq = float(stdtrit(df, 0.975)) if df > 0 else math.inf
-        fit = {"log_slope": float(reg.slope),
-               "slope_stderr": float(reg.stderr),
-               "slope_ci95": (float(reg.slope - tq * reg.stderr),
-                              float(reg.slope + tq * reg.stderr)),
-               "rate": float(math.exp(reg.slope)),
-               "rate_upper95": float(math.exp(reg.slope + tq * reg.stderr))}
+        stderr = float(np.sqrt((1 - corr ** 2) * syy / sxx / df))
+        tq = t_quantile_975(df)
+        fit = {"log_slope": slope,
+               "slope_stderr": stderr,
+               "slope_ci95": (slope - tq * stderr, slope + tq * stderr),
+               "rate": math.exp(slope),
+               "rate_upper95": math.exp(slope + tq * stderr)}
     return {"xi": xi, "r": r, "x": x, "n": n, "stalled": stalled,
             "survival": list(map(float, survival)), "fit": fit}

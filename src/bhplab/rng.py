@@ -4,14 +4,16 @@ Built on numpy's Philox bit generator: the (seed, stream) pair is folded
 into the 128-bit Philox key, so distinct stream ids give statistically
 independent sequences and every draw is reproducible from
 (seed, stream, position) alone.  Streams are cheap value objects; the
-actual generator is created lazily and never shared.
+actual generator is created lazily and never shared.  `numpy.random`
+itself loads with this module: numpy 2 imports it on first use, and a
+run would otherwise pay for that import inside its first walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
 _SUBSTREAM_SPAN = 1_000_003   # substreams per stream
@@ -30,12 +32,12 @@ class RngStream:
         if self.stream < 0:
             raise ValueError("stream id must be nonnegative")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """Fresh generator positioned at the start of this stream."""
         key = (self.seed << 64) | (self.stream & _MASK64)
         # fold any overflow of the stream id back into the key
         key ^= (self.stream >> 64) & _MASK64
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
     def substream(self, i: int) -> "RngStream":
         """Derived stream i, for 0 <= i < 1_000_003.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from bhplab.bhp import (SHELL_EPS, BhpReport, BoundaryData, bhp_scan,
                         bhp_scan_series, box_diagnostics, chain_decay,
@@ -320,6 +321,28 @@ def test_chain_decay_survival_is_nonincreasing():
     assert 0.0 <= s[0] <= 1.0
     if out["fit"] is not None:
         assert out["fit"]["rate"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("m_max,x,seed", [(3, [0.0, 0.2], 1),
+                                           (5, [0.0, 0.25], 2),
+                                           (8, [0.1, 0.3], 3)])
+def test_chain_decay_fit_matches_linregress(m_max, x, seed):
+    # the closed-form least squares follows scipy.stats.linregress; m_max
+    # 3 is the fewest points a fit is made from (one degree of freedom)
+    out = chain_decay(IsotropicStable(1.0, 2), HALF, XI, 0.5, x, 3000,
+                      RngStream(seed), m_max=m_max)
+    s = np.asarray(out["survival"])
+    assert (s > 0).all()
+    reg = stats.linregress(np.arange(1, m_max + 1), np.log(s))
+    tq = special.stdtrit(m_max - 2, 0.975)
+    fit = out["fit"]
+    for got, want in ((fit["log_slope"], reg.slope),
+                      (fit["slope_stderr"], reg.stderr),
+                      (fit["slope_ci95"][0], reg.slope - tq * reg.stderr),
+                      (fit["slope_ci95"][1], reg.slope + tq * reg.stderr),
+                      (fit["rate_upper95"],
+                       np.exp(reg.slope + tq * reg.stderr))):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_chain_decay_first_step_matches_direct_mc():

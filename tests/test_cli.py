@@ -752,23 +752,29 @@ def test_default_walk_exits_the_largest_ball(tmp_path):
 # cold start
 # ------------------------------------------------------------------ #
 
-def test_experiments_load_neither_scipy_stats_nor_integrate(tmp_path):
-    # scipy.stats and scipy.integrate take longer to import than a small
-    # experiment takes to run, so only the code that calls them imports
-    # them; pytest has loaded scipy.integrate already, hence the fresh
-    # interpreter
+def test_experiments_load_no_scipy(tmp_path):
+    # importing scipy takes longer than a small experiment takes to run,
+    # so only the quadratures import it; numpy.random loads with the
+    # package, as setup, not inside the first walk.  pytest has loaded
+    # scipy already, hence the fresh interpreter
     run = ("import json, sys; import bhplab.cli as cli\n"
+           "def scipy_modules():\n"
+           "    return sorted(m for m in sys.modules\n"
+           "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+           "loaded = [scipy_modules(), 'numpy.random' in sys.modules]\n"
            "for command, cfg in zip(sys.argv[2::2], sys.argv[3::2]):\n"
            "    assert cli.main([command, '--config', cfg,\n"
            "                     '--out', sys.argv[1]]) == cli.EXIT_OK\n"
-           "print(json.dumps(sorted({'scipy.stats', 'scipy.integrate'}\n"
-           "                        & set(sys.modules))))")
+           "print(json.dumps([*loaded, scipy_modules()]))")
+    chain = {**HALF_PLANE, "x": [0.0, 0.2], "r": 0.5, "n": 4000,
+             "m_max": 4, "seed": 3}
     argv = [str(tmp_path)]
     for command, cfg in (("exit-stats", UNIT_INTERVAL),
-                         ("bhp-scan", HALF_PLANE), ("ep-check", SDE_LINE)):
+                         ("bhp-scan", HALF_PLANE), ("ep-check", SDE_LINE),
+                         ("chain-decay", chain)):
         argv += [command, _write(tmp_path, f"{command}.cfg.json", cfg)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", run, *argv], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=300).stdout
-    assert json.loads(out.splitlines()[-1]) == []
+    assert json.loads(out.splitlines()[-1]) == [[], True, []]

@@ -1,12 +1,14 @@
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import special
 
 from conftest import ball_exit_prob_interval
 
@@ -53,14 +55,37 @@ def test_from_samples_matches_t_interval():
     assert e.n == 4
 
 
-def test_t_quantile_equals_scipy_stats_bitwise():
-    # from_moments and chain_decay take the t quantile from
-    # special.stdtrit so that importing bhplab does not load scipy.stats;
-    # reports stay byte-identical only while the two agree exactly
+# t_{df}(0.975) to 20 significant digits, from mpmath 1.3.0 (betainc
+# solved for the upper tail 0.025 at 50 digits)
+T_QUANTILE_975 = {
+    1: "12.706204736174704646", 2: "4.3026527297494638523",
+    3: "3.1824463052837095927", 4: "2.7764451051977943578",
+    5: "2.5705818356363155147", 7: "2.3646242515927853417",
+    10: "2.2281388519862747484", 30: "2.0422724563012383100",
+    100: "1.9839715185235522866", 1000: "1.9623390808264084850",
+    2047: "1.9611235598633852350", 4095: "1.9605434621072307572",
+    8191: "1.9602536458578112345", 14999: "1.9601221590464066282",
+    10 ** 5: "1.9599877075346096386", 10 ** 7: "1.9599642217672054904",
+    3 * 10 ** 7: "1.9599640636157650483",
+}
+
+
+@pytest.mark.parametrize("df", sorted(T_QUANTILE_975))
+def test_t_quantile_within_4_ulp_of_exact(df):
+    # every branch: closed forms (1, 2), tail series (3-19), tail
+    # expansion (20-4999) and A&S 26.7.5 (from 5000); scipy's stdtrit is
+    # up to 6 ulp off at these df
+    t = exitstats.t_quantile_975(df)
+    err = abs(Decimal(t) - Decimal(T_QUANTILE_975[df]))
+    assert err <= 4 * Decimal(math.ulp(t)), (df, err / Decimal(math.ulp(t)))
+
+
+def test_t_quantile_matches_scipy_stdtrit():
     log_grid = np.unique(np.geomspace(5000, 3e7, 1000).astype(int))
-    for df in [*range(1, 5001), *log_grid.tolist()]:
-        assert float(special.stdtrit(df, 0.975)) == \
-            float(stats.t.ppf(0.975, df)), df
+    dfs = np.array([*range(1, 5001), *log_grid.tolist()])
+    ours = np.array([exitstats.t_quantile_975(int(df)) for df in dfs])
+    np.testing.assert_allclose(ours, special.stdtrit(dfs, 0.975),
+                               rtol=1e-14, atol=0)
 
 
 def test_single_sample_estimate_degenerates():
