@@ -466,7 +466,7 @@ def chain_decay(model: ProcessModel, D: Domain, xi, r: float, x, n: int,
             to_ball = radii[rows] - _row_norm(pts - centers[rows])
             return np.minimum(D.clearance(pts), to_ball)
 
-        batch = walk_exit_batch_indexed(model, clearance, centers,
+        batch = walk_exit_batch_indexed(model, clearance, [centers],
                                         BALL_FACTOR, [rng.substream(step)],
                                         [len(centers)])
         new_y = batch.y

@@ -193,10 +193,17 @@ def run_exit_stats(cfg: dict, rng: RngStream, out: str) -> str:
     bounds = [(real(exp, "value"), real(exp, "sigmas", 3.0),
                real(exp, "tol", 0.0)) for exp in expect]
 
-    met = exitstats.mean_exit_time(model, D, x, n, rng.substream(0), rho=rho)
-    targets = {name: exitstats.harmonic_measure(model, D, x, pred, n,
-                                                rng.substream(1 + i), rho=rho)
-               for i, (name, pred) in enumerate(zip(names, predicates))}
+    # the mean exit time on substream 0 and target i on substream 1 + i,
+    # each from its own n paths: points of one fixed-n call, so their
+    # walks share tails, but each estimate equals what mean_exit_time or
+    # harmonic_measure returns on its substream
+    (met,), *hits = exitstats.escalate(
+        model, D, [x] * (1 + len(predicates)),
+        [[lambda b: b.w]] + [[lambda b, A=A: A(b.y)] for A in predicates],
+        [rng.substream(i) for i in range(1 + len(predicates))], n, n,
+        rho=rho, method=["mc-mean-exit-time"]
+        + ["mc-binomial-harmonic-measure"] * len(predicates))
+    targets = {name: est for name, (est,) in zip(names, hits)}
     results = {"mean_exit_time": met, "targets": targets}
 
     checks = []

@@ -8,11 +8,13 @@ give Wilson 95% intervals, others t-intervals, whose quantile comes from
 so loading bhplab loads no scipy); the fixed-n estimators are one-round
 calls.  A round of n paths splits into ceil(n / PART_PATHS) near-even
 parts, each on its own RNG substream, so results depend only on the seed
-and the config.  Many start points escalate in one call: each round
-walks the parts of the points still running in lockstep, at most
-PART_PATHS paths at a time, summing each walk's exits as it returns (so
-memory does not grow with n), and each point's estimates equal those of
-a call of its own.
+and the config.  Many start points escalate in one call, each with its
+own functionals if need be (exit-stats walks its mean exit time and its
+targets so): each round walks the parts of the points still running in
+lockstep walks that hold the exits of up to 3 * PART_PATHS paths but
+move at most PART_PATHS walkers at once, starting a part as earlier ones
+finish, and sums each walk's exits as it returns (so memory does not
+grow with n); each point's estimates equal those of a call of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ STALL_WARN_FRACTION = 1e-3
 STALL_FAIL_FRACTION = 5e-2
 ESCALATION_CAP = 10_000_000
 TARGET_REL_STDERR = 0.02
-PART_PATHS = 2 ** 14   # paths per RNG part (fixes the draws) and per walk
+PART_PATHS = 2 ** 14   # paths per RNG part: fixes the draws
 
 
 # ===================================================================== #
@@ -189,6 +191,13 @@ def _t_tail(t: float, df: int, c: float) -> float:
 
 
 @functools.cache
+def _central_binomial(m: int) -> float:
+    """C(2m, m) / 4^m from exact integers, so it is correctly rounded;
+    cached, since df = 2m and 2m + 1 both need it."""
+    return math.comb(2 * m, m) / 4 ** m
+
+
+@functools.cache
 def t_quantile_975(df: int) -> float:
     """The 0.975 quantile of Student's t with df >= 1 degrees of freedom.
 
@@ -206,8 +215,7 @@ def t_quantile_975(df: int) -> float:
     t = _Z975 + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
     if df >= _AS_DF:
         return t
-    # C(2m, m) / 4^m from exact integers, so it is correctly rounded
-    c = math.comb(df // 2 * 2, df // 2) / 4 ** (df // 2)
+    c = _central_binomial(df // 2)
     # the density is f0 (1 + t^2 / df)^(-(df + 1) / 2)
     f0 = _inverse_beta(df, c) / math.sqrt(df)
     for _ in range(8):
@@ -236,17 +244,20 @@ class PointEstimates(list):
 
 @dataclass
 class Tally:
-    """Sums of functionals over non-stalled exits, one row per point."""
+    """Sums of functionals over non-stalled exits, one row per point;
+    each point has its own functionals."""
 
-    counts: list           # (points,) kept paths
-    sums: np.ndarray       # (points, functionals) sums over the kept paths
-    sumsq: np.ndarray      # (points, functionals) sums of squares
-    binary: list           # (functionals,) whether each one is boolean
+    counts: list     # per point: kept paths
+    sums: list       # per point: (functionals,) sums over the kept paths
+    sumsq: list      # per point: (functionals,) sums of squares
+    binary: list     # per point: whether each functional is boolean
 
     @classmethod
-    def zeros(cls, points: int, functionals: int) -> "Tally":
-        return cls([0] * points, np.zeros((points, functionals)),
-                   np.zeros((points, functionals)), [False] * functionals)
+    def zeros(cls, widths) -> "Tally":
+        """No paths yet, for points with widths[j] functionals each."""
+        return cls([0] * len(widths), [np.zeros(k) for k in widths],
+                   [np.zeros(k) for k in widths],
+                   [[False] * k for k in widths])
 
     @property
     def n(self) -> int:
@@ -264,11 +275,17 @@ def split_n(n: int, parts: int) -> list:
 
 
 def _lockstep_chunks(sizes: list):
-    """Consecutive slices of `sizes`, each at most PART_PATHS, that sum
-    to at most PART_PATHS."""
+    """Consecutive slices of `sizes` that sum to at most 3 * PART_PATHS,
+    or hold one size alone.
+
+    Each slice is one walk, which holds the exits of all its parts but
+    moves at most `sampler.LOCKSTEP_WALKERS` (= PART_PATHS) walkers at
+    once: it starts a part once the part fits beside the walkers still
+    active, so the tail of one part's walk overlaps the bulk of the next.
+    """
     start = total = 0
     for i, s in enumerate(sizes):
-        if total + s > PART_PATHS:
+        if total + s > 3 * PART_PATHS:
             yield slice(start, i)
             start, total = i, 0
         total += s
@@ -278,15 +295,18 @@ def _lockstep_chunks(sizes: list):
 
 def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
                  functionals, rho: float = BALL_FACTOR) -> tuple:
-    """Per-point sums of `functionals` over exits, stall policy applied.
+    """Per-point sums of functionals over exits, stall policy applied.
 
     Point j draws ns[j] paths split into ceil(ns[j] / PART_PATHS)
     near-even parts; part i draws from rngs[j].substream(i).  The parts
-    of all points walk in lockstep, as `sample_exits` calls of at most
-    PART_PATHS paths each.  Each part draws exactly what a call of its
-    own would, so nothing depends on how they are grouped.  As a walk
-    returns, each of its parts adds every functional's values on its
-    non-stalled exits to its point's row, so at most one walk is held.
+    of all points walk in order, as `sample_exits` calls that each hold
+    the exits of at most 3 * PART_PATHS paths (`_lockstep_chunks`) and
+    move at most PART_PATHS walkers at once, a part starting as earlier
+    ones finish.  Each part draws exactly what a call of its own would,
+    so nothing depends on how they are grouped.  As a walk returns, each
+    of its parts adds the values of each of its point's functionals,
+    functionals[j], on its non-stalled exits to the point's row, so at
+    most one walk is held.
 
     Returns (tally, warnings): the `Tally` of the points in order, and
     each point's warning list.  Raises EstimationError at the first point
@@ -296,7 +316,7 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
     parts = [(j, x, size, rng.substream(i))
              for j, (x, n, rng) in enumerate(zip(points, ns, rngs))
              for i, size in enumerate(split_n(n, -(-n // PART_PATHS)))]
-    tally = Tally.zeros(len(ns), len(functionals))
+    tally = Tally.zeros([len(fs) for fs in functionals])
     for chunk in _lockstep_chunks([size for _, _, size, _ in parts]):
         owners, xs, sizes, streams = zip(*parts[chunk])
         batch = sample_exits(model, D, xs, sizes, streams, rho=rho)
@@ -306,12 +326,12 @@ def gather_exits(model: ProcessModel, D: Domain, points, ns, rngs,
                 ~batch.stalled[start:start + size]))
             start += size
             tally.counts[j] += kept.n
-            for i, f in enumerate(functionals):
+            for i, f in enumerate(functionals[j]):
                 v = np.asarray(f(kept))
-                tally.binary[i] = v.dtype == bool
+                tally.binary[j][i] = v.dtype == bool
                 v = v.astype(float)
-                tally.sums[j, i] += v.sum()
-                tally.sumsq[j, i] += (v * v).sum()
+                tally.sums[j][i] += v.sum()
+                tally.sumsq[j][i] += (v * v).sum()
     warnings = []
     for n, kept in zip(ns, tally.counts):
         n_stall = n - kept
@@ -365,9 +385,11 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     holds one estimate list per point, equal to what a one-point call on
     (points[j], rngs[j]) returns.  Each functional maps an exit batch to
     per-path values (e.g. `lambda b: g(b.y)` or `lambda b: b.w`), so a
-    point's estimates are built from the same paths.  Boolean values
-    give a binomial estimate of the summed count, any others a mean
-    estimate of the summed moments.  Each point's list is a
+    point's estimates are built from the same paths.  `functionals` is
+    one list for every point, or one list per point; `method`, the label
+    of every estimate, is likewise one string or one per point.  Boolean
+    values give a binomial estimate of the summed count, any others a
+    mean estimate of the summed moments.  Each point's list is a
     `PointEstimates`, which also counts the paths that stopped in D's
     stopping shell, if D has one: `b.shelled` is summed as one more
     functional, but never targeted.
@@ -391,10 +413,13 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
         raise DomainError(f"path cap {cap} is below the first round's "
                           f"{n0} paths; increase cap or lower n")
     rngs = list(rngs)
-    points = np.asarray(points, dtype=float).reshape(len(rngs), -1)
-    m, nf = len(rngs), len(functionals)
-    functionals = [*functionals, lambda b: b.shelled]
-    total = Tally.zeros(m, nf + 1)
+    m = len(rngs)
+    points = np.asarray(points, dtype=float).reshape(m, -1)
+    if callable(functionals[0]):
+        functionals = [functionals] * m
+    methods = [method] * m if isinstance(method, str) else method
+    functionals = [[*fs, lambda b: b.shelled] for fs in functionals]
+    total = Tally.zeros([len(fs) for fs in functionals])
     warnings = [[] for _ in range(m)]
     results = [None] * m
     running = list(range(m))
@@ -403,21 +428,21 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
     while running:
         tally, warns = gather_exits(
             model, D, points[running], [n] * len(running),
-            [rngs[j].substream(k) for j in running], functionals, rho)
-        total.sums[running] += tally.sums
-        total.sumsq[running] += tally.sumsq
-        for j, cnt, warn in zip(running, tally.counts, warns):
-            total.counts[j] += cnt
-            warnings[j].extend(warn)
+            [rngs[j].substream(k) for j in running],
+            [functionals[j] for j in running], rho)
         k += 1
         drawn += n
-        for j in running:
+        for row, j in enumerate(running):
+            total.counts[j] += tally.counts[row]
+            total.sums[j] += tally.sums[row]
+            total.sumsq[j] += tally.sumsq[row]
+            warnings[j].extend(warns[row])
             estimates = [
-                Estimate.binomial(int(s), total.counts[j], method=method)
+                Estimate.binomial(int(s), total.counts[j], method=methods[j])
                 if b else Estimate.from_moments(s, q, total.counts[j],
-                                                method=method)
-                for s, q, b in zip(total.sums[j, :nf], total.sumsq[j, :nf],
-                                   tally.binary)]
+                                                method=methods[j])
+                for s, q, b in zip(total.sums[j][:-1], total.sumsq[j][:-1],
+                                   tally.binary[row])]
             precise = (max(e.rel_stderr for e in estimates)
                        < TARGET_REL_STDERR)
             if precise or drawn >= cap:
@@ -425,7 +450,7 @@ def escalate(model: ProcessModel, D: Domain, points, functionals,
                     e.underpowered = not precise
                     e.warnings.extend(warnings[j])
                 results[j] = PointEstimates(estimates)
-                results[j].shell_stops = int(total.sums[j, nf])
+                results[j].shell_stops = int(total.sums[j][-1])
         running = [j for j in running if results[j] is None]
         n = min(drawn, cap - drawn)
     return results

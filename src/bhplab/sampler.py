@@ -10,7 +10,9 @@ reads one number of the domain per walker and step, its signed clearance
 (`Domain.clearance`): it sizes the next ball and decides the exit.  One
 walk can carry many groups of paths, each with its own random stream, in
 lockstep: they share every clearance call and position update, while
-each group draws exactly what a walk of its own would.
+each group draws exactly what a walk of its own would.  A group starts
+once it fits beside the walkers still active (LOCKSTEP_WALKERS), so one
+group's tail walks beside the bulk of the next.
 
 Without a shell a walker that nears the boundary continuously ends only
 when its clearance drops below SURFACE_TOL = 1e-12, which on the slit
@@ -34,6 +36,7 @@ not certified.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +50,7 @@ from .rng import RngStream
 from .scale import ScaleFunction
 
 MAX_STEPS = 10 ** 6   # ball exits or chain proposals before a path stalls
+LOCKSTEP_WALKERS = 2 ** 14   # walkers one walk on balls moves at once
 # the default ball factor rho of the walk on balls: a walker at clearance
 # c next exits B(x, rho * c); rho = 1 is the largest ball inside D, which
 # gives exact exits in the fewest steps
@@ -298,18 +302,19 @@ def _check_dimension(start_dim: int, model_dim: int) -> None:
 
 def walk_exit_batch_indexed(model: IsotropicStable, clearance, starts,
                             rho: float, rngs, sizes) -> BatchExit:
-    """Walk-on-balls exits of `model` for many starting points at once;
+    """Walk-on-balls exits of `model` for many groups of paths at once;
     starts outside its dimension raise DomainError before any draw.
 
     `clearance(pts, idx)` is the signed clearance of the (m, d) points
     `pts`; it also receives their path indices, so callers can close over
     per-path geometry (e.g. a different truncating ball for each walker).
-    It is evaluated once on the starts and once per active walker after
-    each jump: a walker with clearance c > SURFACE_TOL is inside and next
-    exits the ball B(x, rho * c) exactly, accumulating the closed-form
-    expected ball-exit time; any other walker has exited.  One that left
-    from a non-finite point escaped to infinity: like one still walking
-    after MAX_STEPS steps, it is marked stalled.
+    It is evaluated once on each group's starts, when the group starts,
+    and once per active walker after each jump: a walker with clearance
+    c > SURFACE_TOL is inside and next exits the ball B(x, rho * c)
+    exactly, accumulating the closed-form expected ball-exit time; any
+    other walker has exited.  One that left from a non-finite point
+    escaped to infinity: like one still walking after MAX_STEPS steps, it
+    is marked stalled.
 
     `clearance` may instead return a pair (c, in_shell), whose boolean
     `in_shell` marks the walkers inside a stopping shell (see
@@ -318,72 +323,110 @@ def walk_exit_batch_indexed(model: IsotropicStable, clearance, starts,
     the epsilon-shell rule of walk on spheres (Muller, Ann. Math. Stat.
     27, 1956).  A start in the shell stops after 0 steps.
 
-    The starts form consecutive groups, each with its own stream: `rngs`
-    is a sequence of RngStreams and `sizes` their group sizes, which sum
-    to the number of starts.  All groups walk in lockstep, one clearance
-    call and one position update per step for all of them, but each
-    draws from its own generator in the order a walk of its own would:
-    active walkers stay in path order, so group j's t-th draw gets
-    exactly the count its own walk would ask for, and a group with no
-    active walker draws nothing.  Every group's exits are therefore
-    bit-identical to a separate walk, MAX_STEPS included.
+    The paths form consecutive groups, each with its own starts and
+    stream: group j has sizes[j] paths, which start from `starts[j]`, one
+    point or one per path (it broadcasts to (sizes[j], d)), and draw from
+    the RngStream rngs[j].  Groups start in order, each once the walkers
+    still active and its own fit in LOCKSTEP_WALKERS, or once no walker
+    is active, so the tail of one group's walk overlaps the bulk of the
+    next; a group's starts are neither built nor cleared before it starts.
+    Started groups walk in lockstep, one clearance call and one position
+    update per step for all of them, but each draws from its own
+    generator in the order a walk of its own would: it counts its steps,
+    MAX_STEPS included, from its own start, and its active walkers stay
+    in path order, so its t-th draw gets exactly the count its own walk
+    would ask for, and a group with no active walker draws nothing.
+    Every group's exits are therefore bit-identical to a separate walk,
+    however the groups overlap.
 
     The active positions live as coordinate rows, one C-ordered (d, m)
     array, and each jump is applied a coordinate at a time; `clearance`
-    always gets the column-major (m, d) view of that array.  Finished
+    always gets the column-major (m, d) view of such an array.  Finished
     walkers are dropped by taking the indices of the rest
     (`np.flatnonzero`), and each group's count is read off the ascending
     path indices of the active walkers with `np.searchsorted`.
     """
     if not 0 < rho <= 1:
         raise DomainError("ball factor rho must lie in (0, 1]")
-    # the active walkers, compacted: coordinate rows xt, weights wa, path
-    # idx (ascending); all of them have taken the same number of steps
-    xt = np.atleast_2d(np.asarray(starts, dtype=float)).T.copy()
-    d, n = xt.shape
-    _check_dimension(d, model.dim)
+    d = model.dim
+    starts = [np.atleast_2d(np.asarray(s, dtype=float)) for s in starts]
+    for s in starts:
+        _check_dimension(s.shape[1], d)
     sizes = [int(s) for s in sizes]
-    if len(sizes) != len(rngs) or sum(sizes) != n:
-        raise DomainError("walk exit: one stream per group, and group sizes "
-                          "summing to the number of starts")
-    idx = np.arange(n)
-    wa = np.zeros(n)
-    c, in_shell = _clearance_and_shell(clearance(xt.T, idx))
-    if not np.all(c > SURFACE_TOL):
-        raise DomainError("walk exit: a start point lies outside the domain")
+    if not len(starts) == len(sizes) == len(rngs) or any(
+            len(s) not in (1, k) for s, k in zip(starts, sizes)):
+        raise DomainError("walk exit: per group one stream, and one start "
+                          "point or one per path")
     gens = [r.generator() for r in rngs]
-    # group j holds the paths edges[j] <= i < edges[j + 1]
+    # group j holds the paths edges[j] <= i < edges[j + 1]; it started at
+    # step begun[j] if j < started
     edges = np.cumsum([0] + sizes)
-    counts = sizes
+    begun = np.zeros(len(sizes), dtype=np.int64)
+    started = 0
+    n = int(edges[-1])
     y = np.empty((n, d))
     w = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     stalled = np.zeros(n, dtype=bool)
     shelled = np.zeros(n, dtype=bool)
+    # the active walkers, compacted: coordinate rows xt, weights wa,
+    # clearances c and whether they are inside, path idx (ascending), and
+    # their count per group
+    xt = np.empty((d, 0))
+    wa, c = np.empty(0), np.empty(0)
+    inside = np.empty(0, dtype=bool)
+    idx = np.empty(0, dtype=np.int64)
+    counts = [0] * len(sizes)
     ce = mean_exit_constant(d, model.alpha)
+    step = 0
     # a walker escaping to infinity overflows; it is marked stalled below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(MAX_STEPS + 1):
-            inside = c > SURFACE_TOL
-            if in_shell is not None:
-                inside &= ~in_shell
-            if not inside.all():
-                out = np.flatnonzero(~inside)
-                done = idx.take(out)
-                pos = xt.take(out, axis=1)
+        while True:
+            out = ~inside
+            # the oldest group still walking is the first out of steps
+            if len(idx) and step - begun[bisect.bisect_right(
+                    edges, idx[0]) - 1] >= MAX_STEPS:
+                out |= np.repeat(step - begun >= MAX_STEPS, counts)
+            if out.any():
+                gone = np.flatnonzero(out)
+                done = idx.take(gone)
+                pos = xt.take(gone, axis=1)
+                left = inside.take(gone)         # still inside: stalled
                 y[done] = pos.T
-                w[done] = wa.take(out)
-                steps[done] = step
-                stalled[done] = ~np.isfinite(pos).all(axis=0)
-                if in_shell is not None:
-                    # a walker that ends with positive clearance stopped in
-                    # the shell; any other jumped out
-                    shelled[done] = c.take(out) > SURFACE_TOL
-                keep = np.flatnonzero(inside)
-                xt, wa, idx, c = (xt.take(keep, axis=1), wa.take(keep),
-                                  idx.take(keep), c.take(keep))
+                w[done] = wa.take(gone)
+                steps[done] = step - begun[
+                    np.searchsorted(edges, done, side="right") - 1]
+                stalled[done] = left | ~np.isfinite(pos).all(axis=0)
+                # a walker that ends inside the domain, with positive
+                # clearance, stopped in the shell; any other jumped out
+                shelled[done] = ~left & (c.take(gone) > SURFACE_TOL)
+                keep = np.flatnonzero(~out)
+                xt, wa, idx, c, inside = (
+                    xt.take(keep, axis=1), wa.take(keep), idx.take(keep),
+                    c.take(keep), inside.take(keep))
                 counts = np.diff(np.searchsorted(idx, edges)).tolist()
-            if len(idx) == 0 or step == MAX_STEPS:
+            j = started
+            if j < len(sizes) and (
+                    not len(idx) or len(idx) + sizes[j] <= LOCKSTEP_WALKERS):
+                # start the next group, and settle its starts at this step
+                begun[j] = step
+                started += 1
+                if sizes[j]:
+                    new = np.empty((d, sizes[j]))
+                    new[...] = starts[j].T
+                    ids = np.arange(edges[j], edges[j + 1])
+                    cj, in_shell = _clearance_and_shell(clearance(new.T, ids))
+                    if not np.all(cj > SURFACE_TOL):
+                        raise DomainError("walk exit: a start point lies "
+                                          "outside the domain")
+                    xt = np.concatenate([xt, new], axis=1)
+                    wa = np.concatenate([wa, np.zeros(sizes[j])])
+                    idx = np.concatenate([idx, ids])
+                    c = np.concatenate([c, cj])
+                    inside = np.concatenate([inside, _inside(cj, in_shell)])
+                    counts[j] = sizes[j]
+                continue
+            if not len(idx):
                 break
             radii = rho * c
             wa += ce * radii ** model.alpha
@@ -391,12 +434,18 @@ def walk_exit_batch_indexed(model: IsotropicStable, clearance, starts,
             for k in range(d):
                 xt[k] += radii * jumps[:, k]
             c, in_shell = _clearance_and_shell(clearance(xt.T, idx))
-    if len(idx):
-        stalled[idx] = True
-        y[idx] = xt.T
-        w[idx] = wa
-        steps[idx] = MAX_STEPS
+            inside = _inside(c, in_shell)
+            step += 1
     return BatchExit(y=y, w=w, steps=steps, stalled=stalled, shelled=shelled)
+
+
+def _inside(c, in_shell) -> np.ndarray:
+    """The walkers that walk on: clearance above SURFACE_TOL, and not in
+    a stopping shell."""
+    inside = c > SURFACE_TOL
+    if in_shell is not None:
+        inside &= ~in_shell
+    return inside
 
 
 def _clearance_and_shell(out) -> tuple:
@@ -702,7 +751,8 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
     start point per group: group j draws n[j] paths from x[j] on rng[j],
     bit-identical to a call of its own, and the groups come back
     consecutive in one batch.  Walks on balls run their groups in
-    lockstep (`walk_exit_batch_indexed`); chains run them in turn.
+    lockstep, each starting once it fits beside the walkers still active
+    (`walk_exit_batch_indexed`); chains run them in turn.
     """
     if isinstance(rng, RngStream):
         x, n, rng = [x], [n], [rng]
@@ -712,8 +762,7 @@ def sample_exits(model: ProcessModel, D: Domain, x, n, rng,
             clearance = lambda pts, idx: D.shelled_clearance(pts)
         else:
             clearance = lambda pts, idx: D.clearance(pts)
-        return walk_exit_batch_indexed(
-            model, clearance, np.repeat(points, n, axis=0), rho, rng, n)
+        return walk_exit_batch_indexed(model, clearance, points, rho, rng, n)
     if isinstance(model, StableLikeChain):
         return BatchExit.concat([
             chain_exit_batch(model, D, np.tile(p, (nj, 1)), r)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,10 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from bhplab import bhp, exitstats
+from bhplab import bhp, exitstats, sampler
 from bhplab.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
-                        EXIT_RUNTIME, EXIT_UNDERPOWERED, main)
-from bhplab.sampler import mean_exit_constant
+                        EXIT_RUNTIME, EXIT_UNDERPOWERED, encode, main)
+from bhplab.domains import Ball
+from bhplab.exitstats import harmonic_measure, mean_exit_time
+from bhplab.rng import RngStream
+from bhplab.sampler import IsotropicStable, mean_exit_constant
 
 
 def _write(tmp_path, name, cfg):
@@ -617,18 +621,27 @@ def test_bhp_scan_writes_one_byte_identical_report(tmp_path):
 
 def _exit_digest(tmp_path, monkeypatch, command, cfg, owner, name,
                  shelled=False):
-    """sha256 of every exit batch that owner.name returns in one run; its
-    `shelled` mask too if `shelled` is set."""
+    """sha256 of the exits of every group of paths that owner.name walks
+    in one run, group by group in call order, so it does not depend on
+    which groups share a walk; each group's `shelled` mask too if
+    `shelled` is set.  A call's groups are its `n` (`sizes` for the
+    walk itself)."""
     h = hashlib.sha256()
     walk = getattr(owner, name)
+    signature = inspect.signature(getattr(sampler, name))
+    key = "n" if "n" in signature.parameters else "sizes"
 
     def recording(*args, **kwargs):
         batch = walk(*args, **kwargs)
-        fields = [batch.y, batch.w, batch.steps, batch.stalled]
-        if shelled:
-            fields.append(batch.shelled)
-        for a in fields:
-            h.update(np.ascontiguousarray(a).tobytes())
+        sizes = np.atleast_1d(signature.bind(*args, **kwargs).arguments[key])
+        edges = np.cumsum([0, *sizes])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            group = batch.take(slice(lo, hi))
+            fields = [group.y, group.w, group.steps, group.stalled]
+            if shelled:
+                fields.append(group.shelled)
+            for a in fields:
+                h.update(np.ascontiguousarray(a).tobytes())
         return batch
 
     monkeypatch.setattr(owner, name, recording)
@@ -645,7 +658,7 @@ UNSHELLED_EXIT_DIGESTS = {
     "exit-stats":
         "df7fb79f49c9bce3ddcad39b323744806938d10f10faffb59b44754ff40dd9c1",
     "box-method":
-        "2c7ed6956e39e013536af02e9a51d08b76511cbab93c2efdc9929e58988a2f9d",
+        "beac4e208fee432565ea5e723ef5599377725f40c44b3b9aa259cbaf0d233b8a",
     "chain-decay":
         "d67fed2500e9b72799f81b2bd6f2ba58392faf394a812d8365c26d0e9f8362dd",
 }
@@ -680,7 +693,7 @@ def test_unshelled_experiments_walk_as_before(tmp_path, monkeypatch):
 # benchmark's do, so this pins the shelled walk's exits and shell stops
 SHELLED_EXIT_DIGESTS = {
     "bhp-scan":
-        "6c0f87fc9084dc25a0d7a226ae3664dcd836ea1d1d12639756beced36b4a2308",
+        "4b5fdd4689e400d4e13f7259e7eb5aa71583c6ad06f93c43f55994f47398f8f7",
 }
 
 
@@ -734,6 +747,33 @@ def test_seed_changes_results(tmp_path):
     r2 = _load_report(tmp_path / "s2", "exit-stats")
     assert r1["results"]["mean_exit_time"]["value"] \
         != r2["results"]["mean_exit_time"]["value"]
+
+
+def test_exit_stats_estimates_equal_the_one_point_estimators(tmp_path):
+    # the mean exit time and the targets walk as points of one call, yet
+    # each estimate is what its own estimator gives on its own substream
+    targets = [{"name": "left", "kind": "coordinate-lt", "axis": 0,
+                "value": 0.0},
+               {"name": "far", "kind": "norm-gt", "value": 2.0}]
+    cfg = _write(tmp_path, "c.json", {**UNIT_INTERVAL, "x": [0.3],
+                                      "rho": 0.5, "targets": targets})
+    assert main(["exit-stats", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    got = _load_report(tmp_path, "exit-stats")["results"]
+    model, D = IsotropicStable(1.0, 1), Ball([0.0], 1.0)
+    rng = RngStream(UNIT_INTERVAL["seed"])
+    n = UNIT_INTERVAL["n"]
+    want = {"mean_exit_time": mean_exit_time(model, D, [0.3], n,
+                                             rng.substream(0), rho=0.5),
+            "targets": {
+                "left": harmonic_measure(model, D, [0.3],
+                                         lambda y: y[:, 0] < 0.0, n,
+                                         rng.substream(1), rho=0.5),
+                "far": harmonic_measure(model, D, [0.3],
+                                        lambda y: np.linalg.norm(y, axis=1)
+                                        > 2.0, n,
+                                        rng.substream(2), rho=0.5)}}
+    assert got == json.loads(json.dumps(encode(want)))
 
 
 def test_default_walk_exits_the_largest_ball(tmp_path):

@@ -136,37 +136,63 @@ def test_estimates_reproducible_bitwise(monkeypatch):
     assert a.value == b.value and a.stderr == b.stderr
 
 
-def test_fixed_n_walks_stay_within_the_lockstep_budget(monkeypatch):
-    # n is split into parts of at most PART_PATHS paths, and no walk holds
-    # more than PART_PATHS walkers however large n is
-    walks = []
+def test_walks_hold_three_parts_of_exits_but_move_one_of_walkers(
+        monkeypatch):
+    # n is split into parts of at most PART_PATHS paths; one walk holds
+    # the exits of up to 3 * PART_PATHS paths, but no ball-exit draw moves
+    # more than PART_PATHS walkers, however large n is
+    walks, draws = [], []
+    ball_exits = sampler.ball_exit_centered
 
     def counting_sample_exits(model, D, x, n, rng, **kwargs):
         walks.append(int(np.sum(n)))
         return sample_exits(model, D, x, n, rng, **kwargs)
 
+    def counting_ball_exits(alpha, d, n, g):
+        draws.append(sum(n))
+        return ball_exits(alpha, d, n, g)
+
     monkeypatch.setattr(exitstats, "sample_exits", counting_sample_exits)
+    monkeypatch.setattr(sampler, "ball_exit_centered", counting_ball_exits)
     n = 3 * 2 ** 14 + 5
-    est = mean_exit_time(IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.0], n,
+    est = mean_exit_time(IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.3], n,
                          RngStream(9))
     assert est.n == sum(walks) == n
-    assert max(walks) <= exitstats.PART_PATHS
+    assert walks == [12290 + 2 * 12289, 12289]      # parts of split_n(n, 4)
+    assert max(walks) <= 3 * exitstats.PART_PATHS
+    assert max(draws) <= exitstats.PART_PATHS
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB "
                     "on Linux only")
-def test_mean_exit_time_memory_is_flat_in_n():
+def test_mean_exit_time_memory_is_flat_in_n(tmp_path):
     # each walk's exits are summed as it returns, so a 64x larger round
-    # holds no more paths at once; each n runs in a fresh interpreter
-    run = ("import resource, sys; from bhplab import *; mean_exit_time("
-           "IsotropicStable(1.0, 1), Ball([0.0], 1.0), [0.3], "
-           "int(sys.argv[1]), RngStream(1)); "
-           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # holds no more paths at once; so too for exit-stats, whose mean exit
+    # time and two targets walk as points of one call; each run is a
+    # fresh interpreter
+    met = ("mean_exit_time(IsotropicStable(1.0, 1), Ball([0.0], 1.0), "
+           "[0.3], n, RngStream(1))")
+    cfg = {"model": {"type": "isotropic-stable", "alpha": 1.0, "dim": 1},
+           "domain": {"type": "ball", "center": [0.0], "radius": 1.0},
+           "x": [0.3], "seed": 1,
+           "targets": [{"name": "left", "kind": "coordinate-lt", "axis": 0,
+                        "value": 0.0},
+                       {"name": "far", "kind": "norm-gt", "value": 2.0}]}
+    stats = (f"c = {cfg!r}; c['n'] = n; p = {str(tmp_path)!r}; "
+             "json.dump(c, open(p + '/c.json', 'w')); "
+             "assert main(['exit-stats', '--config', p + '/c.json', "
+             "'--out', p]) == 0")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    kb = [int(subprocess.run([sys.executable, "-c", run, str(n)], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=300).stdout) for n in (2 ** 14, 2 ** 20)]
-    assert kb[1] - kb[0] < 16 * 1024
+    for call in (met, stats):
+        run = ("import json, resource, sys; from bhplab import *; "
+               "from bhplab.cli import main; n = int(sys.argv[1]); "
+               f"{call}; "
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        kb = [int(subprocess.run([sys.executable, "-c", run, str(n)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True, timeout=300).stdout.split()[-1])
+              for n in (2 ** 14, 2 ** 20)]
+        assert kb[1] - kb[0] < 16 * 1024, call
 
 
 # ------------------------------------------------------------------ #
@@ -251,7 +277,7 @@ def test_gather_exits_stall_policy_fails_hard(monkeypatch):
     with pytest.raises(EstimationError):
         # one step almost never exits with a tiny ball factor
         gather_exits(model, D, [[0.0]], [200], [RngStream(1)],
-                     [lambda b: b.w], rho=0.001)
+                     [[lambda b: b.w]], rho=0.001)
 
 
 def test_escape_to_infinity_counts_as_a_stall():
@@ -266,8 +292,8 @@ def test_escape_to_infinity_counts_as_a_stall():
 def test_gather_exits_clean_batch_has_no_stalls():
     model = IsotropicStable(1.0, 1)
     tally, warnings = gather_exits(model, Ball([0.0], 1.0), [[0.0]], [500],
-                                   [RngStream(2)], [lambda b: b.stalled])
-    assert tally.sums.tolist() == [[0.0]] and tally.binary == [True]
+                                   [RngStream(2)], [[lambda b: b.stalled]])
+    assert np.array_equal(tally.sums, [[0.0]]) and tally.binary == [[True]]
     assert tally.n == 500 and tally.counts == [500] and warnings == [[]]
 
 
@@ -338,7 +364,8 @@ def test_gather_exits_equals_separate_part_walks(monkeypatch):
     # a seed at which each point stalls a path or two in 20 steps of
     # half-clearance balls
     rngs = [RngStream(13).substream(j) for j in range(len(points))]
-    tally, warnings = gather_exits(model, D, points, ns, rngs, fs, rho=0.5)
+    tally, warnings = gather_exits(model, D, points, ns, rngs, [fs] * 3,
+                                   rho=0.5)
     sums, sumsq, counts = np.zeros((3, 3)), np.zeros((3, 3)), [0, 0, 0]
     for j, (x, n, rng) in enumerate(zip(points, ns, rngs)):
         for i, size in enumerate(split_n(n, -(-n // 100))):
@@ -351,7 +378,7 @@ def test_gather_exits_equals_separate_part_walks(monkeypatch):
     assert np.array_equal(tally.sums, sums)
     assert np.array_equal(tally.sumsq, sumsq)
     assert tally.counts == counts and tally.n == sum(counts) < sum(ns)
-    assert tally.binary == [False, True, False]
+    assert tally.binary == [[False, True, False]] * 3
     assert all(len(w) == 1 for w in warnings)   # every point stalled a path
 
 
@@ -374,6 +401,17 @@ def test_escalate_many_points_equals_one_point_calls(monkeypatch):
     assert len({ests[0].n for ests in got}) >= 3
     for p, r, ests in zip(points, rngs, got):
         assert ests == _escalate_points([p], [r])[0]
+    # so too with functionals and a method of each point's own
+    model = IsotropicStable(1.0, 1)
+    fs = [[lambda b: b.w], [lambda b: b.y[:, 0] > 0.0],
+          [lambda b: b.y[:, 0] > 0.0, lambda b: b.w], [lambda b: b.steps]]
+    methods = ["m0", "m1", "m2", "m3"]
+    got = escalate(model, Ball([0.0], 1.0), points, fs, rngs, n0=64,
+                   cap=4096, method=methods)
+    for p, f, method, r, ests in zip(points, fs, methods, rngs, got):
+        assert [e.method for e in ests] == [method] * len(f)
+        assert ests == escalate(model, Ball([0.0], 1.0), [p], f, [r], n0=64,
+                                cap=4096, method=method)[0]
 
 
 def test_fixed_n_estimators_flag_imprecise_estimates():

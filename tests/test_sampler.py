@@ -138,7 +138,7 @@ def test_walk_evaluates_clearance_once_per_step(rng):
 
     n = 2000
     batch = walk_exit_batch_indexed(IsotropicStable(1.5, 2), clearance,
-                                    np.zeros((n, 2)), 0.5, [rng], [n])
+                                    [np.zeros((n, 2))], 0.5, [rng], [n])
     assert not batch.stalled.any()
     assert sum(seen) == n + int(batch.steps.sum())
     assert len(seen) == 1 + int(batch.steps.max())
@@ -207,35 +207,67 @@ def test_far_jumps_are_bitwise_the_row_formula(rng):
 
 
 def _walk_groups(D, points, sizes, streams, rho):
-    starts = np.repeat(np.asarray(points, dtype=float), sizes, axis=0)
     return walk_exit_batch_indexed(IsotropicStable(1.5, 2),
                                    lambda pts, idx: D.clearance(pts),
-                                   starts, rho, streams, sizes)
+                                   points, rho, streams, sizes)
+
+
+def _draw_counts(monkeypatch) -> list:
+    """Each group's draw count in every ball-exit draw call from now on."""
+    calls = []
+    ball_exits = sampler.ball_exit_centered
+
+    def recording(alpha, d, n, g):
+        calls.append(list(n))
+        return ball_exits(alpha, d, n, g)
+
+    monkeypatch.setattr(sampler, "ball_exit_centered", recording)
+    return calls
+
+
+def _check_staggered(calls, budget, overlap=True):
+    """A walk under a small walker budget: no draw call moves more than
+    the budget, the last group starts after the first, and (if
+    `overlap`) walks beside an earlier group's tail."""
+    assert max(map(sum, calls)) <= budget
+    first = [next(t for t, n in enumerate(calls) if n[j])
+             for j in (0, -1)]
+    assert first[1] > first[0]
+    if overlap:
+        assert any(n[-1] and any(n[:-1]) for n in calls)
 
 
 def test_lockstep_groups_equal_separate_walks(rng, monkeypatch):
     # groups of different sizes and starts (one empty) walking in
     # lockstep give each group the exits of a walk of its own, also when
-    # the step budget stalls most of them
+    # the step budget stalls most of them, and also when a small walker
+    # budget starts the last group steps after the others, beside their
+    # tails, and its steps count from its own start
     points = [[-0.3, 0.2], [0.1, 0.05], [0.0, 0.3], [-0.2, -0.1]]
     sizes = [700, 40, 0, 1500]
     streams = [rng.substream(j) for j in range(len(points))]
     # an oblique half-space: its clearance is a dot product per row
     half = HalfSpace([0.3, 1.0], -0.5).truncate([0.0, 0.0], 0.8)
     slit = SlitPlane().truncate([0.0, 0.0], 0.8)
-    for D, rho, max_steps in [(slit, 0.5, 10 ** 6), (half, 0.5, 10 ** 6),
-                              (slit, 0.1, 3)]:
-        monkeypatch.setattr(sampler, "MAX_STEPS", max_steps)
-        got = _walk_groups(D, points, sizes, streams, rho)
-        refs = [_walk_groups(D, [p], [n], [s], rho)
-                for p, n, s in zip(points, sizes, streams)]
-        for f in ("y", "w", "steps", "stalled"):
-            assert np.array_equal(getattr(got, f),
-                                  np.concatenate([getattr(r, f)
-                                                  for r in refs])), f
-        if max_steps == 3:
-            assert 0 < got.stalled.sum() < got.n
-            assert np.all(got.steps[got.stalled] == 3)
+    for budget in (sampler.LOCKSTEP_WALKERS, 1600):
+        for D, rho, max_steps in [(slit, 0.5, 10 ** 6),
+                                  (half, 0.5, 10 ** 6), (slit, 0.1, 3)]:
+            monkeypatch.setattr(sampler, "LOCKSTEP_WALKERS", budget)
+            monkeypatch.setattr(sampler, "MAX_STEPS", max_steps)
+            calls = _draw_counts(monkeypatch)
+            got = _walk_groups(D, points, sizes, streams, rho)
+            if budget == 1600:
+                _check_staggered(calls, budget, overlap=max_steps > 3)
+            refs = [_walk_groups(D, [p], [n], [s], rho)
+                    for p, n, s in zip(points, sizes, streams)]
+            for f in ("y", "w", "steps", "stalled"):
+                assert np.array_equal(getattr(got, f),
+                                      np.concatenate([getattr(r, f)
+                                                      for r in refs])), f
+            if max_steps == 3:
+                assert 0 < got.stalled.sum() < got.n
+                assert np.all(got.steps[got.stalled] == 3)
+            monkeypatch.undo()
 
 
 class _NoDraws:
@@ -319,19 +351,26 @@ def test_shell_stops_walkers_at_d_only():
     assert np.all(near.y == [0.5 * shell, 0.0]) and not near.w.any()
 
 
-def test_shelled_lockstep_groups_equal_separate_walks(rng):
-    points = [[-0.3, 0.2], [0.1, 0.05], [0.2, -0.01]]
-    sizes = [700, 40, 1500]
+def test_shelled_lockstep_groups_equal_separate_walks(rng, monkeypatch):
+    points = [[-0.3, 0.2], [0.1, 0.05], [0.0, 0.3], [0.2, -0.01]]
+    sizes = [700, 40, 0, 1500]
     streams = [rng.substream(j) for j in range(len(points))]
     U = SlitPlane().truncate([0.0, 0.0], 0.8, shell=1e-4)
     model = IsotropicStable(1.5, 2)
-    got = sample_exits(model, U, points, sizes, streams)
-    refs = [sample_exits(model, U, p, n, s)
-            for p, n, s in zip(points, sizes, streams)]
-    assert 0 < got.shelled.sum() < got.n
-    for f in ("y", "w", "steps", "stalled", "shelled"):
-        assert np.array_equal(getattr(got, f),
-                              np.concatenate([getattr(r, f) for r in refs])), f
+    for budget in (sampler.LOCKSTEP_WALKERS, 1600):
+        monkeypatch.setattr(sampler, "LOCKSTEP_WALKERS", budget)
+        calls = _draw_counts(monkeypatch)
+        got = sample_exits(model, U, points, sizes, streams)
+        if budget == 1600:
+            _check_staggered(calls, budget)
+        refs = [sample_exits(model, U, p, n, s)
+                for p, n, s in zip(points, sizes, streams)]
+        assert 0 < got.shelled.sum() < got.n
+        for f in ("y", "w", "steps", "stalled", "shelled"):
+            assert np.array_equal(getattr(got, f),
+                                  np.concatenate([getattr(r, f)
+                                                  for r in refs])), f
+        monkeypatch.undo()
 
 
 # ------------------------------------------------------------------ #
