@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from . import domains
 from .errors import ConfigError
 from .kernel import JumpKernelSpec
@@ -171,12 +169,9 @@ def build_model(spec):
                                lattice_offset=real(spec, "lattice_offset",
                                                    0.0))
     if t == "sde-stable":
-        dim = count(spec, "dim")
         scale = real(spec, "sigma_scale", 1.0)
-        sigma = None if scale == 1.0 else (lambda x: np.broadcast_to(
-            scale * np.eye(dim), (len(x), dim, dim)))
-        return SdeStable(alpha=real(spec, "alpha"), dim=dim, sigma=sigma,
-                         sigma_bounds=(scale, scale))
+        return SdeStable(alpha=real(spec, "alpha"), dim=count(spec, "dim"),
+                         sigma_scale=scale, sigma_bounds=(scale, scale))
     if t == "geometric-stable":
         return GeometricStable(alpha=real(spec, "alpha"),
                                dim=count(spec, "dim"))

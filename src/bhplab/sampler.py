@@ -226,26 +226,35 @@ class SdeStable(StableModel):
     """Euler scheme for dX = sigma(X-) dZ with Z isotropic alpha-stable.
 
     Increments of Z are exact (subordinated Gaussian), so for constant
-    sigma the scheme is exact in law at the monitoring times.  `sigma` is
-    batched: it maps an (m, d) array of points to the (m, d, d) stack of
-    coefficient matrices, one per point; None means the identity, whose
-    singular values are 1, so its `sigma_bounds` must contain 1.  Every
-    matrix a callable returns must be finite, with its singular values
-    inside `sigma_bounds`, which must be finite with 0 < lo <= hi.  The
-    model carries no time step: `survival_prob_ball` (with it ep-check)
-    steps at t / n_steps.
+    sigma the scheme is exact in law at the monitoring times.  A constant
+    sigma = s I is the number `sigma_scale` = s, checked here against
+    `sigma_bounds` once and applied as one multiply per step; the default
+    s = 1 is the identity.  A state-dependent `sigma` is a batched
+    callable: it maps an (m, d) array of points to the (m, d, d) stack of
+    coefficient matrices, one per point, and every matrix it returns must
+    be finite, with its singular values inside `sigma_bounds`, tested on
+    each step (`_sigma_dz`).  The bounds must be finite with 0 < lo <= hi
+    and hold `sigma_scale` when there is no callable; a callable leaves
+    `sigma_scale` at 1.  The model carries no time step:
+    `survival_prob_ball` (with it ep-check) steps at t / n_steps.
     """
 
     sigma: object = None               # callable (m,d) -> (m,d,d), or None
     sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
+    sigma_scale: float = 1.0           # sigma = sigma_scale * I if no callable
 
     def __post_init__(self):
         super().__post_init__()
         lo, hi = self.sigma_bounds
+        s = self.sigma_scale
+        if self.sigma is not None and s != 1.0:
+            raise ConfigError("give sigma either as a callable or as "
+                              "sigma_scale, not both")
         if not 0 < lo <= hi < math.inf or (self.sigma is None
-                                           and not lo <= 1.0 <= hi):
+                                           and not lo <= s <= hi):
             raise ConfigError("ellipticity bounds must be finite with "
-                              "0 < lo <= hi, and hold 1 if sigma is None")
+                              "0 < lo <= hi, and hold sigma_scale if sigma "
+                              "is None")
 
 
 class GeometricStable(StableModel):
@@ -678,12 +687,14 @@ def _sigma_dz(model: SdeStable, x: np.ndarray,
               dz: np.ndarray) -> np.ndarray:
     """sigma(x) dZ for points x and increments dz, both of shape (m, d).
 
-    One sigma call for the whole batch; a matrix whose singular values
-    leave the declared ellipticity bounds (`_outside_bounds`), or that is
-    not finite, raises ConfigError naming its point.
+    Without a callable this is `sigma_scale` * dz, checked when the model
+    was built.  A callable costs one sigma call for the whole batch, a
+    bounds test of the stack and a stacked matmul: a matrix whose singular
+    values leave the declared ellipticity bounds (`_outside_bounds`), or
+    that is not finite, raises ConfigError naming its point.
     """
     if model.sigma is None:
-        return dz
+        return model.sigma_scale * dz
     m, d = x.shape
     sig = np.asarray(model.sigma(x), dtype=float)
     if sig.shape != (m, d, d):
@@ -778,7 +789,10 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
     Time marginals exist for the chain, SDE, and subordinated models.
     The exact-exit-law model carries no clock; SdeStable(alpha, dim), the
     identity-coefficient Euler scheme (exact increments, discrete
-    monitoring at n_steps times), runs the same process with one.
+    monitoring at n_steps times), runs the same process with one.  An
+    SdeStable step costs one stable draw per path still inside plus its
+    sigma: one multiply for `sigma_scale`, or a sigma call, bounds test
+    and stacked matmul for a callable.
     """
     from .exitstats import Estimate  # local import: exitstats builds on sampler
 

@@ -112,6 +112,27 @@ def test_ep_check_runs(tmp_path):
     assert len(rep["results"]["table"]) == 1
 
 
+# recorded on numpy 2.4 (its Generator streams) before sigma = s I was
+# applied as a number rather than as a stack of matrices; the report's
+# bytes pin every estimate the Euler scheme makes under a scaled sigma
+EP_CHECK_SCALED_SIGMA_DIGEST = (
+    "b86c71cffbb8b59d7fcbf0e81fee4d190269354735d2436bf000cdb9483c0294")
+
+
+def test_ep_check_report_under_scaled_sigma_is_pinned(tmp_path):
+    cfg = _write(tmp_path, "c.json", {
+        "model": {"type": "sde-stable", "alpha": 1.5, "dim": 2,
+                  "sigma_scale": 2.0},
+        "r_list": [0.5, 2.0], "t_factors": [0.01, 0.1], "n": 512,
+        "n_steps": 8, "scaling_pairs": [[[1.0, 0.1], [2.0, 0.1 * 2 ** 1.5]]],
+        "seed": 7,
+    })
+    assert main(["ep-check", "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = (tmp_path / "ep-check.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == EP_CHECK_SCALED_SIGMA_DIGEST
+
+
 def test_ep_check_runs_on_the_chain(tmp_path):
     # the chain carries its dimension in its kernel only
     cfg = _write(tmp_path, "c.json", {

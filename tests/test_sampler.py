@@ -725,6 +725,73 @@ def test_survival_rejects_non_finite_sigma(rng, fill):
                            n_steps=8)
 
 
+@pytest.mark.parametrize("s", [1e-3, 0.3, 1.7, 2.0, np.pi, 7.5e5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sigma_scale_steps_as_the_constant_matrix(rng, s, d):
+    # x + s dz is bit-equal to x + (s I) dz through the callable's matmul,
+    # for |dz| from 1e-300 to 1e300 and signed zeros in x and dz, but for
+    # -0.0 + -0.0: the matmul sums from +0.0 and so gives +0.0 there; the
+    # exit test reads only norms, which do not see the sign of a zero
+    g = rng.substream(d).generator()
+    m = 400
+    mag = 10.0 ** g.uniform(-300, 300, (m, d))
+    dz = np.where(g.random((m, d)) < 0.5, -mag, mag)
+    dz[:8] = -0.0
+    x = g.standard_normal((m, d)) * 10.0 ** g.uniform(-300, 300, (m, d))
+    x[::7] = -0.0
+    x[1::7] = 0.0
+    scaled = SdeStable(1.5, d, sigma_scale=s, sigma_bounds=(s, s))
+    matrix = SdeStable(1.5, d, sigma=_constant_sigma(s, d),
+                       sigma_bounds=(s, s))
+    with np.errstate(over="ignore"):
+        got = x + _sigma_dz(scaled, x, dz)
+        want = x + _sigma_dz(matrix, x, dz)
+    both_neg_zero = np.signbit(x) & np.signbit(dz) & (x == 0) & (dz == 0)
+    assert both_neg_zero.any()
+    same_bits = got.view(np.uint64) == want.view(np.uint64)
+    assert same_bits[~both_neg_zero].all()
+    assert (got[both_neg_zero] == 0).all() and (want[both_neg_zero] == 0).all()
+
+
+def test_survival_with_sigma_scale_equals_the_constant_callable(rng):
+    d = 2
+    scaled = SdeStable(1.5, d, sigma_scale=2.0, sigma_bounds=(2.0, 2.0))
+    matrix = SdeStable(1.5, d, sigma=_constant_sigma(2.0, d),
+                       sigma_bounds=(2.0, 2.0))
+    args = ([0.1, -0.2], 2.0, 0.3, 4000, rng)
+    got = survival_prob_ball(scaled, *args, n_steps=16)
+    want = survival_prob_ball(matrix, *args, n_steps=16)
+    assert 0 < got.value < 1
+    assert got == want
+
+
+def test_sigma_scale_is_never_bounds_tested_per_step(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_outside_bounds called")
+
+    monkeypatch.setattr(sampler, "_outside_bounds", refuse)
+    model = SdeStable(1.5, 2, sigma_scale=0.5, sigma_bounds=(0.5, 0.5))
+    est = survival_prob_ball(model, [0.0, 0.0], 1.0, 1.0, 500, rng,
+                             n_steps=8)
+    assert 0 < est.value < 1
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sigma": _constant_sigma(2.0, 2), "sigma_scale": 2.0,
+      "sigma_bounds": (2.0, 2.0)}, "not both"),
+    ({"sigma": _constant_sigma(1.0, 2), "sigma_scale": np.nan}, "not both"),
+    ({"sigma_scale": 2.0}, "ellipticity"),
+    ({"sigma_scale": 3.0, "sigma_bounds": (1.0, 2.0)}, "ellipticity"),
+    ({"sigma_scale": 0.5, "sigma_bounds": (1.0, 2.0)}, "ellipticity"),
+    ({"sigma_scale": np.inf, "sigma_bounds": (1.0, 2.0)}, "ellipticity"),
+    ({"sigma_scale": np.nan, "sigma_bounds": (1.0, 2.0)}, "ellipticity"),
+    ({"sigma_scale": 0.0, "sigma_bounds": (0.0, 0.0)}, "ellipticity"),
+])
+def test_sde_model_refuses_a_bad_sigma_scale(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        SdeStable(1.5, 2, **kwargs)
+
+
 def test_survival_needs_positive_horizon_radius_and_counts(rng):
     model = SdeStable(1.0, 2)
     for r, t, n, n_steps in [(1.0, 0.0, 10, 4), (1.0, -1.0, 10, 4),
