@@ -2,7 +2,8 @@
 Harnack ratios of purely discontinuous jump Markov processes."""
 
 from .domains import (Ball, Cone, Domain, HalfSpace, Intersection,
-                      SegmentComplement, SlitPlane, Union, box_minus_comb)
+                      Polyhedron, SegmentComplement, SlitPlane, Union,
+                      box_minus_comb)
 from .errors import (BhpLabError, CapabilityError, ConfigError,
                      DivergenceError, DomainError, EstimationError,
                      SamplerStallError, UnderpoweredError)

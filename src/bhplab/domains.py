@@ -25,6 +25,20 @@ not depend on who walks with it; and it must accept (m, d) points in any
 memory order, giving the same bits for each.  The walk on balls passes a
 column-major view, so the shapes here sum over coordinates a column at a
 time (``_row_dot``, ``_row_norm``), never along a row.
+
+The flat shapes, a ``Polyhedron``'s half-space rows (a ``HalfSpace`` is
+its one-row case) and a ``SegmentComplement``'s segments, lay their pieces
+out as (pieces x walkers) arrays: each piece's constants are an (r, 1)
+column, each numpy operation acts on an (r, m) array for all m walkers at
+once, and ``np.minimum.reduce`` folds the rows.  A clearance call thus
+makes a fixed number of numpy calls per pass, not per piece.  A pass takes
+at most ``_PASS_ROWS`` = 8 pieces, and every pass reuses the same two
+(r, m) work arrays in place, so a call holds O(8 m) floats (2 MiB at
+``sampler.LOCKSTEP_WALKERS`` = 2^14 walkers) whatever the piece count.
+Each element goes through the operations of the one-piece formula in
+their order, so the bits are those of evaluating one piece at a time (a
+segment complement takes one square root of its min squared distance,
+which is the min of the roots bit for bit, as sqrt is monotone).
 """
 
 from __future__ import annotations
@@ -36,6 +50,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 SURFACE_TOL = 1e-12
+# pieces of a flat shape (half-space rows, segments) that one array pass
+# evaluates; its work arrays hold at most 2 * _PASS_ROWS floats per walker
+_PASS_ROWS = 8
 
 
 def _as_points(x, dim):
@@ -74,6 +91,52 @@ def _row_norm(v):
     for k in range(1, v.shape[1]):
         s += v[:, k] * v[:, k]
     return np.sqrt(s)
+
+
+def _finite(name: str, value) -> np.ndarray:
+    """`value` as a 1-d float array; ConfigError naming `name` unless
+    every entry is finite."""
+    a = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} must be finite, got {a.tolist()}")
+    return a
+
+
+def _unit(name: str, value) -> tuple:
+    """(value / |value|, |value|) for a finite vector; ConfigError naming
+    `name` unless its squared norm neither underflows to 0 nor overflows."""
+    v = _finite(name, value)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"{name} must have a squared norm that is a "
+                          f"nonzero finite float, got {v.tolist()}")
+    return v / norm, norm
+
+
+def _passes(columns) -> tuple:
+    """Per-piece constants, equal-length (k,) columns, cut into passes of
+    at most _PASS_ROWS pieces, each column an (r, 1) array that broadcasts
+    against the m walkers of a coordinate column."""
+    return tuple(tuple(col[lo:lo + _PASS_ROWS, None] for col in columns)
+                 for lo in range(0, len(columns[0]), _PASS_ROWS))
+
+
+def _work_arrays(passes, m: int) -> np.ndarray:
+    """Two empty (r, m) work arrays, r the row count of the first (largest)
+    pass, which every pass of a clearance call reuses.  They are made as
+    one (2, r, m) block: with glibc's malloc, two separate blocks of a few
+    hundred kB, freed together, were handed back to the system after each
+    call and faulted in again on the next, which made a comb clearance
+    call at 15,000 walkers about 40% slower than one piece at a time."""
+    return np.empty((2, len(passes[0][0]), m))
+
+
+def _fold_min(c, w):
+    """The running min c (None before the first pass) folded with the
+    (r, m) clearances w of one pass, a row at a time in piece order."""
+    low = np.minimum.reduce(w)
+    return low if c is None else np.minimum(c, low, out=c)
 
 
 class Domain:
@@ -130,10 +193,10 @@ class Ball(Domain):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.atleast_1d(np.asarray(self.center, dtype=float)))
-        if not self.radius > 0:
-            raise ConfigError("ball radius must be positive")
+        object.__setattr__(self, "center", _finite("ball center", self.center))
+        if not 0 < self.radius < np.inf:
+            raise ConfigError(f"ball radius must be positive and finite, got "
+                              f"{self.radius!r}")
 
     @property
     def dim(self):
@@ -143,27 +206,55 @@ class Ball(Domain):
         return self.radius - _row_norm(pts - self.center)
 
 
-@dataclass(frozen=True)
-class HalfSpace(Domain):
-    """Open half-space {x : normal . x > offset} (normal is normalized)."""
+class Polyhedron(Domain):
+    """Open convex polyhedron: the intersection of the open half-spaces
+    {x : n_i . x > o_i}, one row (n_i, o_i) each, normals normalized.
 
-    normal: np.ndarray
-    offset: float = 0.0
+    Its clearance min_i (n_i . x - o_i) is exact: each row is the signed
+    distance to one face.  The rows are evaluated a pass at a time as
+    (rows, m) arrays (see the module docstring).
+    """
 
-    def __post_init__(self):
-        n = np.atleast_1d(np.asarray(self.normal, dtype=float))
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise ConfigError("half-space normal must be nonzero")
-        object.__setattr__(self, "normal", n / norm)
-        object.__setattr__(self, "offset", float(self.offset) / norm)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
+    def __init__(self, normals, offsets):
+        rows = []
+        for n, o in zip(normals, offsets, strict=True):
+            n, norm = _unit("half-space normal", n)
+            with np.errstate(over="ignore"):
+                unit_offset = float(o) / norm
+            if not np.isfinite(unit_offset):
+                raise ConfigError(f"half-space offset {o!r} divided by "
+                                  f"|normal| = {norm:g} must be finite")
+            rows.append((n, unit_offset))
+        if not rows:
+            raise ConfigError("a polyhedron needs at least one half-space")
+        if len({len(n) for n, _ in rows}) != 1:
+            raise ConfigError("all half-spaces must share a dimension")
+        self.normals = np.array([n for n, _ in rows])
+        self.offsets = np.array([o for _, o in rows])
+        self.dim = self.normals.shape[1]
+        self._passes = _passes([*self.normals.T, self.offsets])
 
     def _clearance(self, pts):
-        return _row_dot(pts, self.normal) - self.offset
+        # each row's n . x summed a coordinate column at a time, as
+        # _row_dot sums it, in place on two (r, m) work arrays w and t
+        w, t = _work_arrays(self._passes, len(pts))
+        c = None
+        for *n, off in self._passes:
+            wr, tr = w[:len(off)], t[:len(off)]
+            np.multiply(n[0], pts[:, 0], out=wr)
+            for k in range(1, self.dim):
+                wr += np.multiply(n[k], pts[:, k], out=tr)
+            wr -= off
+            c = _fold_min(c, wr)
+        return c
+
+
+class HalfSpace(Polyhedron):
+    """Open half-space {x : normal . x > offset} (normal is normalized):
+    the one-row polyhedron."""
+
+    def __init__(self, normal, offset: float = 0.0):
+        super().__init__([normal], [offset])
 
 
 @dataclass(frozen=True)
@@ -192,17 +283,15 @@ class Cone(Domain):
     half_angle: float
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.vertex, dtype=float))
+        v = _finite("cone vertex", self.vertex)
         a = np.atleast_1d(np.asarray(self.axis, dtype=float))
         if v.shape != a.shape:
             raise ConfigError("cone vertex and axis must share a dimension")
-        norm = np.linalg.norm(a)
-        if norm == 0:
-            raise ConfigError("cone axis must be nonzero")
+        a, _ = _unit("cone axis", a)
         if not 0 < self.half_angle < np.pi:
             raise ConfigError("cone half-angle must lie in (0, pi)")
         object.__setattr__(self, "vertex", v)
-        object.__setattr__(self, "axis", a / norm)
+        object.__setattr__(self, "axis", a)
 
     @property
     def dim(self):
@@ -230,7 +319,8 @@ class SegmentComplement(Domain):
     dim: int = 2
 
     def __post_init__(self):
-        segs = tuple((np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        segs = tuple((_finite("segment endpoint", a),
+                      _finite("segment endpoint", b))
                      for a, b in self.segments)
         if not segs:
             raise ConfigError("need at least one segment")
@@ -238,31 +328,56 @@ class SegmentComplement(Domain):
             if a.shape != (2,) or b.shape != (2,):
                 raise ConfigError("segments must join 2-d points")
         object.__setattr__(self, "segments", segs)
-        # each segment as (a, b - a, |b - a|^2) by coordinates, fixed for
+        # each segment as a, b - a and |b - a|^2 by coordinates, fixed for
         # every walk step
-        object.__setattr__(self, "_spans", tuple(
-            (*map(float, a), *map(float, b - a), float((b - a) @ (b - a)))
-            for a, b in segs))
+        with np.errstate(over="ignore"):
+            ax, ay, abx, aby, den = np.array(
+                [(*a, *(b - a), (b - a) @ (b - a)) for a, b in segs]).T
+        if not np.isfinite(den).all():
+            a, b = segs[int(np.argmin(np.isfinite(den)))]
+            raise ConfigError(f"segment endpoints {a.tolist()} and "
+                              f"{b.tolist()} lie too far apart: |b - a|^2 "
+                              f"overflows")
+        # a zero-length segment is its point a: its t is set to 0, and its
+        # |b - a|^2 to 1 so that no division by zero is made
+        zero = den == 0.0
+        object.__setattr__(self, "_passes", tuple(
+            (*p[:-1], np.flatnonzero(p[-1])) for p in
+            _passes([ax, ay, abx, aby, np.where(zero, 1.0, den), zero])))
 
     def _clearance(self, pts):
-        # the distance to each segment's nearest point a + t (b - a), a
-        # coordinate column at a time, with the operations of _row_dot and
-        # _row_norm in their order
+        # the squared distance to each segment's nearest point a + t (b - a),
+        # with the operations of _row_dot and _row_norm in their order, in
+        # place on two (r, m) work arrays t and e; then one square root of
+        # the min, which is the min of the square roots bit for bit, since
+        # a correctly rounded sqrt is monotone
         x, y = pts[:, 0], pts[:, 1]
-        d = np.full(len(x), np.inf)
-        for ax, ay, abx, aby, denom in self._spans:
-            if denom == 0.0:
-                ex, ey = x - ax, y - ay
-            else:
-                s = (x - ax) * abx
-                s += (y - ay) * aby
-                t = np.minimum(np.maximum(s / denom, 0.0), 1.0)
-                ex, ey = x - (ax + t * abx), y - (ay + t * aby)
-            ex *= ex
-            ey *= ey
-            ex += ey
-            np.minimum(d, np.sqrt(ex, out=ex), out=d)
-        return d
+        t_work, e_work = _work_arrays(self._passes, len(x))
+        c = None
+        for ax, ay, abx, aby, den, zero in self._passes:
+            t, e = t_work[:len(ax)], e_work[:len(ax)]
+            np.subtract(x, ax, out=t)
+            t *= abx
+            np.subtract(y, ay, out=e)
+            e *= aby
+            t += e
+            t /= den
+            np.maximum(t, 0.0, out=t)
+            np.minimum(t, 1.0, out=t)
+            if len(zero):
+                t[zero] = 0.0
+            # e = y - (ay + t * aby), then t = x - (ax + t * abx)
+            np.multiply(t, aby, out=e)
+            e += ay
+            np.subtract(y, e, out=e)
+            t *= abx
+            t += ax
+            np.subtract(x, t, out=t)
+            t *= t
+            e *= e
+            t += e
+            c = _fold_min(c, t)
+        return np.sqrt(c, out=c)
 
 
 def box_minus_comb(teeth: int = 4, gap: float = 0.25) -> Domain:
@@ -277,12 +392,8 @@ def box_minus_comb(teeth: int = 4, gap: float = 0.25) -> Domain:
         raise ConfigError("comb needs at least one tooth")
     if not 0 < gap < 1:
         raise ConfigError("comb gap must lie in (0, 1)")
-    box = Intersection([
-        HalfSpace(np.array([1.0, 0.0]), 0.0),
-        HalfSpace(np.array([-1.0, 0.0]), -1.0),
-        HalfSpace(np.array([0.0, 1.0]), 0.0),
-        HalfSpace(np.array([0.0, -1.0]), -1.0),
-    ])
+    box = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                     [0.0, -1.0, 0.0, -1.0])
     segs = []
     for k in range(1, teeth + 1):
         xk = k / (teeth + 1)

@@ -61,16 +61,6 @@ BALL_FACTOR = 1.0
 # closed-form constants for the isotropic stable process
 # ===================================================================== #
 
-def poisson_kernel_constant(d: int, alpha: float) -> float:
-    """Normalizing constant of the unit-ball exit density.
-
-    The exit density from x (|x| < 1) is
-    C(d, a) * ((1 - |x|^2) / (|y|^2 - 1))^{a/2} * |y - x|^{-d} on |y| > 1.
-    """
-    return math.gamma(d / 2.0) * math.sin(math.pi * alpha / 2.0) \
-        / math.pi ** (d / 2.0 + 1.0)
-
-
 def mean_exit_constant(d: int, alpha: float) -> float:
     """E_x[tau_{B(0,r)}] = C_E(d,a) (r^2 - |x|^2)^{a/2}; this is C_E."""
     return math.gamma(d / 2.0) / (2.0 ** alpha * math.gamma(1.0 + alpha / 2.0)
@@ -88,18 +78,19 @@ def stable_kernel_constant(d: int, alpha: float) -> float:
 # exact ball exits
 # ===================================================================== #
 
-def _radial_points(d: int, n, g, draw_radii) -> np.ndarray:
-    """Points at radii draw_radii(gen, k) in uniform directions, shape
+def _radial_points(d: int, n, g, draw, to_radii) -> np.ndarray:
+    """Points at radii to_radii(draws) in uniform directions, shape
     (sum(n), d).
 
     `n` and `g` are equal-length sequences: each generator g[j] in turn
-    draws its n[j] radii and then its n[j] directions, and the points
-    come back concatenated in that order (a generator with n[j] = 0 draws
-    nothing).  A direction is the sign of a uniform if d = 1, else a
-    normalized Gaussian, drawn as g[j].random(n[j]) or
-    g[j].standard_normal((n[j], d)) would draw them.  The points are
-    column-major, each coordinate's column contiguous, and are scaled a
-    column at a time.
+    draws its n[j] values draw(g[j], n[j]) and then its n[j] directions,
+    and the points come back concatenated in that order (a generator
+    with n[j] = 0 draws nothing); to_radii maps the draws of all groups
+    to radii in one elementwise call.  A direction is the sign of a
+    uniform if d = 1, else a normalized Gaussian, drawn as
+    g[j].random(n[j]) or g[j].standard_normal((n[j], d)) would draw
+    them.  The points are column-major, each coordinate's column
+    contiguous, and are scaled a column at a time.
     """
     m = int(sum(n))
     radii = np.empty(m)
@@ -108,12 +99,13 @@ def _radial_points(d: int, n, g, draw_radii) -> np.ndarray:
     for nj, gj in zip(n, g):
         if nj:
             stop = start + nj
-            radii[start:stop] = draw_radii(gj, nj)
+            radii[start:stop] = draw(gj, nj)
             if d == 1:
                 gj.random(out=v[start:stop])
             else:
                 gj.standard_normal(out=v[start:stop])
             start = stop
+    radii = to_radii(radii)
     out = np.empty((d, m)).T
     if d == 1:
         out[:, 0] = np.where(v < 0.5, -radii, radii)
@@ -133,11 +125,13 @@ def ball_exit_centered(alpha: float, d: int, n, g) -> np.ndarray:
     equal-length sequences, one group per generator, drawn and ordered
     as `_radial_points` does.
     """
-    def radii(gj, nj):
-        b = gj.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=nj)
+    def beta(gj, nj):
+        return gj.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=nj)
+
+    def radii(b):
         return np.divide(1.0, np.sqrt(b, out=b), out=b)
 
-    return _radial_points(d, n, g, radii)
+    return _radial_points(d, n, g, beta, radii)
 
 
 # ===================================================================== #
@@ -527,11 +521,11 @@ def _snap(z: np.ndarray, h: float, offset: float = 0.0) -> np.ndarray:
 
 def _far_jumps(tables: _ChainTables, d: int, h: float, n: int,
                g: np.random.Generator) -> np.ndarray:
-    def radii(gj, k):
-        return np.interp(gj.random(k), tables.far_radius_cdf,
-                         tables.far_radius_grid)
+    def radii(u):
+        return np.interp(u, tables.far_radius_cdf, tables.far_radius_grid)
 
-    return _snap(_radial_points(d, [n], [g], radii), h)
+    return _snap(_radial_points(d, [n], [g], lambda gj, k: gj.random(k),
+                                radii), h)
 
 
 def chain_exit_batch(model: StableLikeChain, D: Domain, starts,

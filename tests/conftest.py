@@ -7,12 +7,21 @@ import pytest
 from scipy import integrate
 
 from bhplab.rng import RngStream
-from bhplab.sampler import poisson_kernel_constant
 
 
 @pytest.fixture
 def rng():
     return RngStream(20260823)
+
+
+def poisson_kernel_constant(d: int, alpha: float) -> float:
+    """Normalizing constant of the unit-ball exit density.
+
+    The exit density from x (|x| < 1) is
+    C(d, a) * ((1 - |x|^2) / (|y|^2 - 1))^{a/2} * |y - x|^{-d} on |y| > 1.
+    """
+    return math.gamma(d / 2.0) * math.sin(math.pi * alpha / 2.0) \
+        / math.pi ** (d / 2.0 + 1.0)
 
 
 def ball_exit_tail_prob(alpha: float, d: int, R: float) -> float:

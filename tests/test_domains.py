@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhplab.config import build_domain
-from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace,
-                            Intersection, SegmentComplement, SlitPlane,
-                            Truncation, Union, _row_norm, box_minus_comb)
+from bhplab.domains import (SURFACE_TOL, Ball, Cone, HalfSpace, Intersection,
+                            Polyhedron, SegmentComplement, SlitPlane,
+                            Truncation, Union, _row_dot, _row_norm,
+                            box_minus_comb)
 from bhplab.errors import ConfigError, DomainError
 
 
@@ -315,3 +318,162 @@ def test_segment_clearance_bits_match_the_row_formula():
                                              axis=1))
     for order in (pts, np.asfortranarray(pts)):
         assert np.array_equal(D.clearance(order), ref)
+
+
+# ------------------------------------------------------------------ #
+# flat pieces as (pieces x walkers) arrays
+# ------------------------------------------------------------------ #
+
+def _per_segment_clearance(D, pts):
+    # one segment at a time, as SegmentComplement evaluated it before its
+    # segments became rows of one array pass; a zero-length segment takes
+    # the point distance
+    x, y = pts[:, 0], pts[:, 1]
+    d = np.full(len(x), np.inf)
+    for a, b in D.segments:
+        (ax, ay), (abx, aby) = a, b - a
+        denom = float((b - a) @ (b - a))
+        if denom == 0.0:
+            ex, ey = x - ax, y - ay
+        else:
+            s = (x - ax) * abx
+            s += (y - ay) * aby
+            t = np.minimum(np.maximum(s / denom, 0.0), 1.0)
+            ex, ey = x - (ax + t * abx), y - (ay + t * aby)
+        d = np.minimum(d, np.sqrt(ex * ex + ey * ey))
+    return d
+
+
+def _per_row_clearance(normals, offsets, pts):
+    # one normalized half-space at a time, folded by a running min
+    c = None
+    for n, o in zip(normals, offsets):
+        norm = np.linalg.norm(n)
+        row = _row_dot(pts, np.asarray(n, dtype=float) / norm) - o / norm
+        c = row if c is None else np.minimum(c, row)
+    return c
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _points_with_non_finite_rows(dim, m=400):
+    pts = _probe_points(dim)[:m].copy()
+    specials = [np.inf, -np.inf, np.nan, 0.5]
+    rows = [[u, v] for u in specials for v in specials][:-1]
+    pts[4:4 + len(rows), :2] = rows
+    return np.asfortranarray(pts)
+
+
+# eleven segments: two passes, with a zero-length segment in each
+MANY_SEGMENTS = SegmentComplement(tuple(
+    [([0.2, 0.2], [0.2, 0.2])]
+    + [([-1.0 + 0.2 * k, -0.5], [-0.8 + 0.2 * k, 0.4 * k]) for k in range(9)]
+    + [([1.5, -1.5], [1.5, -1.5])]))
+
+
+@pytest.mark.parametrize("D", [MANY_SEGMENTS, ORDER_DOMAINS[-2]],
+                         ids=["two-passes", "one-pass"])
+def test_segment_pass_bits_match_per_segment_at_non_finite_points(D):
+    # an escaped walker sits at +-inf or NaN; the walk evaluates it with
+    # overflow and invalid-value warnings off, and no other warning (a
+    # division by a zero-length segment's |b - a|^2) may be raised
+    pts = _points_with_non_finite_rows(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = D.clearance(pts)
+        ref = _per_segment_clearance(D, pts)
+    assert np.array_equal(_bits(got), _bits(ref))
+    assert np.isnan(got).any() and np.isinf(got).any()
+    # at finite points, no floating-point state is needed at all
+    finite = _probe_points(2)
+    assert np.array_equal(_bits(D.clearance(finite)),
+                          _bits(_per_segment_clearance(D, finite)))
+
+
+@pytest.mark.parametrize("dim,k", [(1, 3), (2, 4), (2, 12), (3, 17)])
+def test_polyhedron_equals_the_intersection_of_its_rows(dim, k):
+    g = np.random.default_rng(dim * 100 + k)
+    normals = g.standard_normal((k, dim)) * 10.0 ** g.uniform(-3, 3, (k, 1))
+    offsets = g.standard_normal(k)
+    P = Polyhedron(normals, offsets)
+    both = Intersection([HalfSpace(n, o) for n, o in zip(normals, offsets)])
+    pts = (_points_with_non_finite_rows(dim) if dim > 1 else
+           np.array([[np.inf], [-np.inf], [np.nan], [0.0], [-0.3], [2.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = P.clearance(pts)
+        assert np.array_equal(_bits(got), _bits(both.clearance(pts)))
+        assert np.array_equal(
+            _bits(got), _bits(_per_row_clearance(normals, offsets, pts)))
+
+
+def test_comb_box_is_one_polyhedron():
+    box, teeth = box_minus_comb(4, 0.25).components
+    assert isinstance(box, Polyhedron) and len(box.offsets) == 4
+    assert isinstance(teeth, SegmentComplement) and len(teeth.segments) == 4
+
+
+@pytest.mark.parametrize("D", [box_minus_comb(), MANY_SEGMENTS,
+                               Polyhedron(np.eye(2).tolist() * 5,
+                                          np.linspace(-1.0, 0.0, 10))],
+                         ids=["comb", "segments", "polyhedron"])
+def test_clearance_alone_equals_clearance_in_a_batch(D):
+    g = np.random.default_rng(3)
+    pts = np.asfortranarray(g.uniform(-0.5, 1.5, (2 ** 14, 2)))
+    batch = D.clearance(pts)
+    for i in g.choice(len(pts), 40, replace=False):
+        assert _bits(D.clearance(pts[i])) == _bits(batch[i])
+        assert _bits(D.clearance(pts[i:i + 1])) == _bits(batch[i])
+
+
+def test_segment_clearance_memory_is_bounded_by_the_pass_size():
+    # 1000 segments at 2^14 walkers: (pieces x walkers) at once would hold
+    # 131 MB per array; a pass holds 8 rows of the walkers
+    g = np.random.default_rng(8)
+    a = g.uniform(-1.0, 1.0, (1000, 2))
+    D = SegmentComplement(tuple(zip(a, a + g.uniform(-0.1, 0.1, (1000, 2)))))
+    m = 2 ** 14
+    pts = np.asfortranarray(g.uniform(-2.0, 2.0, (m, 2)))
+    D.clearance(pts[:8])
+    tracemalloc.start()
+    try:
+        c = D.clearance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape == (m,)
+    # two work arrays of 8 rows are 2 MiB, the running min and one pass's
+    # row min 128 kiB each
+    assert peak < 2.5 * 2 ** 20
+
+
+def test_domains_refuse_non_finite_or_overflowing_geometry():
+    cases = [
+        (lambda: HalfSpace([1e308, 1e308]), "half-space normal"),
+        (lambda: HalfSpace([np.inf, 0.0]), "half-space normal"),
+        (lambda: HalfSpace([0.0, 0.0]), "half-space normal"),
+        # its squared norm underflows to 0
+        (lambda: HalfSpace([1e-200, 0.0]), "half-space normal"),
+        (lambda: HalfSpace([0.0, 1.0], np.nan), "half-space offset"),
+        (lambda: HalfSpace([0.0, 1e-150], 1e300), "half-space offset"),
+        (lambda: Ball([np.nan, 0.0], 1.0), "ball center"),
+        (lambda: Ball([0.0, 0.0], np.inf), "ball radius"),
+        (lambda: Ball([0.0, 0.0], np.nan), "ball radius"),
+        (lambda: Cone([0.0, np.inf], [0.0, 1.0], 1.0), "cone vertex"),
+        (lambda: Cone([0.0, 0.0], [1e308, 1e308], 1.0), "cone axis"),
+        (lambda: Cone([0.0, 0.0], [0.0, 1.0], np.nan), "half-angle"),
+        (lambda: SegmentComplement((([0.0, 0.0], [np.nan, 1.0]),)),
+         "segment endpoint"),
+        (lambda: SegmentComplement((([0.0, 0.0], [1e400, 0.0]),)),
+         "segment endpoint"),
+        (lambda: SegmentComplement((([-1e200, 0.0], [1e200, 0.0]),)),
+         "segment endpoints"),
+    ]
+    for build, name in cases:
+        with pytest.raises(ConfigError, match=name):
+            build()
+    # a finite normal keeps the bits of its normalization
+    D = HalfSpace([0.3, 1.0], -0.5)
+    n = np.array([0.3, 1.0])
+    assert np.array_equal(D.normals[0], n / np.linalg.norm(n))
+    assert D.offsets[0] == -0.5 / np.linalg.norm(n)

@@ -16,13 +16,12 @@ from bhplab.sampler import (GeometricStable, IsotropicStable, SdeStable,
                             _paths_exit_indicator, _sigma_dz, _snap,
                             ball_exit_centered, chain_exit_batch,
                             mean_exit_constant, one_sided_stable,
-                            poisson_kernel_constant, sample_exits,
-                            stable_increment, survival_prob_ball,
-                            walk_exit_batch_indexed)
+                            sample_exits, stable_increment,
+                            survival_prob_ball, walk_exit_batch_indexed)
 from bhplab.scale import ScaleFunction
 
 from conftest import (ball_exit_prob_interval, ball_exit_tail_prob,
-                      halfspace_far_prob)
+                      halfspace_far_prob, poisson_kernel_constant)
 
 
 # ------------------------------------------------------------------ #
