@@ -52,7 +52,7 @@ def _get(spec, key: str, default):
 def count(spec, key: str, default=_REQUIRED, least: int = 1) -> int:
     v = _get(spec, key, default)
     try:
-        n = int(v)
+        n = None if isinstance(v, bool) else int(v)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (isinstance(v, float) and n != v):
@@ -62,10 +62,17 @@ def count(spec, key: str, default=_REQUIRED, least: int = 1) -> int:
     return n
 
 
+def _float(v) -> float:
+    """float(v), but JSON true and false are not numbers."""
+    if isinstance(v, bool):
+        raise TypeError(v)
+    return float(v)
+
+
 def real(spec, key: str, default=_REQUIRED, positive: bool = False) -> float:
     v = _get(spec, key, default)
     try:
-        x = float(v)
+        x = _float(v)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {v!r}") from None
     if positive and not x > 0:
@@ -85,7 +92,7 @@ def _floats(values, key: str, size: int | None = None,
     out = None
     if isinstance(values, (list, tuple)):
         try:
-            out = [float(v) for v in values]
+            out = [_float(v) for v in values]
         except (TypeError, ValueError, OverflowError):
             pass
     if (not out or (size is not None and len(out) != size)
@@ -169,9 +176,8 @@ def build_model(spec):
                                lattice_offset=real(spec, "lattice_offset",
                                                    0.0))
     if t == "sde-stable":
-        scale = real(spec, "sigma_scale", 1.0)
         return SdeStable(alpha=real(spec, "alpha"), dim=count(spec, "dim"),
-                         sigma_scale=scale, sigma_bounds=(scale, scale))
+                         sigma_scale=real(spec, "sigma_scale", 1.0))
     if t == "geometric-stable":
         return GeometricStable(alpha=real(spec, "alpha"),
                                dim=count(spec, "dim"))

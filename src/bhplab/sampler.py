@@ -27,11 +27,12 @@ beside the slit at alpha = 1.5, and with no bound at alpha <= 1, where
 the slit and the comb's teeth are polar.  `bhp.eval_harmonic` walks with
 eps = `bhp.SHELL_EPS` = 1e-6, and every other caller walks without one.
 
-Approximation-grade models (lattice chain, Euler scheme for stable SDEs,
-gamma-subordinated stable) cover variable coefficients and non-power
-scale functions; their bias knobs (the chain's pitch and cutoff, and
-ep-check's `n_steps`, which sets the Euler step t / n_steps) are exposed,
-not certified.
+Approximation-grade models (lattice chain, Euler scheme for a stable SDE
+with constant coefficient sigma_scale * I, gamma-subordinated stable)
+cover time marginals and non-power scale functions, and the chain's
+kappa(x, z) covers variable coefficients; their bias knobs (the chain's
+pitch and cutoff, and ep-check's `n_steps`, which sets the Euler step
+t / n_steps) are exposed, not certified.
 """
 
 from __future__ import annotations
@@ -217,38 +218,23 @@ class StableLikeChain(ProcessModel):
 
 @dataclass(frozen=True)
 class SdeStable(StableModel):
-    """Euler scheme for dX = sigma(X-) dZ with Z isotropic alpha-stable.
+    """Euler scheme for dX = sigma dZ with Z isotropic alpha-stable and a
+    constant sigma = s I, the number `sigma_scale` = s.
 
-    Increments of Z are exact (subordinated Gaussian), so for constant
-    sigma the scheme is exact in law at the monitoring times.  A constant
-    sigma = s I is the number `sigma_scale` = s, checked here against
-    `sigma_bounds` once and applied as one multiply per step; the default
-    s = 1 is the identity.  A state-dependent `sigma` is a batched
-    callable: it maps an (m, d) array of points to the (m, d, d) stack of
-    coefficient matrices, one per point, and every matrix it returns must
-    be finite, with its singular values inside `sigma_bounds`, tested on
-    each step (`_sigma_dz`).  The bounds must be finite with 0 < lo <= hi
-    and hold `sigma_scale` when there is no callable; a callable leaves
-    `sigma_scale` at 1.  The model carries no time step:
+    Increments of Z are exact (subordinated Gaussian), so the scheme is
+    exact in law at the monitoring times.  The scale is checked here once,
+    0 < s < inf, and applied as one multiply per step; the default s = 1
+    is the identity.  The model carries no time step:
     `survival_prob_ball` (with it ep-check) steps at t / n_steps.
     """
 
-    sigma: object = None               # callable (m,d) -> (m,d,d), or None
-    sigma_bounds: tuple = (1.0, 1.0)   # declared ellipticity bounds
-    sigma_scale: float = 1.0           # sigma = sigma_scale * I if no callable
+    sigma_scale: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
-        lo, hi = self.sigma_bounds
-        s = self.sigma_scale
-        if self.sigma is not None and s != 1.0:
-            raise ConfigError("give sigma either as a callable or as "
-                              "sigma_scale, not both")
-        if not 0 < lo <= hi < math.inf or (self.sigma is None
-                                           and not lo <= s <= hi):
-            raise ConfigError("ellipticity bounds must be finite with "
-                              "0 < lo <= hi, and hold sigma_scale if sigma "
-                              "is None")
+        if not 0 < self.sigma_scale < math.inf:
+            raise ConfigError(f"sigma_scale must be finite and > 0 for "
+                              f"ellipticity, got {self.sigma_scale!r}")
 
 
 class GeometricStable(StableModel):
@@ -647,72 +633,15 @@ def stable_increment(alpha: float, d: int, dt, n: int,
     return np.sqrt(2.0 * s)[:, None] * g.standard_normal((n, d))
 
 
-def _outside_bounds(sig: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mask of the (m, d, d) stack `sig` whose singular values leave [lo, hi].
-
-    The singular values of s lie in [lo, hi] exactly when G - (lo/hi)^2 I
-    and I - G are positive semidefinite, G = a^T a with a = s / hi (the
-    scaling keeps G of a matrix within its bounds from overflowing).  Both
-    are tested by Gaussian elimination without pivoting, every entry an
-    array over the stack: a pivot below 0 or NaN, or a zero pivot with a
-    nonzero rest of its row, is a violation.  A non-finite s leaves an
-    -inf or NaN on the diagonal of I - G and so fails.  Rounding in G
-    blurs its eigenvalues by about d * eps, so a singular value near lo is
-    placed only to about d * eps * (hi/lo)^2 of lo: with the 1e-9 slack of
-    `_sigma_dz`, a matrix on its lower bound passes while hi/lo < ~10^3.
-    """
-    m, d = sig.shape[:2]
-    eye = np.eye(d)[:, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # entry (i, j) of each (d, d, .) array below is an array over the stack
-        a = np.ascontiguousarray(sig.transpose(1, 2, 0)) / hi
-        g = (a[:, :, None, :] * a[:, None, :, :]).sum(axis=0)
-        mats = np.concatenate([g - (lo / hi) ** 2 * eye, eye - g], axis=2)
-        bad = np.zeros(2 * m, dtype=bool)
-        for k in range(d):
-            p, row = mats[k, k], mats[k, k + 1:]
-            bad |= ~(p >= 0) | ((p == 0) & (row != 0).any(axis=0))
-            mats[k + 1:, k + 1:] -= (row[:, None, :] * row[None, :, :]
-                                     / np.where(p > 0, p, 1.0))
-    return bad[:m] | bad[m:]
-
-
-def _sigma_dz(model: SdeStable, x: np.ndarray,
-              dz: np.ndarray) -> np.ndarray:
-    """sigma(x) dZ for points x and increments dz, both of shape (m, d).
-
-    Without a callable this is `sigma_scale` * dz, checked when the model
-    was built.  A callable costs one sigma call for the whole batch, a
-    bounds test of the stack and a stacked matmul: a matrix whose singular
-    values leave the declared ellipticity bounds (`_outside_bounds`), or
-    that is not finite, raises ConfigError naming its point.
-    """
-    if model.sigma is None:
-        return model.sigma_scale * dz
-    m, d = x.shape
-    sig = np.asarray(model.sigma(x), dtype=float)
-    if sig.shape != (m, d, d):
-        raise ConfigError(
-            f"sigma must map (m, d) points to (m, d, d) matrices: expected "
-            f"shape {(m, d, d)}, got {sig.shape}")
-    lo, hi = model.sigma_bounds
-    bad = _outside_bounds(sig, lo * (1 - 1e-9), hi * (1 + 1e-9))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConfigError(
-            f"sigma({x[k].tolist()}) has singular values outside the declared "
-            f"ellipticity bounds [{lo}, {hi}]")
-    return np.matmul(sig, dz[:, :, None])[:, :, 0]
-
-
 def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
                           t: float, n: int, n_steps: int,
                           g: np.random.Generator) -> np.ndarray:
     """Indicator of leaving B(x0, r) by time t, monitored at n_steps times.
 
     Only the paths still inside move; each step draws one increment per
-    such path, in path order: sigma(x) dZ with an exact stable dZ for
+    such path, in path order: sigma_scale * dZ with an exact stable dZ for
     SdeStable, a gamma-subordinated stable increment for GeometricStable.
+    A path that a large sigma_scale carries to inf has left the ball.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_dimension(len(x0), model.dim)
@@ -725,13 +654,15 @@ def _paths_exit_indicator(model: SdeStable | GeometricStable, x0, r: float,
             break
         if isinstance(model, GeometricStable):
             # the stable process over a gamma clock's increment
-            x = x + stable_increment(model.alpha, model.dim,
-                                     g.gamma(dt, 1.0, alive.size),
-                                     alive.size, g)
+            dx = stable_increment(model.alpha, model.dim,
+                                  g.gamma(dt, 1.0, alive.size), alive.size, g)
         else:
-            dz = stable_increment(model.alpha, model.dim, dt, alive.size, g)
-            x = x + _sigma_dz(model, x, dz)
-        out = _row_norm(x - x0) > r
+            dx = stable_increment(model.alpha, model.dim, dt, alive.size, g)
+        with np.errstate(over="ignore"):
+            if isinstance(model, SdeStable):
+                dx = model.sigma_scale * dx
+            x = x + dx
+            out = _row_norm(x - x0) > r
         exited[alive[out]] = True
         alive, x = alive[~out], x[~out]
     return exited
@@ -784,9 +715,8 @@ def survival_prob_ball(model: ProcessModel, x, r: float, t: float, n: int,
     The exact-exit-law model carries no clock; SdeStable(alpha, dim), the
     identity-coefficient Euler scheme (exact increments, discrete
     monitoring at n_steps times), runs the same process with one.  An
-    SdeStable step costs one stable draw per path still inside plus its
-    sigma: one multiply for `sigma_scale`, or a sigma call, bounds test
-    and stacked matmul for a callable.
+    SdeStable step costs one stable draw per path still inside and one
+    multiply by `sigma_scale`.
     """
     from .exitstats import Estimate  # local import: exitstats builds on sampler
 

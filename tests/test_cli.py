@@ -502,13 +502,18 @@ NON_POSITIVE = [
     ("exit-stats", {**UNIT_INTERVAL, "targets": [
         {"name": "mean_exit_time", "kind": "norm-gt", "value": 2.0}]}),
     ("exit-stats", {**UNIT_INTERVAL, "out": 5}),
-    # JSON reads 1e400 as inf, so the default bounds would be [inf, inf]
+    # JSON reads 1e400 as inf, which is no ellipticity bound
     ("ep-check", {**SDE_LINE,
                   "model": {**SDE_LINE["model"], "sigma_scale": 1e400}}),
 ] + [(command, cfg) for command, cfg, _ in NON_POSITIVE] + [
     # a word for a flag
     ("check-kernel", {"kernel": POWER_KERNEL,
                       "check_reverse_doubling": "false"}),
+    # a flag for a number: a count, a real and a list entry
+    ("ep-check", {**SDE_LINE, "n": True}),
+    ("exit-stats", {**UNIT_INTERVAL,
+                    "model": {**UNIT_INTERVAL["model"], "alpha": True}}),
+    ("ep-check", {**SDE_LINE, "r_list": [1.0, True]}),
 ])
 def test_empty_series_or_no_paths_is_config_error(tmp_path, capsys, no_walks,
                                                   command, cfg):
