@@ -607,6 +607,29 @@ def test_batched_euler_matches_per_path_loop(rng):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("s", [1e-3, 0.3, 1.7, 2.0, np.pi, 7.5e5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sigma_scale_steps_as_the_constant_matrix(rng, s, d):
+    # sigma_scale s is the constant coefficient s I of dX = sigma dZ: the
+    # exit verdicts equal a reference that applies the matrix s I to each
+    # alive path's increment; s I dz and s dz differ at most in the sign
+    # of a zero, which the exit test's norms do not see
+    x0, r, t, n, n_steps = np.full(d, 0.1), 1.0, 0.3, 400, 8
+    got = _paths_exit_indicator(SdeStable(1.5, d, sigma_scale=s), x0, r, t,
+                                n, n_steps, rng.substream(d).generator())
+    g = rng.substream(d).generator()
+    sig = s * np.eye(d)
+    x, want = np.tile(x0, (n, 1)), np.zeros(n, dtype=bool)
+    for _ in range(n_steps):
+        alive = np.nonzero(~want)[0]
+        if alive.size == 0:
+            break
+        dz = stable_increment(1.5, d, t / n_steps, len(alive), g)
+        x[alive] = x[alive] + np.matmul(sig, dz[:, :, None])[:, :, 0]
+        want |= np.linalg.norm(x - x0, axis=1) > r
+    assert np.array_equal(got, want)
+
+
 def test_survival_under_an_overflowing_sigma_scale_exits_every_path(rng):
     # every path's distance overflows to inf on the first step, which is
     # an exit, and numpy's overflow warning would fail this test
